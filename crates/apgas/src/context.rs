@@ -286,6 +286,15 @@ impl PlaceContext {
 /// Returns `false` (and does nothing) when the caller is not running on a
 /// context — workers use that to fall back to `thread::yield_now` in the
 /// classic one-thread-per-place mode.
+///
+/// Never inlined: a context may resume on a different executor thread than
+/// the one it yielded on, so no thread-local may be read across a switch.
+/// Inlined into a polling loop (`Worker::run_one`'s step-gate poll), the
+/// compiler is free to compute `CURRENT`'s address once and reuse it on
+/// every iteration, which after a migration reads the *previous* thread's
+/// slot: a hang or a wild pointer. Keeping the read behind a call forces a
+/// fresh address lookup on whichever thread is running the context now.
+#[inline(never)]
 pub(crate) fn yield_now() -> bool {
     let p = CURRENT.with(|c| c.get());
     if p.is_null() {

@@ -109,9 +109,10 @@ pub struct Worker {
     /// Shorthand for `place.id`.
     pub here: PlaceId,
     /// Outgoing-message aggregation buffers. Thread-local to this worker
-    /// (hence `RefCell`, not a lock); flushed at the end of every scheduling
-    /// quantum, before parking, and at loop exit, so buffered messages never
-    /// outlive a point where their destination could be waiting on them.
+    /// (hence `RefCell`, not a lock); flushed after every activity, at the
+    /// end of every scheduling quantum, before parking, and at loop exit, so
+    /// buffered messages never outlive a point where their destination could
+    /// be waiting on them.
     coalescer: RefCell<Coalescer>,
     /// Scratch buffer for bulk mailbox drains (reused across calls).
     recv_scratch: RefCell<Vec<Envelope>>,
@@ -144,11 +145,17 @@ struct WorkerHooks {
     spawn_recv: Counter,
     parks: Counter,
     activities: Counter,
+    mailbox_sweeps: Counter,
     drain_depth: Histogram,
     send_failed: Counter,
     stray_ctl: Counter,
     watchdog_fired: Counter,
 }
+
+/// Budget of one scheduling quantum ([`Worker::run_one`]), shared by both
+/// halves: envelopes taken in its single mailbox sweep, and queued
+/// activities run after the sweep.
+const QUANTUM: usize = 256;
 
 /// Idle quanta a worker spends yielding the CPU before it takes the condvar
 /// sleep. Aggregated traffic arrives in bursts, so a receiver that just
@@ -199,6 +206,7 @@ impl Worker {
             spawn_recv: o.metrics.counter(obs::names::SPAWN_REMOTE_RECV),
             parks: o.metrics.counter(obs::names::WORKER_PARKS),
             activities: o.metrics.counter(obs::names::WORKER_ACTIVITIES),
+            mailbox_sweeps: o.metrics.counter(obs::names::WORKER_MAILBOX_SWEEPS),
             drain_depth: o.metrics.histogram(
                 obs::names::MAILBOX_DRAIN_DEPTH,
                 obs::names::MAILBOX_DRAIN_BOUNDS,
@@ -326,9 +334,16 @@ impl Worker {
         self.flush_sends();
     }
 
-    /// Pump messages and run at most one activity. Returns whether any
-    /// progress was made. Ends with a flush: nothing this quantum sent stays
-    /// buffered into the next one.
+    /// One scheduling quantum: sweep the mailbox once (at most [`QUANTUM`]
+    /// envelopes), then run at most [`QUANTUM`] queued activities, flushing
+    /// the coalescer after each. Returns whether any progress was made.
+    /// Nothing this quantum sent stays buffered into the next one.
+    ///
+    /// The sweep is amortized over the activities it fed: a place that just
+    /// unpacked a storm of tiny updates runs them back to back instead of
+    /// re-sweeping every incoming lane before each one. The activity budget
+    /// keeps the mailbox live: an activity that keeps re-spawning itself
+    /// locally cannot starve the messages that would tell it to stop.
     pub fn run_one(&self) -> bool {
         if let Some(gate) = &self.g.step_gate {
             // Deterministic mode: the quantum boundary sits here, at the
@@ -352,14 +367,23 @@ impl Worker {
                 gate.step_wait(self.here.0);
             }
         }
-        let handled = self.drain_messages(256);
-        let progress = if let Some(act) = self.pop_activity() {
+        let handled = self.drain_messages(QUANTUM);
+        let mut ran = 0;
+        while ran < QUANTUM {
+            let Some(act) = self.pop_activity() else {
+                break;
+            };
             self.execute(act);
-            true
-        } else {
-            handled > 0
-        };
-        self.flush_sends();
+            // Flush per activity, not per quantum: nothing an activity sent
+            // may wait behind the activities queued after it.
+            self.flush_sends();
+            ran += 1;
+        }
+        if ran == 0 {
+            // Sends made by inline control handling during the sweep.
+            self.flush_sends();
+        }
+        let progress = ran > 0 || handled > 0;
         if progress {
             self.idle_streak.set(0);
         }
@@ -627,6 +651,9 @@ impl Worker {
         // taken out of its cell for the duration so handlers are free to use
         // `self` (they never drain recursively).
         let mut scratch = std::mem::take(&mut *self.recv_scratch.borrow_mut());
+        if let Some(h) = &self.hooks {
+            h.mailbox_sweeps.inc(self.here.0);
+        }
         self.g
             .transport
             .try_recv_batch(self.here, max, &mut scratch);

@@ -197,3 +197,91 @@ fn runtime_is_reusable_across_runs() {
         assert_eq!(n, 16 * (round + 1));
     }
 }
+
+/// Total of one named counter in the runtime's metrics registry.
+fn counter(rt: &Runtime, name: &str) -> u64 {
+    rt.obs()
+        .expect("obs on by default")
+        .metrics
+        .snapshot()
+        .counters
+        .iter()
+        .find(|(n, _)| n == name)
+        .map_or(0, |(_, v)| *v)
+}
+
+/// A place that receives 4,096 tiny `at_async` updates from one peer runs
+/// them in scheduling quanta of many activities per mailbox sweep: the
+/// sweeps (one pass over every incoming lane each) are amortized over the
+/// activities they fed rather than paid once per activity.
+#[test]
+fn mailbox_sweeps_amortize_over_a_storm() {
+    let updates = 4096u64;
+    let rt = Runtime::new(Config::new(2).executor_threads(1));
+    let sink = Arc::new(AtomicU64::new(0));
+    let s2 = sink.clone();
+    rt.run(move |ctx| {
+        ctx.finish(move |c| {
+            for i in 0..updates {
+                let s = s2.clone();
+                c.at_async(PlaceId(1), move |_| {
+                    s.fetch_add(i, Ordering::Relaxed);
+                });
+            }
+        });
+    });
+    assert_eq!(sink.load(Ordering::SeqCst), updates * (updates - 1) / 2);
+    let sweeps = counter(&rt, "worker.mailbox_sweeps");
+    let activities = counter(&rt, "worker.activities");
+    assert!(activities > updates, "activities {activities}");
+    assert!(sweeps > 0, "the sweep counter must be registered and counted");
+    assert!(
+        sweeps < activities / 8,
+        "{sweeps} mailbox sweeps for {activities} activities: the sweep is \
+         not amortized over the scheduling quantum"
+    );
+}
+
+/// An activity that keeps re-spawning itself locally never empties its
+/// place's queue; the message that tells it to stop arrives by `at_async`
+/// from another place. The run terminates only because a scheduling
+/// quantum runs a bounded number of activities before it sweeps the
+/// mailbox again — a quantum that ran the queue until empty would never
+/// deliver the flag. Two executors: a context with work never yields its
+/// thread, so place 0 needs one of its own.
+#[test]
+fn self_respawning_activity_cannot_starve_the_mailbox() {
+    // Far more spins than the flag needs to arrive; reaching it means the
+    // mailbox was starved (the cap turns that hang into a failure).
+    const CAP: u64 = 20_000_000;
+
+    fn spin(c: &Ctx, stop: Arc<AtomicBool>, spins: Arc<AtomicU64>) {
+        if stop.load(Ordering::Acquire) {
+            return;
+        }
+        let n = spins.fetch_add(1, Ordering::Relaxed);
+        if n >= CAP {
+            return;
+        }
+        if n == 1_000 {
+            // Provably spinning: ask place 0 to send the stop flag, so it
+            // lands in a mailbox whose place queue is never empty.
+            let st = stop.clone();
+            c.at_async(PlaceId(0), move |c0| {
+                c0.at_async(PlaceId(1), move |_| st.store(true, Ordering::Release));
+            });
+        }
+        c.spawn(move |cc| spin(cc, stop, spins));
+    }
+
+    let rt = Runtime::new(Config::new(2).executor_threads(2));
+    let stop = Arc::new(AtomicBool::new(false));
+    let spins = Arc::new(AtomicU64::new(0));
+    let (st, sp) = (stop.clone(), spins.clone());
+    rt.run(move |ctx| {
+        ctx.finish(move |c| c.at_async(PlaceId(1), move |cc| spin(cc, st, sp)));
+    });
+    assert!(stop.load(Ordering::SeqCst));
+    let n = spins.load(Ordering::SeqCst);
+    assert!(n < CAP, "the stop flag never reached the spinning place ({n} spins)");
+}

@@ -25,6 +25,12 @@ pub const WORKER_PARKS: &str = "worker.parks";
 /// Incremented once per activity body run by a worker.
 pub const WORKER_ACTIVITIES: &str = "worker.activities";
 
+/// Counter: mailbox sweeps — `try_recv_batch` calls, each one pass over
+/// the place's incoming lanes, empty or not (unit: sweeps). Incremented in
+/// the worker's message pump, once per scheduling quantum. Read against
+/// [`WORKER_ACTIVITIES`] it gives the sweeps paid per activity.
+pub const WORKER_MAILBOX_SWEEPS: &str = "worker.mailbox_sweeps";
+
 /// Counter: coalescer buffer drains triggered by the message-count
 /// threshold (unit: flushes). Incremented at the flush site in
 /// `x10rt::coalesce`.
@@ -35,8 +41,8 @@ pub const COALESCE_FLUSH_THRESHOLD_MSGS: &str = "coalescer.flush.threshold_msgs"
 pub const COALESCE_FLUSH_THRESHOLD_BYTES: &str = "coalescer.flush.threshold_bytes";
 
 /// Counter: coalescer buffer drains from an explicit `flush`/`flush_dest`
-/// call — end of a scheduling quantum, before parking, on worker exit
-/// (unit: flushes).
+/// call — after each activity and at the end of a scheduling quantum, before
+/// parking, on worker exit (unit: flushes).
 pub const COALESCE_FLUSH_EXPLICIT: &str = "coalescer.flush.explicit";
 
 /// Histogram: logical messages drained per mailbox *sweep* — one
