@@ -25,13 +25,9 @@ pub enum RedundancyMode {
 /// place (`X10_NTHREADS=1`) and 32 places per host (octant).
 #[derive(Clone, Debug)]
 pub struct Config {
-    /// Number of places. Execution starts at place 0.
+    /// Number of places. Execution starts at place 0. Every place runs one
+    /// worker, as the paper's experiments do (`X10_NTHREADS=1`).
     pub places: usize,
-    /// Worker threads per place. The paper runs all experiments with one
-    /// worker per place and dedicates a core to each; intra-place schedulers
-    /// are explicitly left as future work, but multiple workers are
-    /// supported here.
-    pub workers_per_place: usize,
     /// Places per host; determines host masters for `FINISH_DENSE` routing
     /// and the Power 775 traffic accounting (32 on the paper's machine).
     pub places_per_host: usize,
@@ -69,9 +65,10 @@ pub struct Config {
     /// gates the tracer, which can also be toggled at run time via
     /// `Runtime::obs`.
     pub trace_enable: bool,
-    /// Per-worker trace ring-buffer capacity, in events. When a buffer
-    /// wraps, the oldest events are overwritten (and counted as dropped in
-    /// the export).
+    /// Capacity of each worker's one event ring, in events. Trace spans and
+    /// instants and causal stamps share it. When the ring wraps, the oldest
+    /// event is overwritten and counted as dropped by its own kind
+    /// (`trace.dropped_events` or `causal.dropped_events`).
     pub trace_buffer_events: usize,
     /// Build the runtime with no observability state at all: hooks compile
     /// to a branch on a `None` — the overhead-ablation baseline.
@@ -79,7 +76,7 @@ pub struct Config {
     /// Start with causal cross-place tracing enabled: every stamped message
     /// carries an `obs::causal::CausalId` (charged
     /// `CAUSAL_HEADER_BYTES` in the byte ledgers) and workers record
-    /// send/receive/execute stamps into per-worker causal rings, from which
+    /// send/receive/execute stamps into their event rings, from which
     /// `Runtime::critical_path_json` and friends reconstruct cross-place
     /// dependency chains. Off by default — unstamped messages keep their
     /// exact pre-causal wire sizes and every hook reduces to one relaxed
@@ -108,8 +105,8 @@ pub struct Config {
     /// Deterministic-schedule mode (simulation testing): workers yield to a
     /// [`crate::step::StepGate`] at the top of every scheduling quantum and
     /// only run when an external schedule controller grants them one — see
-    /// the `sim` crate. Requires `workers_per_place == 1`. Off by default;
-    /// the threaded path then pays exactly one `Option` check per quantum.
+    /// the `sim` crate. Off by default; the threaded path then pays exactly
+    /// one `Option` check per quantum.
     pub deterministic: bool,
     /// How protocol messages are packed into envelopes (see `PROTOCOL.md`).
     /// [`x10rt::CodecMode::Inline`] — the default — ships typed in-process
@@ -124,8 +121,8 @@ pub struct Config {
     /// thread per place. `None` — the default — keeps the classic
     /// thread-per-place mode. With `Some(n)`, place counts decouple from
     /// core counts: a 4,096-place runtime runs in one process on `n`
-    /// threads (see DESIGN.md §"M:N place scheduling"). Requires
-    /// `workers_per_place == 1` and an x86_64 host.
+    /// threads (see DESIGN.md §"M:N place scheduling"). Requires an x86_64
+    /// host.
     pub executor_threads: Option<usize>,
     /// Usable stack bytes per place context in M:N mode (rounded up to a
     /// page; a guard page is added below). Stacks are mapped `NORESERVE`,
@@ -157,7 +154,6 @@ impl Config {
     pub fn new(places: usize) -> Self {
         Config {
             places,
-            workers_per_place: 1,
             places_per_host: 32,
             park_timeout: Duration::from_micros(200),
             finish_flush_entries: 64,
@@ -220,13 +216,6 @@ impl Config {
         self
     }
 
-    /// Set workers per place (builder style).
-    pub fn workers_per_place(mut self, w: usize) -> Self {
-        assert!(w > 0);
-        self.workers_per_place = w;
-        self
-    }
-
     /// Set the aggregation message-count flush threshold (builder style).
     pub fn batch_max_msgs(mut self, n: usize) -> Self {
         assert!(n > 0);
@@ -266,7 +255,7 @@ impl Config {
         self
     }
 
-    /// Set the per-worker trace ring capacity in events (builder style).
+    /// Set the per-worker event ring capacity in events (builder style).
     pub fn trace_buffer_events(mut self, n: usize) -> Self {
         assert!(n > 0);
         self.trace_buffer_events = n;
@@ -351,7 +340,6 @@ mod tests {
     fn defaults_match_paper_launch_config() {
         let c = Config::new(64);
         assert_eq!(c.places, 64);
-        assert_eq!(c.workers_per_place, 1);
         assert_eq!(c.places_per_host, 32);
         assert!(!c.batch_disable);
         assert_eq!(c.batch_max_msgs, 64);
@@ -421,9 +409,8 @@ mod tests {
 
     #[test]
     fn builder_overrides() {
-        let c = Config::new(8).places_per_host(4).workers_per_place(2);
+        let c = Config::new(8).places_per_host(4);
         assert_eq!(c.places_per_host, 4);
-        assert_eq!(c.workers_per_place, 2);
     }
 
     #[test]

@@ -119,9 +119,9 @@ impl<'w> Ctx<'w> {
         self.worker.obs()
     }
 
-    /// This worker's trace ring, when observability is on. Library layers
+    /// This worker's event ring, when observability is on. Library layers
     /// (teams, clocks, GLB) record their spans and instants through this.
-    pub fn trace(&self) -> Option<&obs::trace::TraceBuf> {
+    pub fn trace(&self) -> Option<&obs::trace::EventRing> {
         self.worker.trace()
     }
 

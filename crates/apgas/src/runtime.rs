@@ -200,20 +200,6 @@ impl Runtime {
     fn build(cfg: Config, external: Option<Arc<dyn Transport>>) -> Self {
         assert!(cfg.places > 0, "need at least one place");
         assert!(cfg.places <= u32::MAX as usize, "place ids are 32-bit");
-        if cfg.deterministic {
-            assert_eq!(
-                cfg.workers_per_place, 1,
-                "deterministic mode grants quanta per place, so it requires \
-                 exactly one worker per place"
-            );
-        }
-        if cfg.executor_threads.is_some() {
-            assert_eq!(
-                cfg.workers_per_place, 1,
-                "M:N scheduling runs each place as one context, so it \
-                 requires exactly one worker per place"
-            );
-        }
         let topo = Topology::new(cfg.places, cfg.places_per_host);
         let obs = if cfg.obs_disable {
             None
@@ -352,21 +338,19 @@ impl Runtime {
             }
         } else {
             for i in host_start..host_start + host_count {
-                for w in 0..g.cfg.workers_per_place {
-                    let g2 = g.clone();
-                    let place = g.places[i].clone();
-                    handles.push(
-                        std::thread::Builder::new()
-                            .name(format!("place-{i}.{w}"))
-                            // Help-first waiting nests activity frames on the
-                            // worker stack; give it room.
-                            .stack_size(16 * 1024 * 1024)
-                            .spawn(move || {
-                                Worker::new(g2, place).main_loop();
-                            })
-                            .expect("spawn worker thread"),
-                    );
-                }
+                let g2 = g.clone();
+                let place = g.places[i].clone();
+                handles.push(
+                    std::thread::Builder::new()
+                        .name(format!("place-{i}"))
+                        // Help-first waiting nests activity frames on the
+                        // worker stack; give it room.
+                        .stack_size(16 * 1024 * 1024)
+                        .spawn(move || {
+                            Worker::new(g2, place).main_loop();
+                        })
+                        .expect("spawn worker thread"),
+                );
             }
         }
         Runtime {
@@ -576,7 +560,7 @@ impl Runtime {
         self.g.obs.as_ref().map(|o| o.metrics_json())
     }
 
-    /// Export the trace ring buffers as chrome-trace JSON, loadable in
+    /// Export the event rings as chrome-trace JSON, loadable in
     /// `about:tracing` / Perfetto (`None` when observability is disabled).
     /// With causal tracing on, the export includes cross-place flow events
     /// (rendered as arrows between place tracks).

@@ -131,7 +131,7 @@ pub(crate) fn report_text(g: &Global) -> String {
         g.cfg.places,
         match g.cfg.executor_threads {
             Some(t) => format!("M:N, {t} executor threads"),
-            None => format!("{} worker(s)/place", g.cfg.workers_per_place),
+            None => "one thread per place".to_string(),
         }
     );
     let _ = writeln!(

@@ -1,17 +1,16 @@
 //! The per-place scheduler: message pumping, activity execution, and
 //! **help-first waiting**.
 //!
-//! Every place runs one (or more) worker threads. A worker alternates
-//! between draining its transport mailbox (converting task messages into
-//! queued activities and handling termination-control traffic inline) and
-//! executing queued activities. Blocking constructs — a `finish` waiting
-//! for termination, an `at` waiting for its round trip, a team operation
-//! waiting for peers — never park the thread while work is available:
-//! [`Worker::wait_until`] keeps pumping messages and running activities
-//! until the condition holds. With one worker per place (the paper's
-//! configuration) this is what makes the runtime deadlock-free: the thread
-//! that waits is the same thread that processes the messages that satisfy
-//! the wait.
+//! Every place runs one worker, as in the paper (`X10_NTHREADS=1`). A
+//! worker alternates between draining its transport mailbox (converting
+//! task messages into queued activities and handling termination-control
+//! traffic inline) and executing queued activities. Blocking constructs — a
+//! `finish` waiting for termination, an `at` waiting for its round trip, a
+//! team operation waiting for peers — never park the thread while work is
+//! available: [`Worker::wait_until`] keeps pumping messages and running
+//! activities until the condition holds. This is what makes the runtime
+//! deadlock-free: the thread that waits is the same thread that processes
+//! the messages that satisfy the wait.
 
 use crate::clock::ClockMsg;
 use crate::ctx::Ctx;
@@ -24,9 +23,9 @@ use crate::runtime::Global;
 use crate::team::TeamWire;
 use crate::wire;
 use crossbeam_deque::Steal;
-use obs::causal::{CausalBuf, CausalId};
+use obs::causal::CausalId;
 use obs::metrics::{Counter, Histogram};
-use obs::trace::TraceBuf;
+use obs::trace::EventRing;
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -135,11 +134,10 @@ pub struct Worker {
     mplex: bool,
 }
 
-/// A worker's resolved observability handles: its trace ring plus the shared
-/// metric counters it increments.
+/// A worker's resolved observability handles: its event ring (trace and
+/// causal events) plus the shared metric counters it increments.
 struct WorkerHooks {
-    trace: Arc<TraceBuf>,
-    causal: Arc<CausalBuf>,
+    ring: Arc<EventRing>,
     finish_ctl_msgs: Counter,
     spawn_sent: Counter,
     spawn_recv: Counter,
@@ -199,8 +197,7 @@ impl Worker {
             coalescer = coalescer.with_arena_disabled();
         }
         let hooks = g.obs.as_ref().map(|o| WorkerHooks {
-            trace: o.tracer.register(here.0),
-            causal: o.causal.register(here.0),
+            ring: o.tracer.register(here.0),
             finish_ctl_msgs: o.metrics.counter(obs::names::FINISH_CTL_MSGS),
             spawn_sent: o.metrics.counter(obs::names::SPAWN_REMOTE_SENT),
             spawn_recv: o.metrics.counter(obs::names::SPAWN_REMOTE_RECV),
@@ -229,10 +226,10 @@ impl Worker {
         }
     }
 
-    /// This worker's trace ring, when observability is on. `Ctx` exposes it
-    /// to library layers (finish spans, team phases, GLB steal rounds).
-    pub(crate) fn trace(&self) -> Option<&TraceBuf> {
-        self.hooks.as_ref().map(|h| &*h.trace)
+    /// This worker's event ring, when observability is on. `Ctx` exposes
+    /// it to library layers (finish spans, team phases, GLB steal rounds).
+    pub(crate) fn trace(&self) -> Option<&EventRing> {
+        self.hooks.as_ref().map(|h| &*h.ring)
     }
 
     /// The runtime's observability state, when enabled.
@@ -240,12 +237,12 @@ impl Worker {
         self.g.obs.as_ref()
     }
 
-    /// This worker's causal ring when causal tracing is currently enabled
+    /// This worker's event ring when causal tracing is currently enabled
     /// (`None` otherwise — the off-path cost is one relaxed atomic load).
     #[inline]
-    fn causal_buf(&self) -> Option<&CausalBuf> {
+    fn causal_buf(&self) -> Option<&EventRing> {
         match &self.hooks {
-            Some(h) if h.causal.enabled() => Some(&h.causal),
+            Some(h) if h.ring.causal_enabled() => Some(&h.ring),
             _ => None,
         }
     }
@@ -266,10 +263,10 @@ impl Worker {
             return f();
         };
         let prev = self.current_cause.replace(Some(id));
-        let start = self.causal_buf().and_then(CausalBuf::start);
+        let start = self.causal_buf().and_then(EventRing::causal_start);
         f();
         if let (Some(cb), Some(s)) = (self.causal_buf(), start) {
-            cb.exec_end(id, 0, s);
+            cb.causal_exec_end(id, 0, s);
         }
         self.current_cause.set(prev);
     }
@@ -422,13 +419,13 @@ impl Worker {
     /// send event linking it to the current cause is recorded; when off,
     /// the envelope passes through untouched.
     pub(crate) fn send_env_rooted(&self, env: Envelope, root: Option<u64>) {
-        let env = match self.causal_buf() {
-            Some(cb) if env.causal.is_none() => {
+        let env = match (self.causal_buf(), self.obs()) {
+            (Some(cb), Some(o)) if env.causal.is_none() => {
                 let cur = self.current_cause.get();
                 let root = root.or_else(|| cur.map(|c| c.root)).unwrap_or(0);
-                let id = cb.mint(root);
+                let id = o.causal.mint(root);
                 let env = env.with_causal(id);
-                cb.send(
+                cb.causal_send(
                     id,
                     cur.map_or(0, |c| c.seq),
                     env.to.0,
@@ -451,7 +448,7 @@ impl Worker {
     fn note_send_failure(&self, e: &x10rt::SendError) {
         if let Some(h) = &self.hooks {
             h.send_failed.add(self.here.0, e.affected() as u64);
-            h.trace
+            h.ring
                 .instant("transport", "send_failed", e.place().0 as u64);
         }
     }
@@ -514,7 +511,7 @@ impl Worker {
             } else if Instant::now() >= deadline {
                 if let Some(h) = &self.hooks {
                     h.watchdog_fired.inc(self.here.0);
-                    h.trace.instant("finish", "watchdog_fired", root.id.seq);
+                    h.ring.instant("finish", "watchdog_fired", root.id.seq);
                 }
                 let dead: Vec<u32> = self.g.transport.dead_places().iter().map(|p| p.0).collect();
                 // Dump the live status report: stash it for artifact
@@ -575,11 +572,7 @@ impl Worker {
         // park-timeout cadence for the time-based machinery (watchdog, GLB
         // steal timeouts, coalescer retries).
         if self.mplex {
-            self.place.parks.fetch_add(1, Ordering::Relaxed);
-            if let Some(h) = &self.hooks {
-                h.parks.inc(self.here.0);
-                h.trace.instant("worker", "park", 0);
-            }
+            self.note_park();
             if !crate::context::yield_now() {
                 std::thread::yield_now();
             }
@@ -590,6 +583,7 @@ impl Worker {
         let streak = self.idle_streak.get();
         if streak < PARK_SPIN_YIELDS {
             self.idle_streak.set(streak + 1);
+            self.note_park();
             std::thread::yield_now();
             return;
         }
@@ -599,16 +593,23 @@ impl Worker {
             && self.g.transport.queue_len(self.here) == 0
             && !self.g.shutdown.load(Ordering::Acquire)
         {
-            self.place.parks.fetch_add(1, Ordering::Relaxed);
-            if let Some(h) = &self.hooks {
-                h.parks.inc(self.here.0);
-                h.trace.instant("worker", "park", 0);
-            }
+            self.note_park();
             self.place
                 .wake_cv
                 .wait_for(&mut guard, self.g.cfg.park_timeout);
         }
         self.place.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Count one park: this `park_brief` is about to give up the CPU, by a
+    /// context yield, a thread yield or a condvar sleep. The one meaning of
+    /// `worker.parks` in every scheduler.
+    fn note_park(&self) {
+        self.place.parks.fetch_add(1, Ordering::Relaxed);
+        if let Some(h) = &self.hooks {
+            h.parks.inc(self.here.0);
+            h.ring.instant("worker", "park", 0);
+        }
     }
 
     /// Run one activity to completion and report its termination.
@@ -621,7 +622,7 @@ impl Worker {
         // parent's subsequent sends.
         let prev_cause = self.current_cause.replace(act.cause);
         let exec_start = if act.cause_remote && act.cause.is_some() {
-            self.causal_buf().and_then(CausalBuf::start)
+            self.causal_buf().and_then(EventRing::causal_start)
         } else {
             None
         };
@@ -635,7 +636,7 @@ impl Worker {
         // triggers still chain to this activity in the DAG.
         if let (Some(id), Some(start)) = (act.cause, exec_start) {
             if let Some(cb) = self.causal_buf() {
-                cb.exec_end(id, 0, start);
+                cb.causal_exec_end(id, 0, start);
             }
         }
         self.current_cause.set(prev_cause);
@@ -692,7 +693,7 @@ impl Worker {
         // class dispatch so the transport component of the causal edge ends
         // here and the handling below is attributed as execution.
         if let (Some(id), Some(cb)) = (env.causal, self.causal_buf()) {
-            cb.recv(id, env.from.0, env.class.index() as u8, env.bytes);
+            cb.causal_recv(id, env.from.0, env.class.index() as u8, env.bytes);
         }
         let Envelope {
             from,
@@ -719,7 +720,7 @@ impl Worker {
                     .expect("task-class payload must be a SpawnMsg");
                 if let Some(h) = &self.hooks {
                     h.spawn_recv.inc(self.here.0);
-                    h.trace.instant("spawn", "recv", from.0 as u64);
+                    h.ring.instant("spawn", "recv", from.0 as u64);
                 }
                 self.register_receipt(&msg.attach, from.0);
                 // The activity carries the message's causal id; its
@@ -784,7 +785,7 @@ impl Worker {
                 };
                 if let Some(h) = &self.hooks {
                     h.spawn_recv.inc(self.here.0);
-                    h.trace.instant("spawn", "recv", from.0 as u64);
+                    h.ring.instant("spawn", "recv", from.0 as u64);
                 }
                 self.register_receipt(&attach, from.0);
                 self.place.enqueue(Activity {
@@ -1031,7 +1032,7 @@ impl Worker {
         }
         if let Some(h) = &self.hooks {
             h.stray_ctl.inc(self.here.0);
-            h.trace.instant("finish", "stray_ctl", fin.id.seq);
+            h.ring.instant("finish", "stray_ctl", fin.id.seq);
         }
     }
 
@@ -1134,7 +1135,7 @@ impl Worker {
         let dead: Vec<u32> = dead.iter().map(|p| p.0).collect();
         if let Some(lost) = root.reconstruct(&dead) {
             if let Some(h) = &self.hooks {
-                h.trace.instant("finish", "resilient_adopt", root.id.seq);
+                h.ring.instant("finish", "resilient_adopt", root.id.seq);
             }
             for cmd in lost {
                 self.reexec_cmd(root, cmd);
@@ -1287,7 +1288,7 @@ impl Worker {
     pub fn send_spawn(&self, dst: PlaceId, attach: Attach, body: SpawnBody, class: MsgClass) {
         if let Some(h) = &self.hooks {
             h.spawn_sent.inc(self.here.0);
-            h.trace.instant("spawn", "send", dst.0 as u64);
+            h.ring.instant("spawn", "send", dst.0 as u64);
         }
         // Counted spawns root their causal chain at the governing finish;
         // uncounted ones fall back to the sender's current cause (or 0).

@@ -328,7 +328,7 @@ fn finish_waits_even_when_body_panics() {
 fn atomic_sections_are_exclusive() {
     // Many local activities increment a plain (non-atomic) counter under
     // ctx.atomic — the result must be exact.
-    let rt = Runtime::new(Config::new(1).workers_per_place(4));
+    let rt = Runtime::new(Config::new(1));
     #[allow(clippy::arc_with_non_send_sync)] // Wrap supplies the (checked) Sync
     let total = rt.run(|ctx| {
         let counter = Arc::new(std::cell::UnsafeCell::new(0u64));

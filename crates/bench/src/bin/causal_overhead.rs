@@ -24,7 +24,7 @@ enum Mode {
     /// The default runtime: metrics on, causal tracing off. This is the
     /// mode the ≤ 2% budget applies to — the price every user pays.
     CausalOff,
-    /// Causal cross-place tracing on (trace rings sized by
+    /// Causal cross-place tracing on (event rings sized by
     /// `--trace-capacity`).
     Causal,
 }

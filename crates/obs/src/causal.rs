@@ -9,9 +9,10 @@
 //! * every cross-place message carries a compact [`CausalId`] — the packed
 //!   root-finish identity plus a globally unique send-event sequence — paid
 //!   for with [`CAUSAL_HEADER_BYTES`] in the existing byte ledgers;
-//! * each worker records [`CausalEvent`]s (send / receive / execute) into a
-//!   [`CausalBuf`] ring, mirroring the trace rings: one relaxed-atomic
-//!   enable gate, bounded capacity, overwrite counted as dropped;
+//! * each worker records [`CausalEvent`]s (send / receive / execute) into
+//!   its one [`EventRing`], next to its trace events: the causal bit of the
+//!   ring's enable word gates them, and overwrite of a causal event counts
+//!   as a causal drop;
 //! * [`CausalGraph::build`] stitches the per-worker rings into one message
 //!   DAG, splitting every edge into **transport** (send stamp → receive
 //!   dispatch, which includes coalescer buffering), **queue-wait** (receive
@@ -31,11 +32,10 @@
 //! are minted from one shared counter, so a `seq` names one message
 //! uniquely across the whole runtime.
 
-use parking_lot::Mutex;
+use crate::trace::{EventRing, Kind, Record, Shared, Tracer};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Modeled wire cost of the causal header, charged on top of the regular
 /// message header when a message is stamped: the packed root id fits in a
@@ -130,41 +130,114 @@ pub struct CausalEvent {
     pub bytes: u32,
 }
 
-struct Shared {
-    enabled: AtomicBool,
-    epoch: Instant,
-    dropped: AtomicU64,
+/// The causal half of a worker's [`EventRing`]: stamps recorded into the
+/// same ring as its trace events, gated by the causal bit of the shared
+/// enable word.
+impl EventRing {
+    /// A causal event of `kind` for message `id`, stamped now; the
+    /// kind-specific fields are zero.
+    #[inline]
+    fn stamp(&self, kind: CausalKind, id: CausalId, peer: u32) -> CausalEvent {
+        CausalEvent {
+            ts_ns: self.shared.now_ns(),
+            dur_ns: 0,
+            kind,
+            id,
+            parent_seq: 0,
+            peer,
+            class: 0,
+            bytes: 0,
+        }
+    }
+
+    /// Record a stamped message leaving this worker.
+    #[inline]
+    pub fn causal_send(&self, id: CausalId, parent_seq: u64, to: u32, class: u8, bytes: usize) {
+        if self.causal_enabled() {
+            self.push(Record::Causal(CausalEvent {
+                parent_seq,
+                class,
+                bytes: bytes.min(u32::MAX as usize) as u32,
+                ..self.stamp(CausalKind::Send, id, to)
+            }));
+        }
+    }
+
+    /// Record a stamped message being dispatched at this worker.
+    #[inline]
+    pub fn causal_recv(&self, id: CausalId, from: u32, class: u8, bytes: usize) {
+        if self.causal_enabled() {
+            self.push(Record::Causal(CausalEvent {
+                class,
+                bytes: bytes.min(u32::MAX as usize) as u32,
+                ..self.stamp(CausalKind::Recv, id, from)
+            }));
+        }
+    }
+
+    /// Capture an execution start stamp; `None` when causal recording is
+    /// off so a disabled runtime never reads the clock.
+    #[inline]
+    pub fn causal_start(&self) -> Option<u64> {
+        self.causal_enabled().then(|| self.shared.now_ns())
+    }
+
+    /// Record the execution a message caused, from a stamp taken with
+    /// [`EventRing::causal_start`]. Tolerates causal recording having been
+    /// toggled mid-execution.
+    #[inline]
+    pub fn causal_exec_end(&self, id: CausalId, from: u32, start_ns: u64) {
+        let end = self.stamp(CausalKind::Exec, id, from);
+        self.push(Record::Causal(CausalEvent {
+            ts_ns: start_ns,
+            dur_ns: end.ts_ns.saturating_sub(start_ns),
+            ..end
+        }));
+    }
+}
+
+/// One worker's causal events as captured by [`Tracer::snapshot_views`].
+#[derive(Clone, Debug)]
+pub struct WorkerCausal {
+    /// Place id.
+    pub place: u32,
+    /// Worker index within the place (always 0).
+    pub worker: u32,
+    /// Buffered events, oldest first.
+    pub events: Vec<CausalEvent>,
+    /// Causal events lost to ring overwrite on this ring.
+    pub dropped: u64,
+}
+
+/// The runtime's causal-tracing handle: the causal bit of the tracer's
+/// enable word, and the runtime-wide id counter. Causal events land in the
+/// tracer's per-worker rings, on the tracer's epoch.
+pub struct CausalTracer {
+    shared: Arc<Shared>,
     next_seq: AtomicU64,
 }
 
-struct Ring {
-    slots: Vec<CausalEvent>,
-    next: usize,
-    total: u64,
-}
-
-/// One worker's causal-event ring, mirroring [`crate::trace::TraceBuf`]:
-/// the owning worker pushes, exporters read between runs, and overwrite
-/// under wrap is counted rather than hidden.
-pub struct CausalBuf {
-    place: u32,
-    worker: u32,
-    capacity: usize,
-    shared: Arc<Shared>,
-    ring: Mutex<Ring>,
-}
-
-impl CausalBuf {
-    /// Is causal tracing currently enabled? One relaxed atomic load — the
-    /// branch every stamping site compiles down to when the feature is off.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.shared.enabled.load(Ordering::Relaxed)
+impl CausalTracer {
+    /// The causal handle of `tracer`'s rings, with causal recording
+    /// initially `enabled`.
+    pub fn new(tracer: &Tracer, enabled: bool) -> Self {
+        let c = CausalTracer {
+            shared: tracer.shared.clone(),
+            next_seq: AtomicU64::new(1),
+        };
+        c.set_enabled(enabled);
+        c
     }
 
-    #[inline]
-    fn now_ns(&self) -> u64 {
-        self.shared.epoch.elapsed().as_nanos() as u64
+    /// Is causal tracing currently enabled?
+    pub fn enabled(&self) -> bool {
+        self.shared.on(Kind::Causal)
+    }
+
+    /// Turn causal tracing on or off; takes effect at every stamping site's
+    /// next branch.
+    pub fn set_enabled(&self, on: bool) {
+        self.shared.set(Kind::Causal, on);
     }
 
     /// Mint a fresh causal id under `root` (call only when enabled; the id
@@ -173,155 +246,8 @@ impl CausalBuf {
     pub fn mint(&self, root: u64) -> CausalId {
         CausalId {
             root,
-            seq: self.shared.next_seq.fetch_add(1, Ordering::Relaxed),
+            seq: self.next_seq.fetch_add(1, Ordering::Relaxed),
         }
-    }
-
-    /// Record a stamped message leaving this worker.
-    #[inline]
-    pub fn send(&self, id: CausalId, parent_seq: u64, to: u32, class: u8, bytes: usize) {
-        if !self.enabled() {
-            return;
-        }
-        let ts_ns = self.now_ns();
-        self.push(CausalEvent {
-            ts_ns,
-            dur_ns: 0,
-            kind: CausalKind::Send,
-            id,
-            parent_seq,
-            peer: to,
-            class,
-            bytes: bytes.min(u32::MAX as usize) as u32,
-        });
-    }
-
-    /// Record a stamped message being dispatched at this worker.
-    #[inline]
-    pub fn recv(&self, id: CausalId, from: u32, class: u8, bytes: usize) {
-        if !self.enabled() {
-            return;
-        }
-        let ts_ns = self.now_ns();
-        self.push(CausalEvent {
-            ts_ns,
-            dur_ns: 0,
-            kind: CausalKind::Recv,
-            id,
-            parent_seq: 0,
-            peer: from,
-            class,
-            bytes: bytes.min(u32::MAX as usize) as u32,
-        });
-    }
-
-    /// Capture an execution start stamp; `None` when disabled so a disabled
-    /// runtime never reads the clock.
-    #[inline]
-    pub fn start(&self) -> Option<u64> {
-        if !self.enabled() {
-            return None;
-        }
-        Some(self.now_ns())
-    }
-
-    /// Record the execution a message caused, from a stamp taken with
-    /// [`CausalBuf::start`]. Tolerates tracing having been toggled
-    /// mid-execution.
-    #[inline]
-    pub fn exec_end(&self, id: CausalId, from: u32, start_ns: u64) {
-        let dur_ns = self.now_ns().saturating_sub(start_ns);
-        self.push(CausalEvent {
-            ts_ns: start_ns,
-            dur_ns,
-            kind: CausalKind::Exec,
-            id,
-            parent_seq: 0,
-            peer: from,
-            class: 0,
-            bytes: 0,
-        });
-    }
-
-    fn push(&self, e: CausalEvent) {
-        let mut ring = self.ring.lock();
-        ring.total += 1;
-        if ring.slots.len() < self.capacity {
-            ring.slots.push(e);
-        } else {
-            let at = ring.next;
-            ring.slots[at] = e;
-            ring.next = (at + 1) % self.capacity;
-            self.shared.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// This buffer's place.
-    pub fn place(&self) -> u32 {
-        self.place
-    }
-
-    /// This buffer's worker index within its place.
-    pub fn worker(&self) -> u32 {
-        self.worker
-    }
-
-    fn drain_ordered(&self) -> (Vec<CausalEvent>, u64) {
-        let ring = self.ring.lock();
-        let mut events = Vec::with_capacity(ring.slots.len());
-        if ring.slots.len() == self.capacity {
-            events.extend_from_slice(&ring.slots[ring.next..]);
-            events.extend_from_slice(&ring.slots[..ring.next]);
-        } else {
-            events.extend_from_slice(&ring.slots);
-        }
-        let dropped = ring.total - events.len() as u64;
-        (events, dropped)
-    }
-}
-
-/// One worker's causal events as captured by [`CausalTracer::snapshot`].
-#[derive(Clone, Debug)]
-pub struct WorkerCausal {
-    /// Place id.
-    pub place: u32,
-    /// Worker index within the place.
-    pub worker: u32,
-    /// Buffered events, oldest first.
-    pub events: Vec<CausalEvent>,
-    /// Events lost to ring overwrite on this buffer.
-    pub dropped: u64,
-}
-
-/// The per-runtime causal-event collector: shares the trace epoch (so
-/// causal and trace events interleave on one timeline), owns the id
-/// counter, and hands out per-worker [`CausalBuf`]s.
-pub struct CausalTracer {
-    shared: Arc<Shared>,
-    capacity: usize,
-    bufs: Mutex<Vec<Arc<CausalBuf>>>,
-}
-
-impl CausalTracer {
-    /// A causal tracer whose rings hold `capacity` events each (clamped to
-    /// ≥ 16), stamping against `epoch` — pass the trace epoch so both event
-    /// streams share a timeline.
-    pub fn new(capacity: usize, enabled: bool, epoch: Instant) -> Self {
-        CausalTracer {
-            shared: Arc::new(Shared {
-                enabled: AtomicBool::new(enabled),
-                epoch,
-                dropped: AtomicU64::new(0),
-                next_seq: AtomicU64::new(1),
-            }),
-            capacity: capacity.max(16),
-            bufs: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Is causal tracing currently enabled?
-    pub fn enabled(&self) -> bool {
-        self.shared.enabled.load(Ordering::Relaxed)
     }
 
     /// Namespace this process's causal sequence numbers: all ids minted
@@ -331,69 +257,15 @@ impl CausalTracer {
     /// Call before any event is minted; a lower base than already issued is
     /// ignored (sequences never move backwards).
     pub fn set_seq_base(&self, base: u64) {
-        self.shared
-            .next_seq
-            .fetch_max(base.max(1), Ordering::Relaxed);
+        self.next_seq.fetch_max(base.max(1), Ordering::Relaxed);
     }
 
-    /// Nanoseconds elapsed since this tracer's epoch — the timebase every
+    /// Nanoseconds elapsed since the shared epoch — the timebase every
     /// [`CausalEvent::ts_ns`] is stamped in. Shipped alongside snapshot
     /// pushes so the aggregating rank can shift remote timestamps onto its
     /// own timeline (clock-skew approximation: one offset per shipment).
     pub fn now_ns(&self) -> u64 {
-        self.shared.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Turn causal tracing on or off; takes effect at every stamping site's
-    /// next branch.
-    pub fn set_enabled(&self, on: bool) {
-        self.shared.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Register a causal ring for a worker of `place` (worker indices are
-    /// assigned in registration order within the place).
-    pub fn register(&self, place: u32) -> Arc<CausalBuf> {
-        let mut bufs = self.bufs.lock();
-        let worker = bufs.iter().filter(|b| b.place == place).count() as u32;
-        let buf = Arc::new(CausalBuf {
-            place,
-            worker,
-            capacity: self.capacity,
-            shared: self.shared.clone(),
-            ring: Mutex::new(Ring {
-                slots: Vec::new(),
-                next: 0,
-                total: 0,
-            }),
-        });
-        bufs.push(buf.clone());
-        buf
-    }
-
-    /// Snapshot every registered buffer (sorted by place, then worker).
-    /// Non-destructive.
-    pub fn snapshot(&self) -> Vec<WorkerCausal> {
-        let mut out: Vec<WorkerCausal> = self
-            .bufs
-            .lock()
-            .iter()
-            .map(|b| {
-                let (events, dropped) = b.drain_ordered();
-                WorkerCausal {
-                    place: b.place,
-                    worker: b.worker,
-                    events,
-                    dropped,
-                }
-            })
-            .collect();
-        out.sort_by_key(|t| (t.place, t.worker));
-        out
-    }
-
-    /// Total causal events lost to ring overwrite across all buffers.
-    pub fn total_dropped(&self) -> u64 {
-        self.shared.dropped.load(Ordering::Relaxed)
+        self.shared.now_ns()
     }
 }
 
@@ -525,7 +397,7 @@ pub struct CausalGraph {
 }
 
 impl CausalGraph {
-    /// Stitch per-worker causal rings into one DAG: send events create
+    /// Stitch per-worker causal views into one DAG: send events create
     /// nodes, receive/execute events complete them. Order-independent —
     /// a receive whose send was overwritten still yields a (partial) node.
     pub fn build(traces: &[WorkerCausal]) -> CausalGraph {
@@ -908,22 +780,6 @@ pub fn chrome_flow_events(traces: &[WorkerCausal]) -> Vec<String> {
 mod tests {
     use super::*;
 
-    fn tracer() -> CausalTracer {
-        CausalTracer::new(64, true, Instant::now())
-    }
-
-    #[test]
-    fn disabled_records_nothing_and_mints_nothing_visible() {
-        let t = CausalTracer::new(64, false, Instant::now());
-        let b = t.register(0);
-        assert!(!b.enabled());
-        b.send(CausalId { root: 1, seq: 1 }, 0, 1, 0, 40);
-        b.recv(CausalId { root: 1, seq: 1 }, 0, 0, 40);
-        assert!(b.start().is_none());
-        let snap = t.snapshot();
-        assert!(snap[0].events.is_empty());
-    }
-
     #[test]
     fn root_packing_round_trips() {
         let r = CausalId::pack_root(7, 12345);
@@ -933,32 +789,14 @@ mod tests {
     }
 
     #[test]
-    fn mint_is_unique_across_buffers() {
-        let t = tracer();
-        let a = t.register(0);
-        let b = t.register(1);
-        let ids: Vec<u64> = (0..10)
-            .flat_map(|_| [a.mint(0).seq, b.mint(0).seq])
-            .collect();
-        let mut dedup = ids.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), ids.len());
-    }
-
-    #[test]
-    fn ring_overwrite_counts_drops() {
-        let t = CausalTracer::new(16, true, Instant::now());
-        let b = t.register(0);
-        for i in 0..40u64 {
-            b.send(CausalId { root: 0, seq: i }, 0, 1, 0, 32);
-        }
-        let snap = t.snapshot();
-        assert_eq!(snap[0].events.len(), 16);
-        assert_eq!(snap[0].dropped, 24);
-        assert_eq!(t.total_dropped(), 24);
-        let g = CausalGraph::build(&snap);
-        assert_eq!(g.dropped, 24);
+    fn mint_is_unique_and_seq_base_only_moves_forward() {
+        let c = CausalTracer::new(&Tracer::new(64, false), true);
+        let first: Vec<u64> = (0..10).map(|_| c.mint(0).seq).collect();
+        assert_eq!(first, (1..11).collect::<Vec<_>>());
+        c.set_seq_base(1 << 20);
+        assert_eq!(c.mint(0).seq, 1 << 20);
+        c.set_seq_base(5); // lower than already issued: ignored
+        assert_eq!(c.mint(0).seq, (1 << 20) + 1);
     }
 
     /// Build the synthetic 3-hop chain used by several tests:

@@ -29,6 +29,7 @@
 //! § 2) connects the sender's send stamp to the receiver's recv stamp.
 
 use crate::causal::{self, CausalGraph, WorkerCausal};
+use crate::trace::Kind;
 use crate::{names, MetricsSnapshot, Obs, WorkerTrace};
 
 /// One rank's observability shipment: everything a serving process sends
@@ -57,9 +58,9 @@ pub fn capture(obs: &Obs, rank: u32) -> RankObs {
         rank,
         now_ns: obs.causal.now_ns(),
         metrics: obs.snapshot_with_drops(),
-        trace_dropped: obs.tracer.total_dropped(),
-        causal_dropped: obs.causal.total_dropped(),
-        causal: obs.causal.snapshot(),
+        trace_dropped: obs.tracer.dropped(Kind::Trace),
+        causal_dropped: obs.tracer.dropped(Kind::Causal),
+        causal: obs.tracer.snapshot_views().1,
     }
 }
 
@@ -276,11 +277,11 @@ mod tests {
         obs0.causal.set_seq_base(1);
         let obs1 = Obs::with_causal(2, false, 64, true);
         obs1.causal.set_seq_base(1 << 30);
-        let b0 = obs0.causal.register(0);
-        let b1 = obs1.causal.register(1);
-        let id = b0.mint(CausalId::pack_root(0, 1));
-        b0.send(id, 0, 1, 0, 44);
-        b1.recv(id, 0, 0, 44);
+        let b0 = obs0.tracer.register(0);
+        let b1 = obs1.tracer.register(1);
+        let id = obs0.causal.mint(CausalId::pack_root(0, 1));
+        b0.causal_send(id, 0, 1, 0, 44);
+        b1.causal_recv(id, 0, 0, 44);
         let mut c = ClusterObs::new(capture(&obs0, 0));
         // Pretend rank 1's epoch started 1 ms after rank 0's: its raw
         // timestamps are ~1 ms too small on rank 0's timeline.
@@ -304,11 +305,11 @@ mod tests {
         let obs0 = Obs::with_causal(2, true, 64, true);
         let obs1 = Obs::with_causal(2, true, 64, true);
         obs1.causal.set_seq_base(1 << 30);
-        let b0 = obs0.causal.register(0);
-        let b1 = obs1.causal.register(1);
-        let id = b0.mint(CausalId::pack_root(0, 2));
-        b0.send(id, 0, 1, 0, 40);
-        b1.recv(id, 0, 0, 40);
+        let b0 = obs0.tracer.register(0);
+        let b1 = obs1.tracer.register(1);
+        let id = obs0.causal.mint(CausalId::pack_root(0, 2));
+        b0.causal_send(id, 0, 1, 0, 40);
+        b1.causal_recv(id, 0, 0, 40);
         let mut c = ClusterObs::new(capture(&obs0, 0));
         c.accept(capture(&obs1, 1), obs0.causal.now_ns());
         let json = c.chrome_trace_json(&obs0.tracer.snapshot());

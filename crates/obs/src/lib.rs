@@ -8,12 +8,12 @@
 //! * [`metrics::MetricsRegistry`] — named counters and histograms, sharded
 //!   per sender with the same cache-line-aligned idiom as
 //!   `x10rt::NetStats`, so hot-path increments never contend;
-//! * [`trace::Tracer`] — per-worker bounded ring buffers of structured
-//!   [`trace::Event`]s (spans and instants) stamped against one shared
-//!   epoch, gated by a single relaxed atomic flag so a disabled tracer
-//!   costs one predictable branch per hook;
+//! * [`trace::Tracer`] — one bounded [`trace::EventRing`] per worker,
+//!   holding both structured trace [`trace::Event`]s (spans and instants)
+//!   and causal stamps on one shared epoch, gated by one atomic word with a
+//!   bit per kind so a disabled kind costs one predictable branch per hook;
 //! * [`causal::CausalTracer`] — cross-place causal tracing: every stamped
-//!   message carries a [`causal::CausalId`], per-worker rings record
+//!   message carries a [`causal::CausalId`], the worker rings record
 //!   send/receive/execute stamps, and [`causal::CausalGraph`] stitches them
 //!   into a DAG with per-finish-root critical paths and a place×place flow
 //!   matrix;
@@ -39,25 +39,27 @@ pub mod names;
 pub mod sample;
 pub mod trace;
 
-pub use causal::{CausalBuf, CausalGraph, CausalId, CausalTracer, CAUSAL_HEADER_BYTES};
+pub use causal::{CausalGraph, CausalId, CausalTracer, CAUSAL_HEADER_BYTES};
 pub use distrib::{ClusterObs, RankObs};
 pub use metrics::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use sample::Sampler;
-pub use trace::{Event, SpanStart, TraceBuf, Tracer, WorkerTrace};
+pub use trace::{Event, EventRing, SpanStart, Tracer, WorkerTrace};
 
 use std::sync::Arc;
+use trace::Kind;
 
 /// One runtime instance's observability state: a metrics registry, the
-/// event tracer, and the causal tracer. Shared via `Arc` between the
-/// runtime, its workers, and any exporter.
+/// event tracer with its per-worker rings, and the causal handle on those
+/// rings. Shared via `Arc` between the runtime, its workers, and any
+/// exporter.
 pub struct Obs {
     /// Named counters and histograms.
     pub metrics: MetricsRegistry,
-    /// Structured event tracing (per-worker ring buffers).
+    /// The per-worker event rings; its toggle is the trace bit.
     pub tracer: Tracer,
-    /// Cross-place causal tracing (per-worker rings of message
-    /// send/receive/execute stamps). Always present; enabled separately
-    /// from the tracer via `causal_enabled`.
+    /// Cross-place causal tracing: message send/receive/execute stamps in
+    /// the same rings. Always present; enabled separately from tracing via
+    /// `causal_enabled`.
     pub causal: CausalTracer,
 }
 
@@ -70,12 +72,11 @@ impl Obs {
 
     /// Build observability state for a runtime with `places` places.
     ///
-    /// `trace_enabled` sets the tracer's initial state (it can be toggled at
-    /// run time); `trace_capacity` is the per-worker ring-buffer size in
-    /// events — when a buffer wraps, the oldest events are overwritten and
-    /// counted as dropped. `causal_enabled` sets the causal tracer's initial
-    /// state; its rings share `trace_capacity` and the tracer's epoch, so
-    /// causal stamps land on the same timeline as span events.
+    /// `trace_enabled` and `causal_enabled` set the two kinds' initial
+    /// state (both can be toggled at run time). `trace_capacity` is the
+    /// size of each worker's one ring, in events of either kind — when a
+    /// ring wraps, the oldest event is overwritten and counted as a drop of
+    /// its own kind.
     pub fn with_causal(
         places: usize,
         trace_enabled: bool,
@@ -83,7 +84,7 @@ impl Obs {
         causal_enabled: bool,
     ) -> Arc<Obs> {
         let tracer = Tracer::new(trace_capacity, trace_enabled);
-        let causal = CausalTracer::new(trace_capacity, causal_enabled, tracer.epoch());
+        let causal = CausalTracer::new(&tracer, causal_enabled);
         Arc::new(Obs {
             metrics: MetricsRegistry::new(places),
             tracer,
@@ -98,11 +99,11 @@ impl Obs {
         let mut snap = self.metrics.snapshot();
         snap.counters.push((
             names::TRACE_DROPPED_EVENTS.to_string(),
-            self.tracer.total_dropped(),
+            self.tracer.dropped(Kind::Trace),
         ));
         snap.counters.push((
             names::CAUSAL_DROPPED_EVENTS.to_string(),
-            self.causal.total_dropped(),
+            self.tracer.dropped(Kind::Causal),
         ));
         snap
     }
@@ -122,18 +123,16 @@ impl Obs {
         self.snapshot_with_drops().render_json()
     }
 
-    /// Export the current trace ring buffers as chrome-trace JSON. When the
-    /// causal tracer has events, its flow arrows are spliced into the same
-    /// file.
+    /// Export the current rings as chrome-trace JSON: trace events as
+    /// slices, causal events as flow arrows spliced into the same file.
     pub fn chrome_trace_json(&self) -> String {
-        let causal_snap = self.causal.snapshot();
-        let flows = causal::chrome_flow_events(&causal_snap);
-        chrome::chrome_trace_with(&self.tracer.snapshot(), &flows)
+        let (traces, causal) = self.tracer.snapshot_views();
+        chrome::chrome_trace_with(&traces, &causal::chrome_flow_events(&causal))
     }
 
-    /// Build the causal DAG from the current causal rings.
+    /// Build the causal DAG from the causal views of the current rings.
     pub fn causal_graph(&self) -> CausalGraph {
-        CausalGraph::build(&self.causal.snapshot())
+        CausalGraph::build(&self.tracer.snapshot_views().1)
     }
 
     /// The per-finish-root critical-path report as JSON.
@@ -179,11 +178,11 @@ mod tests {
     #[test]
     fn chrome_export_includes_causal_flows() {
         let obs = Obs::with_causal(2, true, 64, true);
-        let b0 = obs.causal.register(0);
-        let b1 = obs.causal.register(1);
-        let id = b0.mint(CausalId::pack_root(0, 1));
-        b0.send(id, 0, 1, 0, 40);
-        b1.recv(id, 0, 0, 40);
+        let b0 = obs.tracer.register(0);
+        let b1 = obs.tracer.register(1);
+        let id = obs.causal.mint(CausalId::pack_root(0, 1));
+        b0.causal_send(id, 0, 1, 0, 40);
+        b1.causal_recv(id, 0, 0, 40);
         let json = obs.chrome_trace_json();
         assert!(json.contains("\"ph\": \"s\""));
         assert!(json.contains("\"ph\": \"f\""));
@@ -193,11 +192,11 @@ mod tests {
     #[test]
     fn causal_reports_via_obs_accessors() {
         let obs = Obs::with_causal(2, false, 64, true);
-        let b0 = obs.causal.register(0);
-        let b1 = obs.causal.register(1);
-        let id = b0.mint(CausalId::pack_root(0, 3));
-        b0.send(id, 0, 1, 0, 48);
-        b1.recv(id, 0, 0, 48);
+        let b0 = obs.tracer.register(0);
+        let b1 = obs.tracer.register(1);
+        let id = obs.causal.mint(CausalId::pack_root(0, 3));
+        b0.causal_send(id, 0, 1, 0, 48);
+        b1.causal_recv(id, 0, 0, 48);
         assert_eq!(obs.causal_graph().len(), 1);
         assert!(obs.critical_path_json().contains("\"finish_seq\": 3"));
         assert!(obs.critical_path_text().contains("critical path 1 hop"));

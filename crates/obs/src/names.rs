@@ -17,8 +17,9 @@ pub const SPAWN_REMOTE_SENT: &str = "spawn.remote.sent";
 /// messages). Incremented when a task-class envelope is dispatched.
 pub const SPAWN_REMOTE_RECV: &str = "spawn.remote.recv";
 
-/// Counter: times a worker actually slept on its condvar (unit: parks).
-/// Incremented in the worker's park path, after the yield backoff.
+/// Counter: idle parks — a worker's `park_brief` giving up the CPU, by a
+/// context yield (M:N), a thread yield during the spin backoff or a condvar
+/// sleep (unit: parks). Incremented in the worker's park path.
 pub const WORKER_PARKS: &str = "worker.parks";
 
 /// Counter: activities executed to completion (unit: activities).

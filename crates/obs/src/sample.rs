@@ -7,7 +7,7 @@
 //! [`MetricsRegistry`](crate::metrics::MetricsRegistry) every
 //! `interval_ms` into a bounded ring of [`Sample`]s; consumers difference
 //! neighbouring samples to recover rates. When the ring is full the oldest
-//! sample is evicted and counted, mirroring the trace rings' drop policy.
+//! sample is evicted and counted, mirroring the event rings' drop policy.
 //!
 //! The thread parks on a condvar between samples, so [`Sampler::stop`] (or
 //! drop) interrupts a sleep promptly instead of waiting out the interval —

@@ -17,7 +17,8 @@
 //! # Multi-producer reality
 //!
 //! The transport guarantees FIFO per (sender *place*, destination) pair, but
-//! a place may run several worker threads (`workers_per_place > 1`) and
+//! a place's worker is not the only thread that pushes into its lanes: the
+//! TCP transport's reader threads deliver inbound traffic into them, and
 //! tests hammer one pair from many threads. Rather than push that burden to
 //! every caller, each side of the ring carries a tiny spin guard (an
 //! `AtomicBool` CAS — *not* a mutex: no syscall, no parking, no priority
