@@ -13,8 +13,7 @@
 
 use crate::ctx::Ctx;
 use crate::worker::Worker;
-use std::collections::HashMap;
-use x10rt::{Envelope, MsgClass, PlaceId};
+use x10rt::{Envelope, IntMap, MsgClass, PlaceId};
 
 /// A clock handle (cheap to clone and capture in spawned closures).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,16 +58,16 @@ pub struct ClockHome {
     arrived: u64,
     phase: u64,
     /// Registrants per place (release-broadcast targets).
-    places: HashMap<u32, u64>,
+    places: IntMap<u32, u64>,
 }
 
 /// Per-place clock tables.
 #[derive(Default)]
 pub struct ClockTables {
     /// Clocks homed at this place.
-    pub(crate) homes: HashMap<u64, ClockHome>,
+    pub(crate) homes: IntMap<u64, ClockHome>,
     /// Local view of remote clocks' phases.
-    pub(crate) phases: HashMap<u64, u64>,
+    pub(crate) phases: IntMap<u64, u64>,
 }
 
 impl Clock {
@@ -76,7 +75,7 @@ impl Clock {
     pub fn new(ctx: &Ctx) -> Clock {
         let id = ctx.next_global_id();
         let home = ctx.here();
-        let mut places = HashMap::new();
+        let mut places = IntMap::default();
         places.insert(home.0, 1);
         ctx.worker().place.clocks.lock().homes.insert(
             id,

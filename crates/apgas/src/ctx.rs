@@ -181,7 +181,7 @@ impl<'w> Ctx<'w> {
         f: impl FnOnce(&Ctx) + Send + 'static,
     ) {
         if p == self.here() {
-            self.worker.place.enqueue(Activity {
+            self.worker.place.push_local(Activity {
                 body: Box::new(f),
                 attach: Attach::Uncounted,
                 cause: self.worker.current_cause(),
@@ -230,7 +230,7 @@ impl<'w> Ctx<'w> {
         let here = self.here();
         if target == here {
             root.note_local_spawn(here.0);
-            self.worker.place.enqueue(Activity {
+            self.worker.place.push_local(Activity {
                 body: body.into_task(),
                 attach: Attach::Counted {
                     fin,
@@ -297,7 +297,7 @@ impl<'w> Ctx<'w> {
             remote: target != self.here(),
         };
         if target == self.here() {
-            self.worker.place.enqueue(Activity {
+            self.worker.place.push_local(Activity {
                 body: body.into_task(),
                 attach,
                 cause: self.worker.current_cause(),
@@ -316,7 +316,7 @@ impl<'w> Ctx<'w> {
                 p.on_local_spawn();
                 crate::finish::proxy::ProxyEmit::None
             });
-            self.worker.place.enqueue(Activity {
+            self.worker.place.push_local(Activity {
                 body: body.into_task(),
                 attach: Attach::Counted {
                     fin,

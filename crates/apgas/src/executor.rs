@@ -17,13 +17,24 @@
 //! cannot be lost; `notify_all` under the idle lock closes the window where
 //! the executor holds the lock but has not started waiting yet.
 //!
+//! Wakes come from outside the context: deliveries from other places and
+//! submissions from outside the runtime. A place's own worker enqueues
+//! without waking (`PlaceState::push_local`) — it pops its queue before it
+//! can park — so a running context is re-marked only by another place's
+//! traffic, never by its own local spawns.
+//!
 //! Idle executors wake on their own every `resweep` (the configured
 //! `park_timeout`) and mark *every* unfinished context runnable. That
 //! re-poll is what keeps time-based machinery alive — the finish watchdog,
 //! GLB steal timeouts, and coalescer retry backoff all assume a parked
 //! worker re-checks its condition on the park-timeout cadence.
+//!
+//! With observability on, every pass over the table publishes its counts
+//! once, from locals: `executor.resumes`, `executor.empty_passes`,
+//! `executor.sleeps` and `executor.resweeps` (OBSERVABILITY.md).
 
 use crate::context::PlaceContext;
+use obs::metrics::{Counter, MetricsRegistry};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -36,6 +47,15 @@ pub(crate) struct ExecutorPool {
     idle_lock: Mutex<()>,
     idle_cv: Condvar,
     resweep: Duration,
+    metrics: Option<PoolMetrics>,
+}
+
+/// The pool's counters (see the module docs), sharded by executor index.
+struct PoolMetrics {
+    resumes: Counter,
+    empty_passes: Counter,
+    sleeps: Counter,
+    resweeps: Counter,
 }
 
 impl ExecutorPool {
@@ -52,7 +72,19 @@ impl ExecutorPool {
             idle_cv: Condvar::new(),
             // A zero resweep would busy-spin every idle executor.
             resweep: resweep.max(Duration::from_micros(10)),
+            metrics: None,
         }
+    }
+
+    /// Report scheduling counts into `metrics`.
+    pub(crate) fn with_obs(mut self, metrics: &MetricsRegistry) -> Self {
+        self.metrics = Some(PoolMetrics {
+            resumes: metrics.counter(obs::names::EXECUTOR_RESUMES),
+            empty_passes: metrics.counter(obs::names::EXECUTOR_EMPTY_PASSES),
+            sleeps: metrics.counter(obs::names::EXECUTOR_SLEEPS),
+            resweeps: metrics.counter(obs::names::EXECUTOR_RESWEEPS),
+        });
+        self
     }
 
     /// Mark one context runnable and kick a sleeping executor if any.
@@ -90,8 +122,9 @@ impl ExecutorPool {
         }
         // Stagger scan starts so executors don't fight over context 0.
         let offset = (who * n) / self.threads;
+        let shard = who as u32;
         loop {
-            let mut resumed = false;
+            let mut resumed = 0u64;
             let mut unfinished = false;
             for i in 0..n {
                 let ctx = &self.contexts[(offset + i) % n];
@@ -109,8 +142,9 @@ impl ExecutorPool {
                     ctx.claimed.store(false, Ordering::Release);
                     continue;
                 }
-                // Clear-before-resume: wakes that land while the context
-                // runs re-mark it and it gets rescanned, never lost.
+                // Clear-before-resume: a wake that lands while the context
+                // runs (another place's delivery) re-marks it and it gets
+                // rescanned, never lost.
                 ctx.runnable.store(false, Ordering::SeqCst);
                 ctx.resume();
                 ctx.claimed.store(false, Ordering::Release);
@@ -119,23 +153,33 @@ impl ExecutorPool {
                 if ctx.runnable.load(Ordering::SeqCst) && !ctx.finished() {
                     self.notify_sleepers();
                 }
-                resumed = true;
+                resumed += 1;
+            }
+            if let Some(m) = self.metrics.as_ref().filter(|_| resumed > 0) {
+                m.resumes.add(shard, resumed);
             }
             if !unfinished {
                 return;
             }
-            if !resumed {
+            if resumed == 0 {
                 let mut guard = self.idle_lock.lock();
                 self.sleepers.fetch_add(1, Ordering::SeqCst);
-                let timed_out = if self.any_runnable() {
-                    false
-                } else {
-                    self.idle_cv.wait_for(&mut guard, self.resweep).timed_out()
-                };
+                let slept = !self.any_runnable();
+                let timed_out =
+                    slept && self.idle_cv.wait_for(&mut guard, self.resweep).timed_out();
                 self.sleepers.fetch_sub(1, Ordering::SeqCst);
                 drop(guard);
                 if timed_out {
                     self.mark_all_runnable();
+                }
+                if let Some(m) = &self.metrics {
+                    m.empty_passes.inc(shard);
+                    if slept {
+                        m.sleeps.inc(shard);
+                    }
+                    if timed_out {
+                        m.resweeps.inc(shard);
+                    }
                 }
             }
         }

@@ -10,8 +10,7 @@
 //! place talks to at most its host master.
 
 use super::{Deltas, FinishId, FinishRef};
-use std::collections::HashMap;
-use x10rt::{PlaceId, Topology};
+use x10rt::{IntMap, PlaceId, Topology};
 
 /// Next hop for a dense control message currently at `here`, destined for
 /// the finish home `home`. Returns `None` when `here == home` (deliver).
@@ -40,7 +39,7 @@ pub fn next_hop(topo: &Topology, here: PlaceId, home: PlaceId) -> Option<PlaceId
 /// when the batch ends.
 #[derive(Default)]
 pub struct DenseAggregator {
-    pending: HashMap<FinishId, (FinishRef, Deltas)>,
+    pending: IntMap<FinishId, (FinishRef, Deltas)>,
 }
 
 impl DenseAggregator {

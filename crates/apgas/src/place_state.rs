@@ -3,7 +3,6 @@
 
 use crate::clock::ClockTables;
 use crate::finish::dense::DenseAggregator;
-use crate::finish::proxy::Proxy;
 use crate::finish::root::RootState;
 use crate::finish::{Attach, BackupSnapshot, FinishId};
 use crate::team::TeamInbox;
@@ -11,10 +10,9 @@ use crate::worker::TaskFn;
 use crossbeam_deque::Injector;
 use parking_lot::{Condvar, Mutex, ReentrantMutex};
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize};
 use std::sync::Arc;
-use x10rt::PlaceId;
+use x10rt::{IntMap, PlaceId};
 
 /// A schedulable activity: its body plus its termination-detection
 /// attachment.
@@ -51,19 +49,22 @@ pub struct PlaceState {
     /// diagnostic; the aggregation ablation reports it).
     pub parks: AtomicU64,
     /// Finish roots homed at this place, by home-local sequence number.
-    pub roots: Mutex<HashMap<u64, Arc<RootState>>>,
+    pub roots: Mutex<IntMap<u64, Arc<RootState>>>,
     /// Source of home-local finish sequence numbers.
     pub next_finish_seq: AtomicU64,
-    /// Finish proxies for remotely-homed finishes with state at this place.
-    pub proxies: Mutex<HashMap<FinishId, Proxy>>,
+    /// Number of finish proxies (remotely-homed finishes with state at this
+    /// place). The proxies themselves live in the place's worker, which is
+    /// their only user; the worker publishes the count whenever it creates
+    /// or drops one, for the residue oracle and the status report.
+    pub proxy_count: AtomicUsize,
     /// Resilient-finish backup snapshots this place holds for finishes
     /// homed at its predecessor (home+1 replication; see DESIGN.md §6).
     /// Released when the home reports completion.
-    pub backup_roots: Mutex<HashMap<FinishId, BackupSnapshot>>,
+    pub backup_roots: Mutex<IntMap<FinishId, BackupSnapshot>>,
     /// FINISH_DENSE hop-aggregation buffer (this place acting as a master).
     pub dense_agg: Mutex<DenseAggregator>,
     /// Object registry backing `GlobalRef` / `PlaceLocalHandle`.
-    pub registry: Mutex<HashMap<u64, Arc<dyn Any + Send + Sync>>>,
+    pub registry: Mutex<IntMap<u64, Arc<dyn Any + Send + Sync>>>,
     /// Team collective state.
     pub team: Mutex<TeamInbox>,
     /// Clock (distributed barrier) state.
@@ -98,12 +99,12 @@ impl PlaceState {
             wake_cv: Condvar::new(),
             sleepers: AtomicUsize::new(0),
             parks: AtomicU64::new(0),
-            roots: Mutex::new(HashMap::new()),
+            roots: Mutex::new(IntMap::default()),
             next_finish_seq: AtomicU64::new(1),
-            proxies: Mutex::new(HashMap::new()),
-            backup_roots: Mutex::new(HashMap::new()),
+            proxy_count: AtomicUsize::new(0),
+            backup_roots: Mutex::new(IntMap::default()),
             dense_agg: Mutex::new(DenseAggregator::new()),
-            registry: Mutex::new(HashMap::new()),
+            registry: Mutex::new(IntMap::default()),
             team: Mutex::new(TeamInbox::default()),
             clocks: Mutex::new(ClockTables::default()),
             atomic_lock: ReentrantMutex::new(()),
@@ -128,9 +129,17 @@ impl PlaceState {
         }
     }
 
-    /// Enqueue an activity and wake a worker.
+    /// Enqueue an activity from outside the place and wake its worker.
     pub fn enqueue(&self, act: Activity) {
         self.queue.push(act);
         self.wake();
+    }
+
+    /// Enqueue an activity from the place's own worker. No wake: the worker
+    /// is running, and it pops its queue before it can park (`park_brief`
+    /// follows only a quantum that found the queue empty), so a wake would
+    /// only re-mark a running context.
+    pub(crate) fn push_local(&self, act: Activity) {
+        self.queue.push(act);
     }
 }

@@ -9,15 +9,14 @@ use crate::step::StepGate;
 use crate::worker::{TaskFn, Worker};
 use obs::Obs;
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use x10rt::codec::{self, HandlerId, WireMsg};
 use x10rt::{
-    CongruentAllocator, Envelope, FaultCounts, FaultTransport, LocalTransport, MsgClass, NetStats,
-    PlaceId, SegmentTable, Topology, Transport,
+    CongruentAllocator, Envelope, FaultCounts, FaultTransport, IntMap, LocalTransport, MsgClass,
+    NetStats, PlaceId, SegmentTable, Topology, Transport,
 };
 
 /// A registered application command handler: runs with the receiving
@@ -61,7 +60,7 @@ pub struct Global {
     /// Application command handlers, keyed by handler id (ids ≥
     /// [`HandlerId::FIRST_APP`]; see `PROTOCOL.md` §3). Resolved at command
     /// *run* time, so registration order relative to spawns is free.
-    pub(crate) handlers: RwLock<HashMap<u32, AppHandler>>,
+    pub(crate) handlers: RwLock<IntMap<u32, AppHandler>>,
     /// Cross-process observability-plane state: `H_OBS` shipments and
     /// status replies accepted from other ranks, the last watchdog report,
     /// and the serve-shutdown shipping guard (see [`crate::status`]).
@@ -109,7 +108,7 @@ impl Global {
         };
         for p in &self.places {
             r.roots += p.roots.lock().len();
-            r.proxies += p.proxies.lock().len();
+            r.proxies += p.proxy_count.load(Ordering::Relaxed);
             if p.dense_agg.lock().has_pending() {
                 r.dense_pending += 1;
             }
@@ -133,7 +132,7 @@ impl Global {
                 continue;
             }
             r.roots += p.roots.lock().len();
-            r.proxies += p.proxies.lock().len();
+            r.proxies += p.proxy_count.load(Ordering::Relaxed);
             if p.dense_agg.lock().has_pending() {
                 r.dense_pending += 1;
             }
@@ -273,7 +272,7 @@ impl Runtime {
             uncounted_panics: Mutex::new(Vec::new()),
             obs,
             step_gate,
-            handlers: RwLock::new(HashMap::new()),
+            handlers: RwLock::new(IntMap::default()),
             obs_plane: crate::status::ObsPlane::new(),
             cfg,
         });
@@ -301,11 +300,12 @@ impl Runtime {
                     )
                 })
                 .collect();
-            let pool = Arc::new(crate::executor::ExecutorPool::new(
-                contexts,
-                threads,
-                g.cfg.park_timeout,
-            ));
+            let mut pool =
+                crate::executor::ExecutorPool::new(contexts, threads, g.cfg.park_timeout);
+            if let Some(o) = &g.obs {
+                pool = pool.with_obs(&o.metrics);
+            }
+            let pool = Arc::new(pool);
             // Route every hosted place's wake to the pool *before* any
             // executor runs: enqueues, deliveries and shutdown all funnel
             // through `PlaceState::wake`.

@@ -16,9 +16,8 @@
 use crate::ctx::Ctx;
 use parking_lot::Mutex;
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::Arc;
-use x10rt::{Envelope, MsgClass, PlaceId};
+use x10rt::{Envelope, IntMap, MsgClass, PlaceId};
 
 /// Reduction operators for the numeric convenience wrappers.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -48,8 +47,8 @@ pub struct TeamWire {
 /// Per-place mailbox of collective fragments plus the per-team op counters.
 #[derive(Default)]
 pub struct TeamInbox {
-    msgs: HashMap<(u64, u64, u32, u32), Box<dyn Any + Send>>,
-    seqs: HashMap<u64, u64>,
+    msgs: IntMap<(u64, u64, u32, u32), Box<dyn Any + Send>>,
+    seqs: IntMap<u64, u64>,
 }
 
 impl TeamInbox {

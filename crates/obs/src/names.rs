@@ -32,6 +32,25 @@ pub const WORKER_ACTIVITIES: &str = "worker.activities";
 /// [`WORKER_ACTIVITIES`] it gives the sweeps paid per activity.
 pub const WORKER_MAILBOX_SWEEPS: &str = "worker.mailbox_sweeps";
 
+/// Counter: place contexts resumed by M:N executor threads (unit:
+/// resumes; sharded by executor). Summed per pass over the context table
+/// and published once per pass. Zero under thread-per-place scheduling.
+pub const EXECUTOR_RESUMES: &str = "executor.resumes";
+
+/// Counter: executor passes over the context table that resumed nothing
+/// (unit: passes; sharded by executor). Each one is a full scan paid for no
+/// work — read against [`EXECUTOR_RESUMES`] it is the scheduler's waste.
+pub const EXECUTOR_EMPTY_PASSES: &str = "executor.empty_passes";
+
+/// Counter: idle executor condvar waits entered after an empty pass found
+/// no runnable context (unit: sleeps; sharded by executor).
+pub const EXECUTOR_SLEEPS: &str = "executor.sleeps";
+
+/// Counter: idle waits that timed out after `park_timeout` and marked every
+/// unfinished context runnable — the resweep safety net firing (unit:
+/// resweeps; sharded by executor).
+pub const EXECUTOR_RESWEEPS: &str = "executor.resweeps";
+
 /// Counter: coalescer buffer drains triggered by the message-count
 /// threshold (unit: flushes). Incremented at the flush site in
 /// `x10rt::coalesce`.

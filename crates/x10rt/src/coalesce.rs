@@ -57,11 +57,11 @@
 //! protocol layers above can degrade instead of blocking.
 
 use crate::arena::{ArenaCounts, EnvelopeArena};
+use crate::hash::IntMap;
 use crate::message::{BatchPayload, Envelope, MsgClass};
 use crate::place::PlaceId;
 use crate::transport::{SendError, Transport, TransportError};
 use obs::metrics::{Counter, MetricsRegistry};
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Default flush threshold: messages buffered per destination.
@@ -153,7 +153,7 @@ pub struct Coalescer {
     /// Destination index → its buffer. A flushed buffer stays in the map
     /// (emptied, its box refilled from the arena) so steady-state traffic
     /// never re-hashes or re-allocates.
-    bufs: HashMap<usize, Buf>,
+    bufs: IntMap<usize, Buf>,
     /// Destinations with a non-empty buffer (so flush skips the rest).
     dirty: Vec<usize>,
     /// Per-reason drain counts (local tally, always maintained).
@@ -188,7 +188,7 @@ impl Coalescer {
             max_msgs: max_msgs.max(1),
             max_bytes: max_bytes.max(1),
             enabled,
-            bufs: HashMap::new(),
+            bufs: IntMap::default(),
             dirty: Vec::new(),
             counts: FlushCounts::default(),
             hooks: None,

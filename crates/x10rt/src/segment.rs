@@ -16,9 +16,9 @@
 //! access is available via [`Segment::atomic_u64`], which is what the GUPS
 //! path uses.
 
+use crate::hash::IntMap;
 use parking_lot::RwLock;
 use std::alloc::{alloc_zeroed, dealloc, Layout};
-use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
@@ -152,7 +152,7 @@ impl Drop for Segment {
 /// addresses through it.
 #[derive(Default)]
 pub struct SegmentTable {
-    map: RwLock<HashMap<(u32, SegId), Arc<Segment>>>,
+    map: RwLock<IntMap<(u32, SegId), Arc<Segment>>>,
 }
 
 impl SegmentTable {

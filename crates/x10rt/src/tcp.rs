@@ -49,12 +49,13 @@
 
 use crate::codec::{self, DecodeError, EncodeError, HandlerId, Handshake, WireMsg};
 use crate::fault::FaultMarker;
+use crate::hash::IntMap;
 use crate::message::{Envelope, Payload};
 use crate::place::PlaceId;
 use crate::stats::NetStats;
 use crate::transport::{LocalTransport, SendError, Transport, Waker};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -217,7 +218,7 @@ struct Core {
     /// Writer queue per peer process (`None` for `me` unless self-loop).
     out: Vec<Option<Arc<OutQueue>>>,
     /// In-process stash for non-serializable payload parts (self-loop only).
-    stash: Mutex<HashMap<u64, Payload>>,
+    stash: Mutex<IntMap<u64, Payload>>,
     stash_next: AtomicU64,
     /// Set during teardown so connection threads exit quietly.
     closing: AtomicBool,
@@ -538,7 +539,7 @@ impl TcpTransport {
             me: cfg.me,
             self_loop,
             out: (0..nprocs).map(|_| None).collect(),
-            stash: Mutex::new(HashMap::new()),
+            stash: Mutex::new(IntMap::default()),
             stash_next: AtomicU64::new(1),
             closing: AtomicBool::new(false),
         });
@@ -1032,7 +1033,7 @@ mod tests {
             me: 0,
             self_loop: false,
             out: vec![None, None],
-            stash: Mutex::new(HashMap::new()),
+            stash: Mutex::new(IntMap::default()),
             stash_next: AtomicU64::new(1),
             closing: AtomicBool::new(false),
         };

@@ -62,13 +62,14 @@
 //! scheduler's park path additionally re-checks [`Transport::queue_len`]
 //! before sleeping, which makes the protocol robust even against misuse.
 
+use crate::hash::IntMap;
 use crate::message::{Envelope, MsgClass};
 use crate::place::PlaceId;
 use crate::ring::{spin_lock, SpscRing, DEFAULT_RING_CAPACITY};
 use crate::stats::NetStats;
 use obs::metrics::{Counter, MetricsRegistry};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -346,7 +347,7 @@ struct SparseRow {
 #[derive(Default)]
 struct SparseLanes {
     /// Sender place id → position in `lanes`.
-    by_sender: HashMap<u32, usize>,
+    by_sender: IntMap<u32, usize>,
     /// Append-only — positions are stable, so the receiver's round-robin
     /// cursor (an index into this vector) survives concurrent growth.
     lanes: Vec<(u32, Arc<Lane>)>,
