@@ -8,7 +8,7 @@ use crate::clock::ClockReg;
 use crate::config::Config;
 use crate::finish::root::RootState;
 use crate::finish::{Attach, FinishId, FinishKind, FinishRef};
-use crate::place_state::Activity;
+use crate::task::Task;
 use crate::worker::{SpawnBody, Worker};
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -139,13 +139,17 @@ impl<'w> Ctx<'w> {
     /// `async S`: run `f` as a new activity at this place, governed by the
     /// innermost `finish`.
     pub fn spawn(&self, f: impl FnOnce(&Ctx) + Send + 'static) {
-        self.spawn_inner(self.here(), SpawnBody::Closure(Box::new(f)), MsgClass::Task);
+        self.spawn_inner(
+            self.here(),
+            SpawnBody::Closure(Task::new(f)),
+            MsgClass::Task,
+        );
     }
 
     /// `at(p) async S`: run `f` as a new activity at place `p`, governed by
     /// the innermost `finish`.
     pub fn at_async(&self, p: PlaceId, f: impl FnOnce(&Ctx) + Send + 'static) {
-        self.spawn_inner(p, SpawnBody::Closure(Box::new(f)), MsgClass::Task);
+        self.spawn_inner(p, SpawnBody::Closure(Task::new(f)), MsgClass::Task);
     }
 
     /// Like [`Ctx::at_async`] but the activity body is a *registered
@@ -168,7 +172,7 @@ impl<'w> Ctx<'w> {
         class: MsgClass,
         f: impl FnOnce(&Ctx) + Send + 'static,
     ) {
-        self.spawn_inner(p, SpawnBody::Closure(Box::new(f)), class);
+        self.spawn_inner(p, SpawnBody::Closure(Task::new(f)), class);
     }
 
     /// X10 `@Uncounted async`: an activity invisible to every `finish`.
@@ -181,15 +185,14 @@ impl<'w> Ctx<'w> {
         f: impl FnOnce(&Ctx) + Send + 'static,
     ) {
         if p == self.here() {
-            self.worker.place.push_local(Activity {
-                body: Box::new(f),
-                attach: Attach::Uncounted,
-                cause: self.worker.current_cause(),
-                cause_remote: false,
-            });
+            self.worker.push_task(Task::new(f), Attach::Uncounted);
         } else {
-            self.worker
-                .send_spawn(p, Attach::Uncounted, SpawnBody::Closure(Box::new(f)), class);
+            self.worker.send_spawn(
+                p,
+                Attach::Uncounted,
+                SpawnBody::Closure(Task::new(f)),
+                class,
+            );
         }
     }
 
@@ -230,16 +233,14 @@ impl<'w> Ctx<'w> {
         let here = self.here();
         if target == here {
             root.note_local_spawn(here.0);
-            self.worker.place.push_local(Activity {
-                body: body.into_task(),
-                attach: Attach::Counted {
+            self.worker.push_task(
+                body.into_task(),
+                Attach::Counted {
                     fin,
                     weight: 0,
                     remote: false,
                 },
-                cause: self.worker.current_cause(),
-                cause_remote: false,
-            });
+            );
         } else {
             // Resilient re-execution needs the task in serializable form:
             // log command spawns (the only replayable bodies) at the root
@@ -297,12 +298,7 @@ impl<'w> Ctx<'w> {
             remote: target != self.here(),
         };
         if target == self.here() {
-            self.worker.place.push_local(Activity {
-                body: body.into_task(),
-                attach,
-                cause: self.worker.current_cause(),
-                cause_remote: false,
-            });
+            self.worker.push_task(body.into_task(), attach);
         } else {
             self.worker.send_spawn(target, attach, body, class);
         }
@@ -316,16 +312,14 @@ impl<'w> Ctx<'w> {
                 p.on_local_spawn();
                 crate::finish::proxy::ProxyEmit::None
             });
-            self.worker.place.push_local(Activity {
-                body: body.into_task(),
-                attach: Attach::Counted {
+            self.worker.push_task(
+                body.into_task(),
+                Attach::Counted {
                     fin,
                     weight: 0,
                     remote: false,
                 },
-                cause: self.worker.current_cause(),
-                cause_remote: false,
-            });
+            );
         } else {
             // Remote spawner under a resilient finish: ship the command
             // descriptor to the root's home first so the home can replay it

@@ -58,6 +58,7 @@ pub mod rail;
 pub mod runtime;
 pub mod status;
 pub mod step;
+pub(crate) mod task;
 pub mod team;
 pub mod wire;
 pub(crate) mod worker;

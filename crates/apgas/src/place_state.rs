@@ -4,9 +4,9 @@
 use crate::clock::ClockTables;
 use crate::finish::dense::DenseAggregator;
 use crate::finish::root::RootState;
-use crate::finish::{Attach, BackupSnapshot, FinishId};
+use crate::finish::{BackupSnapshot, FinishId};
+use crate::task::Task;
 use crate::team::TeamInbox;
-use crate::worker::TaskFn;
 use crossbeam_deque::Injector;
 use parking_lot::{Condvar, Mutex, ReentrantMutex};
 use std::any::Any;
@@ -14,13 +14,11 @@ use std::sync::atomic::{AtomicU64, AtomicUsize};
 use std::sync::Arc;
 use x10rt::{IntMap, PlaceId};
 
-/// A schedulable activity: its body plus its termination-detection
-/// attachment.
+/// A schedulable activity: its cell (body plus termination-detection
+/// attachment) and its causal identity.
 pub struct Activity {
-    /// The closure to run.
-    pub body: TaskFn,
-    /// How `finish` tracks it.
-    pub attach: Attach,
+    /// The body to run and how `finish` tracks it.
+    pub task: Box<Task>,
     /// The causal identity of the message chain this activity belongs to
     /// (`None` when causal tracing is off or the chain has no recorded
     /// cause). Wire-arrived activities carry their spawn message's id;

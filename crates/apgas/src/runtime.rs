@@ -3,10 +3,10 @@
 use crate::config::Config;
 use crate::ctx::Ctx;
 use crate::error::ApgasError;
-use crate::finish::Attach;
 use crate::place_state::{Activity, PlaceState};
 use crate::step::StepGate;
-use crate::worker::{TaskFn, Worker};
+use crate::task::Task;
+use crate::worker::Worker;
 use obs::Obs;
 use parking_lot::{Mutex, RwLock};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -434,13 +434,12 @@ impl Runtime {
              non-zero ranks call serve()"
         );
         let (tx, rx) = crossbeam_channel::bounded(1);
-        let body: TaskFn = Box::new(move |ctx: &Ctx| {
+        let task = Task::new(move |ctx: &Ctx| {
             let result = catch_unwind(AssertUnwindSafe(|| ctx.finish(|c| f(c))));
             let _ = tx.send(result);
         });
         self.g.places[0].enqueue(Activity {
-            body,
-            attach: Attach::Uncounted,
+            task,
             cause: None,
             cause_remote: false,
         });
@@ -459,13 +458,12 @@ impl Runtime {
         f: impl FnOnce(&Ctx) -> R + Send + 'static,
     ) -> Result<R, ApgasError> {
         let (tx, rx) = crossbeam_channel::bounded(1);
-        let body: TaskFn = Box::new(move |ctx: &Ctx| {
+        let task = Task::new(move |ctx: &Ctx| {
             let result = catch_unwind(AssertUnwindSafe(|| ctx.finish(|c| f(c))));
             let _ = tx.send(result);
         });
         self.g.places[0].enqueue(Activity {
-            body,
-            attach: Attach::Uncounted,
+            task,
             cause: None,
             cause_remote: false,
         });

@@ -20,6 +20,7 @@ use crate::finish::root::RootState;
 use crate::finish::{Attach, FinishId, FinishKind, FinishMsg, FinishRef};
 use crate::place_state::{Activity, PlaceState};
 use crate::runtime::Global;
+use crate::task::Task;
 use crate::team::TeamWire;
 use crate::wire;
 use crossbeam_deque::Steal;
@@ -34,29 +35,16 @@ use std::sync::Arc;
 use x10rt::codec::{self, HandlerId, WireMsg};
 use x10rt::{Coalescer, CodecMode, Envelope, IntMap, MsgClass, PlaceId};
 
-/// The closure type of an activity body.
-pub type TaskFn = Box<dyn FnOnce(&Ctx) + Send + 'static>;
-
-/// Wire payload of a spawned activity.
-pub struct SpawnMsg {
-    /// Termination-detection attachment (already accounted at the sender).
-    pub attach: Attach,
-    /// The body.
-    pub body: TaskFn,
-}
-
-/// A closure body riding a [`WireMsg`]'s inline part under
-/// [`CodecMode::Bytes`] (the header and attach travel as bytes; the body
-/// cannot serialize and stays an in-process pointer — or, over the TCP
-/// self-loop, a stash key).
-pub(crate) struct ClosureCell(pub TaskFn);
-
 /// What a spawn ships as the activity body: an in-process closure, or a
 /// registered command (handler id + serialized argument bytes — the fully
 /// serializable form every cross-process spawn needs).
 pub enum SpawnBody {
-    /// A closure (shipped by pointer; never crosses a process boundary).
-    Closure(TaskFn),
+    /// A closure in its activity cell (shipped by pointer; never crosses a
+    /// process boundary). Under [`CodecMode::Inline`] the cell itself is
+    /// the envelope payload; under [`CodecMode::Bytes`] it is the
+    /// [`WireMsg`]'s inline part (the attach travels as bytes; over the TCP
+    /// self-loop the cell waits in the stash).
+    Closure(Box<Task>),
     /// A registered command: run the handler with the argument bytes.
     Cmd {
         /// Handler registered via `Runtime::register_handler`.
@@ -67,14 +55,14 @@ pub enum SpawnBody {
 }
 
 impl SpawnBody {
-    /// Turn the body into a runnable [`TaskFn`]. Commands resolve their
+    /// Turn the body into a runnable activity cell. Commands resolve their
     /// handler at *run* time so registration order does not matter; an
     /// unregistered id panics inside the activity, surfacing through the
     /// governing finish as a typed message naming the id.
-    pub(crate) fn into_task(self) -> TaskFn {
+    pub(crate) fn into_task(self) -> Box<Task> {
         match self {
-            SpawnBody::Closure(f) => f,
-            SpawnBody::Cmd { handler, args } => Box::new(move |ctx: &Ctx| {
+            SpawnBody::Closure(t) => t,
+            SpawnBody::Cmd { handler, args } => Task::new(move |ctx: &Ctx| {
                 let h = ctx.worker().g.handlers.read().get(&handler.0).cloned();
                 match h {
                     Some(h) => h(ctx, &args),
@@ -94,7 +82,7 @@ impl SpawnBody {
     /// byte ledgers are identical across codec modes.
     fn modeled_bytes(&self) -> usize {
         match self {
-            SpawnBody::Closure(f) => std::mem::size_of_val(&**f) + std::mem::size_of::<Attach>(),
+            SpawnBody::Closure(t) => t.size() + std::mem::size_of::<Attach>(),
             SpawnBody::Cmd { args, .. } => 4 + args.len() + std::mem::size_of::<Attach>(),
         }
     }
@@ -625,29 +613,45 @@ impl Worker {
         if let Some(h) = &self.hooks {
             h.activities.inc(self.here.0);
         }
+        let Activity {
+            mut task,
+            cause,
+            cause_remote,
+        } = act;
         // Help-first waiting means execute() nests: save/restore the current
         // cause so a pumped activity doesn't leak its chain into the blocked
         // parent's subsequent sends.
-        let prev_cause = self.current_cause.replace(act.cause);
-        let exec_start = if act.cause_remote && act.cause.is_some() {
+        let prev_cause = self.current_cause.replace(cause);
+        let exec_start = if cause_remote && cause.is_some() {
             self.causal_buf().and_then(EventRing::causal_start)
         } else {
             None
         };
-        let ctx = Ctx::new(self, act.attach);
-        let result = catch_unwind(AssertUnwindSafe(|| (act.body)(&ctx)));
+        let ctx = Ctx::new(self, std::mem::replace(&mut task.attach, Attach::Uncounted));
+        let result = catch_unwind(AssertUnwindSafe(|| task.run(&ctx)));
         let panic = result.err().map(panic_message);
         ctx.finalize_activity();
         let attach = ctx.take_attach();
         self.on_death(attach, panic);
         // Close the span after on_death so the Done/CreditReturn sends it
         // triggers still chain to this activity in the DAG.
-        if let (Some(id), Some(start)) = (act.cause, exec_start) {
+        if let (Some(id), Some(start)) = (cause, exec_start) {
             if let Some(cb) = self.causal_buf() {
                 cb.causal_exec_end(id, 0, start);
             }
         }
         self.current_cause.set(prev_cause);
+    }
+
+    /// Queue a locally spawned activity under `attach`; it inherits this
+    /// worker's current cause.
+    pub(crate) fn push_task(&self, mut task: Box<Task>, attach: Attach) {
+        task.attach = attach;
+        self.place.push_local(Activity {
+            task,
+            cause: self.current_cause(),
+            cause_remote: false,
+        });
     }
 
     // ------------------------------------------------------------------
@@ -723,23 +727,10 @@ impl Worker {
         };
         match class {
             MsgClass::Task | MsgClass::Steal | MsgClass::Rdma => {
-                let msg = payload
-                    .downcast::<SpawnMsg>()
-                    .expect("task-class payload must be a SpawnMsg");
-                if let Some(h) = &self.hooks {
-                    h.spawn_recv.inc(self.here.0);
-                    h.ring.instant("spawn", "recv", from.0 as u64);
-                }
-                self.register_receipt(&msg.attach, from.0);
-                // The activity carries the message's causal id; its
-                // execution span is recorded when a worker actually runs it,
-                // which is what splits queue-wait from execution.
-                self.place.push_local(Activity {
-                    body: msg.body,
-                    attach: msg.attach,
-                    cause: causal,
-                    cause_remote: true,
-                });
+                let task = payload
+                    .downcast::<Task>()
+                    .expect("task-class payload must be a Task");
+                self.receive_spawn(from, causal, task);
             }
             MsgClass::FinishCtl => {
                 let msg = payload
@@ -766,6 +757,23 @@ impl Worker {
         }
     }
 
+    /// Account for a spawned activity arriving from `from` and queue it.
+    /// The activity carries the message's causal id; its execution span is
+    /// recorded when a worker actually runs it, which is what splits
+    /// queue-wait from execution.
+    fn receive_spawn(&self, from: PlaceId, causal: Option<CausalId>, task: Box<Task>) {
+        if let Some(h) = &self.hooks {
+            h.spawn_recv.inc(self.here.0);
+            h.ring.instant("spawn", "recv", from.0 as u64);
+        }
+        self.register_receipt(&task.attach, from.0);
+        self.place.push_local(Activity {
+            task,
+            cause: causal,
+            cause_remote: true,
+        });
+    }
+
     /// Dispatch a serialized [`WireMsg`] (see `PROTOCOL.md`). Decode
     /// failures here mean a peer violated the protocol; they panic with the
     /// typed decode error rather than limping on with garbage.
@@ -779,29 +787,17 @@ impl Worker {
             codec::H_SPAWN => {
                 let (attach, body) = wire::decode_spawn(&args)
                     .unwrap_or_else(|e| panic!("malformed H_SPAWN from {from}: {e}"));
-                let body = match body {
-                    wire::SpawnWireBody::Closure => {
-                        let cell = inline
-                            .expect("closure-bodied spawn lost its inline part")
-                            .downcast::<ClosureCell>()
-                            .expect("spawn inline part must be a ClosureCell");
-                        cell.0
-                    }
+                let mut task = match body {
+                    wire::SpawnWireBody::Closure => inline
+                        .expect("closure-bodied spawn lost its inline part")
+                        .downcast::<Task>()
+                        .expect("spawn inline part must be a Task"),
                     wire::SpawnWireBody::Cmd { handler, args } => {
                         SpawnBody::Cmd { handler, args }.into_task()
                     }
                 };
-                if let Some(h) = &self.hooks {
-                    h.spawn_recv.inc(self.here.0);
-                    h.ring.instant("spawn", "recv", from.0 as u64);
-                }
-                self.register_receipt(&attach, from.0);
-                self.place.push_local(Activity {
-                    body,
-                    attach,
-                    cause: causal,
-                    cause_remote: true,
-                });
+                task.attach = attach;
+                self.receive_spawn(from, causal, task);
             }
             codec::H_FINISH => {
                 let msg = wire::decode_finish_msg(&args)
@@ -1177,16 +1173,14 @@ impl Worker {
             handler: HandlerId(cmd.handler),
             args: cmd.args,
         };
-        self.place.push_local(Activity {
-            body: body.into_task(),
-            attach: Attach::Counted {
+        self.push_task(
+            body.into_task(),
+            Attach::Counted {
                 fin,
                 weight: 0,
                 remote: false,
             },
-            cause: self.current_cause(),
-            cause_remote: false,
-        });
+        );
     }
 
     /// Replicate a resilient root's liveness snapshot to its backup place
@@ -1318,11 +1312,14 @@ impl Worker {
                 codec::H_SPAWN,
                 wire::encode_spawn_cmd(&attach, handler, &args),
             )),
-            (CodecMode::Inline, SpawnBody::Closure(body)) => Box::new(SpawnMsg { attach, body }),
-            (CodecMode::Bytes, SpawnBody::Closure(body)) => Box::new(WireMsg::with_inline(
+            (CodecMode::Inline, SpawnBody::Closure(mut task)) => {
+                task.attach = attach;
+                task
+            }
+            (CodecMode::Bytes, SpawnBody::Closure(task)) => Box::new(WireMsg::with_inline(
                 codec::H_SPAWN,
                 wire::encode_spawn_closure(&attach),
-                Box::new(ClosureCell(body)),
+                task,
             )),
         };
         self.send_env_rooted(

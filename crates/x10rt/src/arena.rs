@@ -6,11 +6,12 @@
 //! [`EnvelopeArena`] closes the loop: drained batch boxes come back via
 //! [`EnvelopeArena::recycle`] with their `Vec` capacity intact, and the next
 //! flush takes one off the freelist instead of allocating. In steady state —
-//! once buffers have grown to the workload's batch size — the send path
-//! performs **zero heap allocations per message**: envelopes live inline in
-//! recycled buffers, and the flush swap (see
-//! [`Coalescer::flush`](crate::Coalescer)) moves a pointer instead of
-//! copying messages.
+//! once buffers have grown to the workload's batch size — batching costs
+//! **no heap allocation per message**: envelopes live inline in recycled
+//! buffers, and the flush swap (see [`Coalescer::flush`](crate::Coalescer))
+//! moves a pointer instead of copying messages. The payload an envelope
+//! points to is its sender's to allocate: one activity cell per remote
+//! spawn in `apgas`.
 //!
 //! The arena is deliberately *not* a shared pool: each worker owns one
 //! (inside its coalescer), so `take`/`recycle` are plain vector ops with no
