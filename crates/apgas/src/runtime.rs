@@ -795,7 +795,7 @@ impl Runtime {
 
     /// Does `place` host a resilient finish root that has not yet adopted
     /// every dead place? Adoption runs in the waiting worker's quantum (the
-    /// resilient wait re-polls [`Worker::resilient_recover`] each
+    /// resilient wait re-polls `Worker::resilient_recover` each
     /// condition check), so a schedule controller must treat pending
     /// recovery as runnable work — it is invisible to [`Runtime::place_has_work`]
     /// because no queue or mailbox entry exists for it. Always `false` with

@@ -30,7 +30,7 @@
 //!
 //! * **Recovery.** [`DistCollection::recover`] rebuilds the chunks whose
 //!   owner died, honouring the runtime's
-//!   [`RedundancyMode`](apgas::RedundancyMode): `Replica` promotes the
+//!   [`RedundancyMode`]: `Replica` promotes the
 //!   mirror kept at the owner's buddy (the next place, which receives
 //!   every applied update — lossless for applied updates), `Recompute`
 //!   rebuilds from the registered generator (applied updates are lost by
@@ -141,7 +141,7 @@ fn buddy_of(owner: u32, places: u32) -> u32 {
     (owner + 1) % places
 }
 
-/// A distributed collection of `chunks` relocatable chunks, one [`Store`]
+/// A distributed collection of `chunks` relocatable chunks, one `Store`
 /// per place. `Copy` so activities capture it by value.
 pub struct DistCollection<P: Payload> {
     h: PlaceLocalHandle<Store<P>>,

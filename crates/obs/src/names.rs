@@ -65,8 +65,8 @@ pub const COALESCE_FLUSH_THRESHOLD_BYTES: &str = "coalescer.flush.threshold_byte
 /// parking, on worker exit (unit: flushes).
 pub const COALESCE_FLUSH_EXPLICIT: &str = "coalescer.flush.explicit";
 
-/// Histogram: logical messages drained per mailbox *sweep* — one
-/// round-robin pass over the destination's incoming SPSC ring lanes, batch
+/// Histogram: logical messages drained per mailbox *sweep* — one pass
+/// over the destination's ready SPSC ring lanes, batch
 /// envelopes expanded (unit: logical messages per sweep; only non-empty
 /// sweeps are recorded). Observed in the worker's message pump.
 pub const MAILBOX_DRAIN_DEPTH: &str = "mailbox.drain_depth";
@@ -83,12 +83,10 @@ pub const MAILBOX_DRAIN_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128, 256];
 pub const MAILBOX_RING_OVERFLOW: &str = "mailbox.ring_overflow";
 
 /// Counter: mailbox lanes materialized — (sender, receiver) SPSC channels
-/// actually backed by storage (unit: lanes; sharded by sender). In dense
-/// mode (small place counts) the full `places²` matrix is counted at
-/// construction; in sparse mode a lane is counted when a sender's first
-/// message to a receiver creates it. At 4,096 places a dense matrix would
-/// be 16.7M lane headers — this counter is how you see that the sparse
-/// path only paid for the pairs that actually talked.
+/// actually backed by storage (unit: lanes; sharded by sender). A lane is
+/// counted when a sender's first message to a receiver creates it. At
+/// 4,096 places a full matrix would be 16.7M lane headers — this counter
+/// is how you see that only the pairs that actually talked paid.
 pub const MAILBOX_LANES_ALLOCATED: &str = "mailbox.lanes_allocated";
 
 /// Counter: coalescer flushes served a recycled batch buffer from the

@@ -9,6 +9,8 @@
 
 use apgas::{Config, Runtime};
 use glb::GlbConfig;
+use std::sync::Mutex;
+use std::time::Instant;
 use uts::{run_distributed, traverse, GeoTree};
 
 fn cfg() -> GlbConfig {
@@ -17,6 +19,10 @@ fn cfg() -> GlbConfig {
         ..GlbConfig::default()
     }
 }
+
+/// Held by every test here: each one wants the whole machine, and the
+/// soak's timings mean nothing while another test shares its cores.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 /// Executor pool width: every core the runner has, min 2 so contexts
 /// actually migrate.
@@ -27,6 +33,7 @@ fn threads() -> usize {
 #[test]
 #[ignore = "scale tier: minutes in debug — run release via `cargo test --release -- --ignored`"]
 fn uts_4096_places_matches_sequential_and_8_places() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let tree = GeoTree::paper(9);
     let want = traverse(&tree);
 
@@ -51,6 +58,7 @@ fn uts_4096_places_matches_sequential_and_8_places() {
 #[test]
 #[ignore = "scale tier: minutes in debug — run release via `cargo test --release -- --ignored`"]
 fn uts_1024_places_matches_sequential() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let tree = GeoTree::paper(9);
     let want = traverse(&tree);
     let rt = Runtime::new(
@@ -60,4 +68,40 @@ fn uts_1024_places_matches_sequential() {
     );
     let got = rt.run(move |ctx| run_distributed(ctx, tree, cfg()));
     assert_eq!(got.stats, want);
+}
+
+/// Median of ten traversal times.
+fn median10(ms: &[f64]) -> f64 {
+    let mut v = ms.to_vec();
+    v.sort_by(f64::total_cmp);
+    (v[4] + v[5]) / 2.0
+}
+
+/// A long-lived runtime must not slow down. GLB's random steals keep
+/// touching new victims, so the lanes each place has ever used only grow;
+/// a mailbox sweep must cost the lanes that hold messages, not all of them.
+#[test]
+#[ignore = "scale tier: minutes in debug — run release via `cargo test --release -- --ignored`"]
+fn uts_256_places_soak_stays_flat_over_80_traversals() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let tree = GeoTree::paper(9);
+    let want = traverse(&tree).nodes;
+    let rt = Runtime::new(Config::new(256).places_per_host(32).executor_threads(2));
+    let mut ms = Vec::with_capacity(80);
+    for i in 0..80u64 {
+        let glb = GlbConfig {
+            seed: 0x5eed ^ i,
+            ..cfg()
+        };
+        let t = Instant::now();
+        let got = rt.run(move |ctx| run_distributed(ctx, tree, glb));
+        ms.push(t.elapsed().as_secs_f64() * 1e3);
+        assert_eq!(got.stats.nodes, want, "traversal {i} node count");
+    }
+    let (first, last) = (median10(&ms[..10]), median10(&ms[70..]));
+    eprintln!("soak: first-10 median {first:.1} ms, last-10 median {last:.1} ms");
+    assert!(
+        last <= 1.1 * first,
+        "last-10 median {last:.1} ms > 1.1 x first-10 median {first:.1} ms"
+    );
 }

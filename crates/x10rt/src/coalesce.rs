@@ -354,8 +354,9 @@ impl Coalescer {
     /// Hand a drained buffer to the transport: a single message goes out as
     /// itself (the transport records it, the emptied box is recycled);
     /// several ship as one batch envelope built *around* the buffer box,
-    /// with the logical counts recorded here once the envelope is accepted
-    /// (so messages lost to a dead destination never enter the ledgers).
+    /// with the logical counts recorded here before the send and taken back
+    /// if it fails (so messages lost to a dead destination never stay in
+    /// the ledgers).
     fn emit(
         &mut self,
         transport: &dyn Transport,
@@ -378,16 +379,24 @@ impl Coalescer {
             slot.0 += 1;
             slot.1 += e.bytes as u64;
         }
-        send_with_retry(
-            transport,
-            Envelope::batch_boxed(self.from, dest, payload),
-            self.send_timeout,
-        )?;
+        // Count before sending: once the batch is in, the receiver may finish
+        // the round and read the stats before this thread runs again. A
+        // failed send takes the counts back.
         let stats = transport.stats();
         for (i, &(count, bytes)) in per_class.iter().enumerate() {
             stats.record_send_many(self.from.0, dest.0, MsgClass::ALL[i], count, bytes);
         }
-        Ok(())
+        let sent = send_with_retry(
+            transport,
+            Envelope::batch_boxed(self.from, dest, payload),
+            self.send_timeout,
+        );
+        if sent.is_err() {
+            for (i, &(count, bytes)) in per_class.iter().enumerate() {
+                stats.unrecord_send_many(self.from.0, dest.0, MsgClass::ALL[i], count, bytes);
+            }
+        }
+        sent
     }
 
     /// Return a received batch box to the freelist so the next flush can
@@ -670,6 +679,43 @@ mod tests {
 
     fn env_from(from: u32, to: u32, tag: u64) -> Envelope {
         Envelope::new(PlaceId(from), PlaceId(to), MsgClass::Task, 8, Box::new(tag))
+    }
+
+    #[test]
+    fn batch_counts_land_before_the_batch_does() {
+        // A receiver may read the stats the moment the transport accepts a
+        // batch, before the sending thread runs again: this transport reads
+        // them inside `send`, as that receiver would.
+        struct Peek(LocalTransport, std::sync::Mutex<Vec<u64>>);
+        impl Transport for Peek {
+            fn send(&self, env: Envelope) -> Result<(), SendError> {
+                let sent = self.0.send(env);
+                self.1.lock().unwrap().push(self.0.stats().total_messages());
+                sent
+            }
+            fn try_recv(&self, place: PlaceId) -> Option<Envelope> {
+                self.0.try_recv(place)
+            }
+            fn register_waker(&self, place: PlaceId, waker: crate::transport::Waker) {
+                self.0.register_waker(place, waker)
+            }
+            fn stats(&self) -> &crate::stats::NetStats {
+                self.0.stats()
+            }
+            fn num_places(&self) -> usize {
+                self.0.num_places()
+            }
+            fn queue_len(&self, place: PlaceId) -> usize {
+                self.0.queue_len(place)
+            }
+        }
+        let t = Peek(LocalTransport::new(2), Default::default());
+        let mut c = Coalescer::new(PlaceId(0), 2, 64, 1 << 20, true);
+        for i in 0..3u64 {
+            c.send(&t, env(1, i)).unwrap();
+        }
+        c.flush(&t).unwrap();
+        assert_eq!(*t.1.lock().unwrap(), [3]);
     }
 
     #[test]

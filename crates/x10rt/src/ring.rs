@@ -11,8 +11,8 @@
 //!   load, one slot write and one release store — no read-modify-write, no
 //!   shared-line ping-pong beyond the slot itself.
 //! * **Lazy slot allocation.** The slot array is allocated on first push
-//!   (via [`std::sync::OnceLock`]), so an all-pairs lane matrix over `P`
-//!   places costs `O(P²)` small headers but only `O(active pairs)` buffers.
+//!   (via [`std::sync::OnceLock`]), so a ring that never carries a message
+//!   costs a header, not a buffer.
 //!
 //! # Multi-producer reality
 //!

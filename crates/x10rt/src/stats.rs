@@ -125,6 +125,24 @@ impl NetStats {
         }
     }
 
+    /// Take back a [`record_send_many`](Self::record_send_many) whose
+    /// messages never entered the transport (the send failed). The pair's
+    /// out-degree bit stays set.
+    pub(crate) fn unrecord_send_many(
+        &self,
+        from: u32,
+        to: u32,
+        class: MsgClass,
+        count: u64,
+        nbytes: u64,
+    ) {
+        let i = class.index();
+        let shard = self.shard(from);
+        shard.sent[i].fetch_sub(count, Ordering::Relaxed);
+        shard.bytes[i].fetch_sub(nbytes, Ordering::Relaxed);
+        self.recv_per_place[to as usize].fetch_sub(count, Ordering::Relaxed);
+    }
+
     /// Record one *physical* envelope handed to the transport (a batch
     /// envelope counts once here however many messages it carries).
     #[inline]

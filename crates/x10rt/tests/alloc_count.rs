@@ -7,8 +7,8 @@
 //! allocations: envelopes live inline in recycled batch boxes, flushes swap
 //! boxes instead of copying, rings are pre-sized, and received boxes recycle
 //! back into the arenas. The test also asserts the overflow side-queue — the
-//! only mutex on the path — never engaged, so the steady-state path is both
-//! allocation-free and mutex-free.
+//! only per-message mutex on the path — never engaged; the other locks are
+//! taken once per lane readiness edge and once per sweep (the ready list).
 //!
 //! This file is its own test binary (integration test) because it installs a
 //! `#[global_allocator]`; keep it to a single `#[test]` so no parallel test
@@ -124,8 +124,8 @@ fn steady_state_storm_allocates_nothing() {
         allocs, 0,
         "steady-state hot path allocated {allocs} times over {messages} messages"
     );
-    // The overflow side-queue is the only mutex on the path; a well-sized
-    // ring must never have engaged it.
+    // The overflow side-queue is the only per-message mutex on the path; a
+    // well-sized ring must never have engaged it.
     assert_eq!(
         t.stats().total_ring_overflows(),
         0,
