@@ -7,7 +7,10 @@
 //! the first UTS implementation to scale to petaflop systems.
 //!
 //! This crate provides:
-//! * [`sha1`] — from-scratch SHA-1 (the tree generator's mixing function);
+//! * [`sha1`] — from-scratch SHA-1 (the tree generator's mixing function),
+//!   compressed with the CPU's SHA extensions when present and a portable
+//!   scalar loop otherwise; tests run the FIPS vectors and a differential
+//!   property test through both on every host;
 //! * [`rng`] — the splittable node-state RNG;
 //! * [`tree::GeoTree`] — the geometric tree law (`b0 = 4`, `r = 19`,
 //!   depth 14–22 in the paper; smaller here);

@@ -7,7 +7,7 @@
 //! root seed, which is what makes UTS verifiable under any traversal order
 //! or work-stealing schedule.
 
-use crate::sha1::sha1;
+use crate::sha1::{compress, digest, sha1, H0};
 
 /// A node's RNG state (equals its SHA-1 descriptor).
 pub type State = [u8; 20];
@@ -17,12 +17,18 @@ pub fn init(seed: u32) -> State {
     sha1(&seed.to_le_bytes())
 }
 
-/// State of the `spawn_index`-th child.
+/// State of the `spawn_index`-th child: `sha1(parent ++ spawn_index_le)`.
+/// The 24-byte message always fits one block, so the padded block (the
+/// `0x80` marker and the 192-bit length) is built here and compressed once.
 pub fn spawn(parent: &State, spawn_index: u32) -> State {
-    let mut buf = [0u8; 24];
-    buf[..20].copy_from_slice(parent);
-    buf[20..].copy_from_slice(&spawn_index.to_le_bytes());
-    sha1(&buf)
+    let mut block = [0u8; 64];
+    block[..20].copy_from_slice(parent);
+    block[20..24].copy_from_slice(&spawn_index.to_le_bytes());
+    block[24] = 0x80;
+    block[63] = 24 * 8;
+    let mut h = H0;
+    compress(&mut h, &block);
+    digest(&h)
 }
 
 /// The node's random draw: a 31-bit non-negative integer.
