@@ -38,8 +38,8 @@ fn mplex_run(
     sseed: u64,
 ) -> (RunVerdict, u64, u64, Option<u64>) {
     let tree = TreeSpec::generate(wseed, places, 48).legalize(FinishKind::Default);
-    // Individual envelopes, as everywhere in the sim harness: the controller
-    // cannot see coalescer-buffered messages, so batching reads as deadlock.
+    // Individual envelopes, as in the fuzz corpus: batching would fuse
+    // deliveries and coarsen the interleavings the schedule can choose.
     let mut cfg = Config::new(places).places_per_host(8).batch_disable(true);
     if let Some(n) = executors {
         cfg = cfg.executor_threads(n);
@@ -156,11 +156,11 @@ fn arena_toggle_is_invisible_to_the_simulated_schedule() {
     // The envelope arena only recycles allocations — it must not change a
     // single scheduling decision or message. Replaying the same seeds with
     // recycling on and off has to produce bit-identical causal traces.
-    // Coalescing runs with `max_msgs = 1` — every send takes the buffer-swap
-    // flush path through the arena immediately, which both exercises the
-    // machinery under test and keeps buffers empty between quanta (the sim
-    // controller cannot see coalescer-buffered messages, so lingering
-    // buffers would read as deadlock).
+    // Coalescing runs with `max_msgs = 1`, so every send takes the
+    // buffer-swap flush path through the arena immediately and exercises
+    // the machinery under test. (Larger batches would work too: a worker
+    // flushes before it waits on the step gate, so no message is left in a
+    // coalescer where the sim controller cannot see it.)
     let run = |arena_off: bool| {
         let tree = TreeSpec::generate(13, 4, 10).legalize(FinishKind::Default);
         let cfg = Config::new(4)
@@ -191,14 +191,15 @@ fn codec_mode_is_invisible_to_the_simulated_schedule() {
     // (PROTOCOL.md) instead of shipping typed inline payloads — but it must
     // produce the same envelope stream: same modeled bytes, same message
     // count, same scheduling decisions. Replaying the same seeds under both
-    // codecs has to yield bit-identical causal traces and results.
-    let run = |codec: apgas::CodecMode| {
-        let tree = TreeSpec::generate(12, 4, 11).legalize(FinishKind::Default);
+    // codecs has to yield bit-identical causal traces and results, for every
+    // finish protocol, with the runtime's default coalescing on.
+    let run = |kind: FinishKind, wseed: u64, codec: apgas::CodecMode| {
+        let tree = TreeSpec::generate(wseed, 4, 24).legalize(kind);
         let cfg = Config::new(4).places_per_host(2).codec(codec);
         let sim = Arc::new(SimTransport::new(4));
         let mut chooser = Chooser::seeded(17);
         let run = run_sim(cfg, &SimOpts::default(), &mut chooser, sim, move |ctx| {
-            run_tree(ctx, FinishKind::Default, &tree)
+            run_tree(ctx, kind, &tree)
         });
         (
             run.report.verdict,
@@ -211,10 +212,21 @@ fn codec_mode_is_invisible_to_the_simulated_schedule() {
             },
         )
     };
-    let inline = run(apgas::CodecMode::Inline);
-    let bytes = run(apgas::CodecMode::Bytes);
-    assert_eq!(inline.0, RunVerdict::Completed);
-    assert_eq!(inline, bytes, "serializing changed the simulated schedule");
+    for kind in sim::fuzz::ALL_KINDS {
+        for wseed in [3, 5] {
+            let inline = run(kind, wseed, apgas::CodecMode::Inline);
+            let bytes = run(kind, wseed, apgas::CodecMode::Bytes);
+            let label = kind.label();
+            assert_eq!(inline.0, RunVerdict::Completed, "{label} wseed {wseed}");
+            if kind != FinishKind::Local {
+                assert!(inline.2 > 0, "{label} wseed {wseed}: no message delivered");
+            }
+            assert_eq!(
+                inline, bytes,
+                "{label} wseed {wseed}: serializing changed the simulated schedule"
+            );
+        }
+    }
 }
 
 #[test]
