@@ -155,6 +155,8 @@ proptest! {
         let _ = wire::decode_finish_msg(&bytes);
         let _ = wire::decode_clock_msg(&bytes);
         let _ = wire::decode_spawn(&bytes);
+        let _ = wire::decode_team_wire(&bytes, None);
+        let _ = wire::decode_obs_msg(&bytes);
         let _ = wire::read_attach(&mut Cursor::new(&bytes));
         let _ = wire::read_finish_ref(&mut Cursor::new(&bytes));
     }
