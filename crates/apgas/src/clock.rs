@@ -167,13 +167,7 @@ fn local_phase(w: &Worker, id: u64, home: PlaceId) -> u64 {
 
 fn send(w: &Worker, to: PlaceId, msg: ClockMsg) {
     // Same 16 modeled bytes in either codec mode (see `PROTOCOL.md`).
-    let payload: x10rt::Payload = match w.g.cfg.codec {
-        x10rt::CodecMode::Inline => Box::new(msg),
-        x10rt::CodecMode::Bytes => Box::new(x10rt::WireMsg::new(
-            x10rt::codec::H_CLOCK,
-            crate::wire::encode_clock_msg(&msg),
-        )),
-    };
+    let payload = crate::wire::to_payload(w.g.cfg.codec, msg);
     w.send_env(Envelope::new(w.here, to, MsgClass::Clock, 16, payload));
 }
 

@@ -6,6 +6,7 @@ use crate::error::ApgasError;
 use crate::place_state::{Activity, PlaceState};
 use crate::step::StepGate;
 use crate::task::Task;
+use crate::wire::{ObsMsg, Wire};
 use crate::worker::Worker;
 use obs::Obs;
 use parking_lot::{Mutex, RwLock};
@@ -88,6 +89,21 @@ impl Global {
     pub(crate) fn accept_shipment(&self, snap: obs::RankObs) {
         let now = self.obs.as_ref().map_or(0, |o| o.causal.now_ns());
         self.obs_plane.shipments.lock().push((snap, now));
+    }
+
+    /// Send a runtime message straight to the transport, encoded and past
+    /// every coalescer: shutdown and observability traffic, which may cross
+    /// processes and must not wait behind the traffic it ends or describes.
+    pub(crate) fn send_direct(
+        &self,
+        from: PlaceId,
+        to: PlaceId,
+        msg: WireMsg,
+    ) -> Result<(), x10rt::SendError> {
+        // A bodiless message (`H_SHUTDOWN`) still charges one byte.
+        let bytes = msg.args.len().max(1);
+        let env = Envelope::new(from, to, MsgClass::System, bytes, Box::new(msg));
+        self.transport.send(env)
     }
 
     /// Record a status-query reply from `rank`.
@@ -413,13 +429,9 @@ impl Runtime {
             if self.hosts_place(p) {
                 continue;
             }
-            let _ = self.g.transport.send(Envelope::new(
-                here,
-                p,
-                MsgClass::System,
-                1,
-                Box::new(WireMsg::new(codec::H_SHUTDOWN, Vec::new())),
-            ));
+            let _ = self
+                .g
+                .send_direct(here, p, WireMsg::new(codec::H_SHUTDOWN, Vec::new()));
         }
         self.request_shutdown();
     }
@@ -612,17 +624,8 @@ impl Runtime {
             if self.hosts_place(p) {
                 continue;
             }
-            let body = crate::wire::encode_obs_msg(&crate::wire::ObsMsg::SnapshotRequest {
-                reply_to: here.0,
-            });
-            let bytes = body.len();
-            let _ = self.g.transport.send(Envelope::new(
-                here,
-                p,
-                MsgClass::System,
-                bytes,
-                Box::new(WireMsg::new(codec::H_OBS, body)),
-            ));
+            let msg = ObsMsg::SnapshotRequest { reply_to: here.0 };
+            let _ = self.g.send_direct(here, p, msg.encode());
             requested += 1;
         }
         if requested == 0 {
@@ -734,19 +737,8 @@ impl Runtime {
         }
         let here = PlaceId(self.g.rank());
         let before = self.g.obs_plane.status_replies.lock().len();
-        let body =
-            crate::wire::encode_obs_msg(&crate::wire::ObsMsg::StatusRequest { reply_to: here.0 });
-        let bytes = body.len();
-        self.g
-            .transport
-            .send(Envelope::new(
-                here,
-                place,
-                MsgClass::System,
-                bytes,
-                Box::new(WireMsg::new(codec::H_OBS, body)),
-            ))
-            .ok()?;
+        let msg = ObsMsg::StatusRequest { reply_to: here.0 };
+        self.g.send_direct(here, place, msg.encode()).ok()?;
         let deadline = std::time::Instant::now() + timeout;
         while std::time::Instant::now() < deadline {
             {

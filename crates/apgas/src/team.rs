@@ -209,20 +209,7 @@ impl Team {
         // Same modeled `bytes` in either codec mode; `Bytes` serializes the
         // wire-supported data types and ships anything else as an inline
         // part (see `PROTOCOL.md` §4.3).
-        let payload: x10rt::Payload = match ctx.worker().g.cfg.codec {
-            x10rt::CodecMode::Inline => Box::new(msg),
-            x10rt::CodecMode::Bytes => {
-                let (args, td) = crate::wire::encode_team_wire(msg);
-                match td {
-                    crate::wire::TeamData::Encoded => {
-                        Box::new(x10rt::WireMsg::new(x10rt::codec::H_TEAM, args))
-                    }
-                    crate::wire::TeamData::Opaque(d) => {
-                        Box::new(x10rt::WireMsg::with_inline(x10rt::codec::H_TEAM, args, d))
-                    }
-                }
-            }
-        };
+        let payload = crate::wire::to_payload(ctx.worker().g.cfg.codec, msg);
         ctx.worker().send_env(Envelope::new(
             ctx.here(),
             dst,
