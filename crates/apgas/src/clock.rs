@@ -77,7 +77,7 @@ impl Clock {
         let home = ctx.here();
         let mut places = IntMap::default();
         places.insert(home.0, 1);
-        ctx.worker().place.clocks.lock().homes.insert(
+        ctx.worker().clocks.borrow_mut().homes.insert(
             id,
             ClockHome {
                 registered: 1,
@@ -101,7 +101,7 @@ impl Clock {
             "clocked spawns must originate at the clock's home place"
         );
         {
-            let mut t = ctx.worker().place.clocks.lock();
+            let mut t = ctx.worker().clocks.borrow_mut();
             let h = t.homes.get_mut(&self.id).expect("clock is dead");
             h.registered += 1;
             *h.places.entry(p.0).or_insert(0) += 1;
@@ -157,7 +157,7 @@ impl Clock {
 }
 
 fn local_phase(w: &Worker, id: u64, home: PlaceId) -> u64 {
-    let t = w.place.clocks.lock();
+    let t = w.clocks.borrow();
     if home == w.here {
         t.homes.get(&id).map_or(u64::MAX, |h| h.phase)
     } else {
@@ -173,7 +173,7 @@ fn send(w: &Worker, to: PlaceId, msg: ClockMsg) {
 
 fn home_arrive(w: &Worker, id: u64) {
     let releases = {
-        let mut t = w.place.clocks.lock();
+        let mut t = w.clocks.borrow_mut();
         let h = t.homes.get_mut(&id).expect("arrive on dead clock");
         h.arrived += 1;
         try_release(w, id, h)
@@ -183,7 +183,7 @@ fn home_arrive(w: &Worker, id: u64) {
 
 fn home_drop(w: &Worker, id: u64, place: u32) {
     let releases = {
-        let mut t = w.place.clocks.lock();
+        let mut t = w.clocks.borrow_mut();
         let Some(h) = t.homes.get_mut(&id) else {
             return;
         };
@@ -234,7 +234,7 @@ pub fn handle_msg(w: &Worker, msg: ClockMsg) {
         ClockMsg::Arrive { id } => home_arrive(w, id),
         ClockMsg::Drop { id, place } => home_drop(w, id, place),
         ClockMsg::Resume { id, phase } => {
-            w.place.clocks.lock().phases.insert(id, phase);
+            w.clocks.borrow_mut().phases.insert(id, phase);
         }
     }
 }

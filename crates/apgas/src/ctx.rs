@@ -376,11 +376,8 @@ impl<'w> Ctx<'w> {
         // One span per finish, from root creation through termination; the
         // kind label distinguishes the protocols on the trace timeline.
         let span = self.worker.trace().and_then(|t| t.span_start());
-        let seq = self
-            .worker
-            .place
-            .next_finish_seq
-            .fetch_add(1, Ordering::Relaxed);
+        let seq = self.worker.next_finish_seq.get();
+        self.worker.next_finish_seq.set(seq + 1);
         let id = FinishId { home: here, seq };
         let fin = FinishRef { id, kind };
         let root = Arc::new(RootState::new(kind, id));
@@ -476,24 +473,29 @@ impl<'w> Ctx<'w> {
     }
 
     /// `atomic S`: run `f` as an uninterrupted place-local critical section.
+    ///
+    /// No lock is needed. A place's activities run only on its one worker,
+    /// one at a time, and `Ctx` is `!Sync`, so no other activity of this
+    /// place runs until `f` returns — unless `f` itself blocks (`finish`,
+    /// `at`, a wait), which runs other activities of the place nested on
+    /// this worker; X10 forbids blocking inside `atomic` for that reason.
+    /// Activities of other places never touch this place's data directly.
     pub fn atomic<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _guard = self.worker.place.atomic_lock.lock();
         f()
     }
 
-    /// `when(c) S`: run `f` atomically once `cond` holds (both evaluated
-    /// under the place's atomic lock). The worker keeps the place making
-    /// progress while waiting.
+    /// `when(c) S`: run `f` atomically once `cond` holds. The worker keeps
+    /// the place making progress while waiting. `cond` and `f` run back to
+    /// back on the place's only worker, with no scheduling point between
+    /// them, so nothing can falsify `cond` before `f` runs (see
+    /// [`Ctx::atomic`] for why no lock is needed).
     pub fn when<R>(&self, cond: impl Fn() -> bool, f: impl FnOnce() -> R) -> R {
         loop {
-            {
-                let _guard = self.worker.place.atomic_lock.lock();
-                if cond() {
-                    return f();
-                }
+            if cond() {
+                return f();
             }
             if !self.worker.run_one() {
-                self.worker.park_brief_pub();
+                self.worker.park_brief();
             }
         }
     }
@@ -553,14 +555,15 @@ impl<'w> Ctx<'w> {
     }
 
     pub(crate) fn register_object(&self, key: u64, obj: Arc<dyn std::any::Any + Send + Sync>) {
-        self.worker.place.registry.lock().insert(key, obj);
+        self.worker.registry.borrow_mut().insert(key, obj);
     }
 
     pub(crate) fn lookup_object(&self, key: u64) -> Option<Arc<dyn std::any::Any + Send + Sync>> {
-        self.worker.place.registry.lock().get(&key).cloned()
+        self.worker.registry.borrow().get(&key).cloned()
     }
 
     pub(crate) fn remove_object(&self, key: u64) {
-        self.worker.place.registry.lock().remove(&key);
+        // Drop the object after the borrow ends: its destructor is user code.
+        let _removed = self.worker.registry.borrow_mut().remove(&key);
     }
 }

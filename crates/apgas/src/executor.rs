@@ -19,8 +19,8 @@
 //!
 //! Wakes come from outside the context: deliveries from other places and
 //! submissions from outside the runtime. A place's own worker enqueues
-//! without waking (`PlaceState::push_local`) — it pops its queue before it
-//! can park — so a running context is re-marked only by another place's
+//! without waking — the queue is its own, and it pops it before it can
+//! park — so a running context is re-marked only by another place's
 //! traffic, never by its own local spawns.
 //!
 //! Idle executors wake on their own every `resweep` (the configured

@@ -1,16 +1,17 @@
-//! Per-place shared state: the activity queue, finish tables, registries and
-//! the worker wake-up machinery.
+//! Per-place state that threads other than the place's worker must touch:
+//! root submissions from outside the runtime (the ingress), the wake-up
+//! machinery, the finish roots, and counts the worker publishes for the
+//! residue oracle, the schedule controller and the status report.
+//!
+//! Everything only the worker uses — its run queue, the finish proxies,
+//! backup snapshots, the dense aggregator, the object registry, team and
+//! clock tables — lives in [`crate::worker::Worker`] without a lock.
 
-use crate::clock::ClockTables;
-use crate::finish::dense::DenseAggregator;
 use crate::finish::root::RootState;
-use crate::finish::{BackupSnapshot, FinishId};
 use crate::task::Task;
-use crate::team::TeamInbox;
-use crossbeam_deque::Injector;
-use parking_lot::{Condvar, Mutex, ReentrantMutex};
-use std::any::Any;
-use std::sync::atomic::{AtomicU64, AtomicUsize};
+use parking_lot::{Condvar, Mutex};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use x10rt::{IntMap, PlaceId};
 
@@ -31,12 +32,17 @@ pub struct Activity {
     pub cause_remote: bool,
 }
 
-/// All state belonging to one place.
+/// All state of one place that other threads read or write.
 pub struct PlaceState {
     /// This place's id.
     pub id: PlaceId,
-    /// Ready activities (FIFO injector; workers of this place pop from it).
-    pub queue: Injector<Activity>,
+    /// Root activities submitted from outside the runtime
+    /// (`Runtime::run`/`run_checked`), waiting for the worker to move them
+    /// into its queue at the top of its next quantum.
+    ingress: Mutex<Vec<Activity>>,
+    /// Set while `ingress` is non-empty, so a quantum with no submissions
+    /// takes no lock.
+    ingress_ready: AtomicBool,
     /// Condvar protocol for idle workers.
     pub wake_mutex: Mutex<()>,
     /// Signalled whenever a message or activity arrives.
@@ -47,29 +53,24 @@ pub struct PlaceState {
     /// diagnostic; the aggregation ablation reports it).
     pub parks: AtomicU64,
     /// Finish roots homed at this place, by home-local sequence number.
+    /// The worker creates, looks up and removes them; three readers on
+    /// other threads need the roots themselves, not a count, which is why
+    /// this table keeps its lock: the status report (`status::collect`),
+    /// the schedule controller's `Runtime::place_needs_recovery`, and the
+    /// residue oracle (`Global::residue`).
     pub roots: Mutex<IntMap<u64, Arc<RootState>>>,
-    /// Source of home-local finish sequence numbers.
-    pub next_finish_seq: AtomicU64,
-    /// Number of finish proxies (remotely-homed finishes with state at this
-    /// place). The proxies themselves live in the place's worker, which is
-    /// their only user; the worker publishes the count whenever it creates
-    /// or drops one, for the residue oracle and the status report.
+    /// Activities in the worker's run queue (published on every push and
+    /// pop; the ingress is counted separately).
+    pub queued: AtomicUsize,
+    /// Finish proxies the worker holds (published when it creates or drops
+    /// one).
     pub proxy_count: AtomicUsize,
-    /// Resilient-finish backup snapshots this place holds for finishes
-    /// homed at its predecessor (home+1 replication; see DESIGN.md §6).
-    /// Released when the home reports completion.
-    pub backup_roots: Mutex<IntMap<FinishId, BackupSnapshot>>,
-    /// FINISH_DENSE hop-aggregation buffer (this place acting as a master).
-    pub dense_agg: Mutex<DenseAggregator>,
-    /// Object registry backing `GlobalRef` / `PlaceLocalHandle`.
-    pub registry: Mutex<IntMap<u64, Arc<dyn Any + Send + Sync>>>,
-    /// Team collective state.
-    pub team: Mutex<TeamInbox>,
-    /// Clock (distributed barrier) state.
-    pub clocks: Mutex<ClockTables>,
-    /// The place-wide lock implementing `atomic`/`when` (reentrant so nested
-    /// atomic sections don't self-deadlock).
-    pub atomic_lock: ReentrantMutex<()>,
+    /// Resilient-finish backup snapshots the worker holds for finishes
+    /// homed at its predecessor (published on every sync and release).
+    pub backup_count: AtomicUsize,
+    /// Does the worker's FINISH_DENSE aggregator buffer undelivered deltas?
+    /// (Published on every absorb and drain.)
+    pub dense_pending: AtomicBool,
     /// M:N mode: routes this place's wake-ups to the executor pool (marks
     /// the place's context runnable and kicks a sleeping executor) instead
     /// of the thread condvar above. Installed once at runtime construction,
@@ -92,20 +93,17 @@ impl PlaceState {
     pub fn new(id: PlaceId) -> Self {
         PlaceState {
             id,
-            queue: Injector::new(),
+            ingress: Mutex::new(Vec::new()),
+            ingress_ready: AtomicBool::new(false),
             wake_mutex: Mutex::new(()),
             wake_cv: Condvar::new(),
             sleepers: AtomicUsize::new(0),
             parks: AtomicU64::new(0),
             roots: Mutex::new(IntMap::default()),
-            next_finish_seq: AtomicU64::new(1),
+            queued: AtomicUsize::new(0),
             proxy_count: AtomicUsize::new(0),
-            backup_roots: Mutex::new(IntMap::default()),
-            dense_agg: Mutex::new(DenseAggregator::new()),
-            registry: Mutex::new(IntMap::default()),
-            team: Mutex::new(TeamInbox::default()),
-            clocks: Mutex::new(ClockTables::default()),
-            atomic_lock: ReentrantMutex::new(()),
+            backup_count: AtomicUsize::new(0),
+            dense_pending: AtomicBool::new(false),
             mplex_waker: std::sync::OnceLock::new(),
             probing: AtomicUsize::new(0),
             coalesced_bytes: AtomicU64::new(0),
@@ -121,23 +119,48 @@ impl PlaceState {
             w();
             return;
         }
-        if self.sleepers.load(std::sync::atomic::Ordering::Acquire) > 0 {
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
             let _g = self.wake_mutex.lock();
             self.wake_cv.notify_all();
         }
     }
 
-    /// Enqueue an activity from outside the place and wake its worker.
-    pub fn enqueue(&self, act: Activity) {
-        self.queue.push(act);
+    /// Submit a root activity from outside the runtime and wake the worker.
+    /// The flag is set under the ingress lock, so it is clear only while the
+    /// ingress is empty. It and `sleepers` are SeqCst on both sides: either
+    /// a parking worker sees the flag, or the wake sees its `sleepers`
+    /// increment.
+    pub(crate) fn submit(&self, act: Activity) {
+        {
+            let mut ingress = self.ingress.lock();
+            ingress.push(act);
+            self.ingress_ready.store(true, Ordering::SeqCst);
+        }
         self.wake();
     }
 
-    /// Enqueue an activity from the place's own worker. No wake: the worker
-    /// is running, and it pops its queue before it can park (`park_brief`
-    /// follows only a quantum that found the queue empty), so a wake would
-    /// only re-mark a running context.
-    pub(crate) fn push_local(&self, act: Activity) {
-        self.queue.push(act);
+    /// Are submissions waiting in the ingress?
+    pub(crate) fn has_ingress(&self) -> bool {
+        self.ingress_ready.load(Ordering::SeqCst)
+    }
+
+    /// Move every waiting submission onto the back of `queue` (the
+    /// worker's run queue) and publish its new length. One relaxed load
+    /// when there are none; a submission this load misses has also woken
+    /// the worker, which takes it next quantum.
+    pub(crate) fn take_ingress(&self, queue: &mut VecDeque<Activity>) {
+        if !self.ingress_ready.load(Ordering::Relaxed) {
+            return;
+        }
+        let mut ingress = self.ingress.lock();
+        self.ingress_ready.store(false, Ordering::Relaxed);
+        queue.extend(ingress.drain(..));
+        self.queued.store(queue.len(), Ordering::Relaxed);
+    }
+
+    /// Activities waiting at this place: the worker's run queue plus the
+    /// ingress (not counting one the worker may be executing).
+    pub(crate) fn queued_total(&self) -> usize {
+        self.queued.load(Ordering::Relaxed) + self.ingress.lock().len()
     }
 }

@@ -117,19 +117,7 @@ impl Global {
     /// Residual finish-protocol state across all places (see
     /// [`FinishResidue`]).
     pub(crate) fn residue(&self) -> FinishResidue {
-        let mut r = FinishResidue {
-            roots: 0,
-            proxies: 0,
-            dense_pending: 0,
-        };
-        for p in &self.places {
-            r.roots += p.roots.lock().len();
-            r.proxies += p.proxy_count.load(Ordering::Relaxed);
-            if p.dense_agg.lock().has_pending() {
-                r.dense_pending += 1;
-            }
-        }
-        r
+        self.residue_skipping(&[])
     }
 
     /// [`Global::residue`] restricted to places the transport still reports
@@ -137,21 +125,19 @@ impl Global {
     /// dense buffers stranded there are expected debris, not a quiescence
     /// violation; the kill-schedule oracles use this variant.
     pub(crate) fn residue_alive(&self) -> FinishResidue {
-        let dead: Vec<x10rt::PlaceId> = self.transport.dead_places();
+        self.residue_skipping(&self.transport.dead_places())
+    }
+
+    fn residue_skipping(&self, skip: &[PlaceId]) -> FinishResidue {
         let mut r = FinishResidue {
             roots: 0,
             proxies: 0,
             dense_pending: 0,
         };
-        for p in &self.places {
-            if dead.contains(&p.id) {
-                continue;
-            }
+        for p in self.places.iter().filter(|p| !skip.contains(&p.id)) {
             r.roots += p.roots.lock().len();
             r.proxies += p.proxy_count.load(Ordering::Relaxed);
-            if p.dense_agg.lock().has_pending() {
-                r.dense_pending += 1;
-            }
+            r.dense_pending += p.dense_pending.load(Ordering::Relaxed) as usize;
         }
         r
     }
@@ -323,7 +309,7 @@ impl Runtime {
             }
             let pool = Arc::new(pool);
             // Route every hosted place's wake to the pool *before* any
-            // executor runs: enqueues, deliveries and shutdown all funnel
+            // executor runs: submissions, deliveries and shutdown all funnel
             // through `PlaceState::wake`.
             for (slot, i) in (host_start..host_start + host_count).enumerate() {
                 let p2 = pool.clone();
@@ -450,7 +436,7 @@ impl Runtime {
             let result = catch_unwind(AssertUnwindSafe(|| ctx.finish(|c| f(c))));
             let _ = tx.send(result);
         });
-        self.g.places[0].enqueue(Activity {
+        self.g.places[0].submit(Activity {
             task,
             cause: None,
             cause_remote: false,
@@ -474,7 +460,7 @@ impl Runtime {
             let result = catch_unwind(AssertUnwindSafe(|| ctx.finish(|c| f(c))));
             let _ = tx.send(result);
         });
-        self.g.places[0].enqueue(Activity {
+        self.g.places[0].submit(Activity {
             task,
             cause: None,
             cause_remote: false,
@@ -774,13 +760,14 @@ impl Runtime {
         self.g.step_gate.as_ref()
     }
 
-    /// Does `place` have local work — a queued activity, an undrained
-    /// mailbox, or an activity paused inside a `Ctx::probe` pump (which
-    /// will do application work as soon as it gets a quantum)? A schedule
-    /// controller uses this to enumerate enabled steps.
+    /// Does `place` have local work — a queued or submitted activity, an
+    /// undrained mailbox, or an activity paused inside a `Ctx::probe` pump
+    /// (which will do application work as soon as it gets a quantum)? A
+    /// schedule controller uses this to enumerate enabled steps.
     pub fn place_has_work(&self, place: PlaceId) -> bool {
         let ps = &self.g.places[place.0 as usize];
-        !ps.queue.is_empty()
+        ps.queued.load(std::sync::atomic::Ordering::Relaxed) > 0
+            || ps.has_ingress()
             || ps.probing.load(std::sync::atomic::Ordering::Acquire) > 0
             || self.g.transport.queue_len(place) > 0
     }
@@ -812,7 +799,7 @@ impl Runtime {
     /// worker may be executing — in deterministic mode nobody executes
     /// between quanta, so this is exact).
     pub fn total_queued(&self) -> usize {
-        self.g.places.iter().map(|p| p.queue.len()).sum()
+        self.g.places.iter().map(|p| p.queued_total()).sum()
     }
 
     /// Residual finish-protocol state across all places — the quiescence

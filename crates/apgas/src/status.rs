@@ -2,10 +2,11 @@
 //!
 //! A status report is a process-wide view of the runtime *right now* — per-
 //! place run states (alive/dead, queued activities, mailbox depth, parked
-//! workers, coalescer buffering), every in-flight finish root with its
-//! protocol kind and liveness progress counter, the finish residue, and the
-//! full name-sorted metrics dump (which carries the mailbox ring-overflow,
-//! GLB steal/lifeline, and arena hit-rate counters). It renders as text
+//! workers, coalescer buffering, finish proxies, dense buffering), every
+//! in-flight finish root with its protocol kind and liveness progress
+//! counter, the finish residue, and the full name-sorted metrics dump
+//! (which carries the mailbox ring-overflow, GLB steal/lifeline, and arena
+//! hit-rate counters). It renders as text
 //! (for humans and crash artifacts) and JSON (for tools), is dumped
 //! automatically when the finish liveness watchdog trips or a chaos cell
 //! fails, and is served to any place over the transport via the `H_OBS`
@@ -62,6 +63,11 @@ struct PlaceStatus {
     /// Resilient-finish backup snapshots this place holds for finishes
     /// homed elsewhere (nonzero after completion means a missed release).
     backup_roots: usize,
+    /// Finish proxies this place holds for remotely-homed finishes (a
+    /// finish stalled on stranded proxies shows them here).
+    proxies: usize,
+    /// Does this place's dense aggregator buffer undelivered deltas?
+    dense_pending: bool,
     /// (kind label, finish seq, progress events, done?)
     roots: Vec<(&'static str, u64, u64, bool)>,
 }
@@ -76,6 +82,8 @@ impl PlaceStatus {
             || self.probing > 0
             || self.coalesced_bytes > 0
             || self.backup_roots > 0
+            || self.proxies > 0
+            || self.dense_pending
             || !self.roots.is_empty()
     }
 }
@@ -99,13 +107,15 @@ fn collect(g: &Global) -> Vec<PlaceStatus> {
             PlaceStatus {
                 place: p.id.0,
                 dead: dead.contains(&p.id),
-                queue: p.queue.len(),
+                queue: p.queued_total(),
                 mailbox: g.transport.queue_len(p.id),
                 sleepers: p.sleepers.load(Ordering::Relaxed),
                 parks: p.parks.load(Ordering::Relaxed),
                 probing: p.probing.load(Ordering::Relaxed),
                 coalesced_bytes: p.coalesced_bytes.load(Ordering::Relaxed),
-                backup_roots: p.backup_roots.lock().len(),
+                backup_roots: p.backup_count.load(Ordering::Relaxed),
+                proxies: p.proxy_count.load(Ordering::Relaxed),
+                dense_pending: p.dense_pending.load(Ordering::Relaxed),
                 roots,
             }
         })
@@ -149,7 +159,7 @@ pub(crate) fn report_text(g: &Global) -> String {
         let _ = writeln!(
             s,
             "place {}: {}  queue {}  mailbox {}  sleepers {}  parks {}  \
-             probing {}  coalesced_bytes {}  backup_roots {}",
+             probing {}  coalesced_bytes {}  backup_roots {}  proxies {}  dense_pending {}",
             ps.place,
             if ps.dead { "DEAD" } else { "alive" },
             ps.queue,
@@ -158,7 +168,9 @@ pub(crate) fn report_text(g: &Global) -> String {
             ps.parks,
             ps.probing,
             ps.coalesced_bytes,
-            ps.backup_roots
+            ps.backup_roots,
+            ps.proxies,
+            ps.dense_pending
         );
         for (kind, seq, progress, done) in &ps.roots {
             let _ = writeln!(
@@ -229,7 +241,8 @@ pub(crate) fn report_json(g: &Global) -> String {
             s,
             "{{\"place\": {}, \"dead\": {}, \"queue\": {}, \"mailbox\": {}, \
              \"sleepers\": {}, \"parks\": {}, \"probing\": {}, \
-             \"coalesced_bytes\": {}, \"backup_roots\": {}, \"roots\": [",
+             \"coalesced_bytes\": {}, \"backup_roots\": {}, \"proxies\": {}, \
+             \"dense_pending\": {}, \"roots\": [",
             ps.place,
             ps.dead,
             ps.queue,
@@ -238,7 +251,9 @@ pub(crate) fn report_json(g: &Global) -> String {
             ps.parks,
             ps.probing,
             ps.coalesced_bytes,
-            ps.backup_roots
+            ps.backup_roots,
+            ps.proxies,
+            ps.dense_pending
         );
         for (i, (kind, seq, progress, done)) in ps.roots.iter().enumerate() {
             if i > 0 {

@@ -14,7 +14,6 @@
 //! apart on the wire.
 
 use crate::ctx::Ctx;
-use parking_lot::Mutex;
 use std::any::Any;
 use std::sync::Arc;
 use x10rt::{Envelope, IntMap, MsgClass, PlaceId};
@@ -175,7 +174,7 @@ impl Team {
     }
 
     fn begin(&self, ctx: &Ctx) -> u64 {
-        ctx.worker().place.team.lock().next_seq(self.id)
+        ctx.worker().team.borrow_mut().next_seq(self.id)
     }
 
     fn send(
@@ -190,7 +189,7 @@ impl Team {
         let me = self.rank(ctx) as u32;
         let dst = self.members[dst_rank];
         if dst == ctx.here() {
-            ctx.worker().place.team.lock().deliver(TeamWire {
+            ctx.worker().team.borrow_mut().deliver(TeamWire {
                 team: self.id,
                 seq,
                 round,
@@ -221,9 +220,9 @@ impl Team {
 
     fn recv(&self, ctx: &Ctx, seq: u64, round: u32, src_rank: usize) -> Box<dyn Any + Send> {
         let key = (self.id, seq, round, src_rank as u32);
-        let inbox: &Mutex<TeamInbox> = &ctx.worker().place.team;
-        ctx.wait_until(|| inbox.lock().has(key));
-        inbox.lock().take(key).expect("fragment vanished")
+        let inbox = &ctx.worker().team;
+        ctx.wait_until(|| inbox.borrow().has(key));
+        inbox.borrow_mut().take(key).expect("fragment vanished")
     }
 
     fn recv_typed<T: 'static>(&self, ctx: &Ctx, seq: u64, round: u32, src_rank: usize) -> T {

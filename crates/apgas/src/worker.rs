@@ -12,21 +12,24 @@
 //! deadlock-free: the thread that waits is the same thread that processes
 //! the messages that satisfy the wait.
 
+use crate::clock::ClockTables;
 use crate::ctx::Ctx;
-use crate::finish::dense::next_hop;
+use crate::finish::dense::{next_hop, DenseAggregator};
 use crate::finish::proxy::{Proxy, ProxyEmit};
 use crate::finish::root::RootState;
-use crate::finish::{Attach, FinishId, FinishKind, FinishMsg, FinishRef};
+use crate::finish::{Attach, BackupSnapshot, FinishId, FinishKind, FinishMsg, FinishRef};
 use crate::place_state::{Activity, PlaceState};
 use crate::runtime::Global;
 use crate::task::Task;
+use crate::team::TeamInbox;
 use crate::wire::{self, Wire};
-use crossbeam_deque::Steal;
 use obs::causal::CausalId;
 use obs::metrics::{Counter, Histogram};
 use obs::trace::EventRing;
+use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -88,7 +91,10 @@ impl SpawnBody {
     }
 }
 
-/// A worker thread of one place.
+/// The one worker of a place. Everything only it touches is stored here
+/// without a lock (`RefCell`/`Cell`: a place's activities run only on its
+/// worker, and `Worker` is `!Sync`); other threads see the counts it
+/// publishes to its [`PlaceState`].
 pub struct Worker {
     /// Shared runtime state.
     pub g: Arc<Global>,
@@ -104,10 +110,29 @@ pub struct Worker {
     coalescer: RefCell<Coalescer>,
     /// Scratch buffer for bulk mailbox drains (reused across calls).
     recv_scratch: RefCell<Vec<Envelope>>,
+    /// Ready activities, FIFO: local spawns, spawns unpacked by the mailbox
+    /// drain, and root submissions moved in from the place's ingress. The
+    /// length is published to `PlaceState::queued`.
+    queue: RefCell<VecDeque<Activity>>,
     /// Finish proxies for remotely-homed finishes with state at this place.
-    /// The place's worker is their only user, so no lock; the count is
-    /// published to `PlaceState::proxy_count` when it changes.
+    /// The count is published to `PlaceState::proxy_count` when it changes.
     proxies: RefCell<IntMap<FinishId, Proxy>>,
+    /// Resilient-finish backup snapshots this place holds for finishes
+    /// homed at its predecessor (home+1 replication; see DESIGN.md §6),
+    /// released when the home reports completion. The count is published to
+    /// `PlaceState::backup_count`.
+    backup_roots: RefCell<IntMap<FinishId, BackupSnapshot>>,
+    /// FINISH_DENSE hop-aggregation buffer (this place acting as a master).
+    /// Whether it holds anything is published to `PlaceState::dense_pending`.
+    dense_agg: RefCell<DenseAggregator>,
+    /// Object registry backing `GlobalRef` / `PlaceLocalHandle`.
+    pub(crate) registry: RefCell<IntMap<u64, Arc<dyn Any + Send + Sync>>>,
+    /// Team collective state.
+    pub(crate) team: RefCell<TeamInbox>,
+    /// Clock (distributed barrier) state.
+    pub(crate) clocks: RefCell<ClockTables>,
+    /// Next home-local finish sequence number.
+    pub(crate) next_finish_seq: Cell<u64>,
     /// Consecutive idle quanta; drives the yield-before-sleep backoff in
     /// [`Worker::park_brief`].
     idle_streak: Cell<u32>,
@@ -212,7 +237,14 @@ impl Worker {
             here,
             coalescer: RefCell::new(coalescer),
             recv_scratch: RefCell::new(Vec::new()),
+            queue: RefCell::new(VecDeque::new()),
             proxies: RefCell::new(IntMap::default()),
+            backup_roots: RefCell::new(IntMap::default()),
+            dense_agg: RefCell::new(DenseAggregator::new()),
+            registry: RefCell::new(IntMap::default()),
+            team: RefCell::new(TeamInbox::default()),
+            clocks: RefCell::new(ClockTables::default()),
+            next_finish_seq: Cell::new(1),
             idle_streak: Cell::new(0),
             current_cause: Cell::new(None),
             hooks,
@@ -325,10 +357,11 @@ impl Worker {
         self.flush_sends();
     }
 
-    /// One scheduling quantum: sweep the mailbox once (at most [`QUANTUM`]
-    /// envelopes), then run at most [`QUANTUM`] queued activities, flushing
-    /// the coalescer after each. Returns whether any progress was made.
-    /// Nothing this quantum sent stays buffered into the next one.
+    /// One scheduling quantum: take root submissions from the ingress,
+    /// sweep the mailbox once (at most [`QUANTUM`] envelopes), then run at
+    /// most [`QUANTUM`] queued activities, flushing the coalescer after
+    /// each. Returns whether any progress was made. Nothing this quantum
+    /// sent stays buffered into the next one.
     ///
     /// The sweep is amortized over the activities it fed: a place that just
     /// unpacked a storm of tiny updates runs them back to back instead of
@@ -363,6 +396,7 @@ impl Worker {
                 gate.step_wait(self.here.0);
             }
         }
+        self.place.take_ingress(&mut self.queue.borrow_mut());
         let handled = self.drain_messages(QUANTUM);
         let mut ran = 0;
         while ran < QUANTUM {
@@ -540,20 +574,23 @@ impl Worker {
     }
 
     fn pop_activity(&self) -> Option<Activity> {
-        loop {
-            match self.place.queue.steal() {
-                Steal::Success(a) => return Some(a),
-                Steal::Empty => return None,
-                Steal::Retry => continue,
-            }
-        }
+        let mut queue = self.queue.borrow_mut();
+        let act = queue.pop_front()?;
+        self.place.queued.store(queue.len(), Ordering::Relaxed);
+        Some(act)
     }
 
-    pub(crate) fn park_brief_pub(&self) {
-        self.park_brief()
+    /// Queue an activity. No wake: the worker is running, and it pops its
+    /// queue before it can park (`park_brief` follows only a quantum that
+    /// found the queue empty), so a wake would only re-mark a running
+    /// context.
+    fn push_activity(&self, act: Activity) {
+        let mut queue = self.queue.borrow_mut();
+        queue.push_back(act);
+        self.place.queued.store(queue.len(), Ordering::Relaxed);
     }
 
-    fn park_brief(&self) {
+    pub(crate) fn park_brief(&self) {
         // Never sleep on buffered sends: a peer may be waiting on them.
         self.flush_sends();
         // Deterministic mode: never condvar-sleep — the next run_one blocks
@@ -565,7 +602,7 @@ impl Worker {
         // M:N mode: never block the executor thread and skip the spin
         // backoff (it would starve sibling contexts when places outnumber
         // cores) — park the *context* by yielding it non-runnable. Safe
-        // against lost wakes: a delivery from another place, or an enqueue
+        // against lost wakes: a delivery from another place, or a submission
         // from outside the runtime, marks the context runnable even while it
         // is mid-quantum; this worker's own enqueues do not wake, but it
         // parks only after a quantum that found its queue empty. The executor
@@ -590,7 +627,8 @@ impl Worker {
         }
         let mut guard = self.place.wake_mutex.lock();
         self.place.sleepers.fetch_add(1, Ordering::SeqCst);
-        if self.place.queue.is_empty()
+        if self.queue.borrow().is_empty()
+            && !self.place.has_ingress()
             && self.g.transport.queue_len(self.here) == 0
             && !self.g.shutdown.load(Ordering::Acquire)
         {
@@ -652,7 +690,7 @@ impl Worker {
     /// worker's current cause.
     pub(crate) fn push_task(&self, mut task: Box<Task>, attach: Attach) {
         task.attach = attach;
-        self.place.push_local(Activity {
+        self.push_activity(Activity {
             task,
             cause: self.current_cause(),
             cause_remote: false,
@@ -736,7 +774,7 @@ impl Worker {
             }
             Some(codec::H_TEAM) => {
                 let msg = take(from, payload);
-                self.with_inline_cause(causal, || self.place.team.lock().deliver(msg));
+                self.with_inline_cause(causal, || self.team.borrow_mut().deliver(msg));
             }
             Some(codec::H_CLOCK) => {
                 let msg = take(from, payload);
@@ -773,7 +811,7 @@ impl Worker {
             h.ring.instant("spawn", "recv", from.0 as u64);
         }
         self.register_receipt(&task.attach, from.0);
-        self.place.push_local(Activity {
+        self.push_activity(Activity {
             task,
             cause: causal,
             cause_remote: true,
@@ -860,7 +898,8 @@ impl Worker {
                         None => self.note_stray_ctl(&fin),
                     }
                 } else {
-                    self.place.dense_agg.lock().absorb(fin, deltas);
+                    self.dense_agg.borrow_mut().absorb(fin, deltas);
+                    self.place.dense_pending.store(true, Ordering::Relaxed);
                 }
             }
             FinishMsg::Done {
@@ -880,10 +919,18 @@ impl Worker {
             // release for an unknown id is fine (the sync may have been
             // lost; the table is advisory state for recovery diagnosis).
             FinishMsg::BackupSync { fin, snapshot } => {
-                self.place.backup_roots.lock().insert(fin.id, snapshot);
+                let mut backups = self.backup_roots.borrow_mut();
+                backups.insert(fin.id, snapshot);
+                self.place
+                    .backup_count
+                    .store(backups.len(), Ordering::Relaxed);
             }
             FinishMsg::BackupRelease { fin } => {
-                self.place.backup_roots.lock().remove(&fin.id);
+                let mut backups = self.backup_roots.borrow_mut();
+                backups.remove(&fin.id);
+                self.place
+                    .backup_count
+                    .store(backups.len(), Ordering::Relaxed);
             }
             FinishMsg::CmdLog { fin, cmd } => match self.try_root_of(&fin) {
                 Some(r) => {
@@ -902,10 +949,11 @@ impl Worker {
     /// Forward (hop-merged) dense control traffic toward finish homes.
     fn forward_dense(&self) {
         let pending = {
-            let mut agg = self.place.dense_agg.lock();
+            let mut agg = self.dense_agg.borrow_mut();
             if !agg.has_pending() {
                 return;
             }
+            self.place.dense_pending.store(false, Ordering::Relaxed);
             agg.drain()
         };
         for (fin, deltas) in pending {

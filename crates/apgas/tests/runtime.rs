@@ -464,6 +464,44 @@ fn many_places_smoke() {
     assert_eq!(sum, (0..64).sum::<u64>());
 }
 
+/// Root submissions from several OS threads at once go through place 0's
+/// ingress; each `run` gets its own result, and none is lost or left queued.
+#[test]
+fn concurrent_root_submissions_each_get_their_result() {
+    for cfg in [Config::new(4), Config::new(4).executor_threads(1)] {
+        let rt = Runtime::new(cfg);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let rt = &rt;
+                s.spawn(move || {
+                    for i in 0..25u64 {
+                        let tag = t * 1000 + i;
+                        let got = rt.run(move |ctx| {
+                            let total = Arc::new(AtomicU64::new(0));
+                            let tot = total.clone();
+                            ctx.finish(|c| {
+                                for p in c.places() {
+                                    let tot = tot.clone();
+                                    c.at_async(p, move |cc| {
+                                        tot.fetch_add(cc.here().0 as u64 + tag, Ordering::Relaxed);
+                                    });
+                                }
+                            });
+                            total.load(Ordering::Relaxed)
+                        });
+                        assert_eq!(got, (0..4).sum::<u64>() + 4 * tag);
+                    }
+                });
+            }
+        });
+        assert_eq!(rt.total_queued(), 0);
+        for p in 0..4 {
+            assert!(!rt.place_has_work(PlaceId(p)), "place {p} still has work");
+        }
+        assert!(rt.finish_residue().is_clean(), "{:?}", rt.finish_residue());
+    }
+}
+
 /// A place records an activity's death, and pushes out the messages that
 /// report it, before it runs its next activity. Under finish F, place 0
 /// sends `A1` and then an uncounted `A2` to place 1; A2 spins until place 0

@@ -177,6 +177,27 @@ fn watchdog_trip_dumps_a_status_report() {
     let json = rt.status_report_json();
     assert!(json.contains("\"rank\": 0"), "{json}");
     assert!(json.contains("\"dead\": [2]"), "{json}");
+    // Every listed place carries the counts its worker publishes.
+    let v = serde_json::from_str(&json).expect("status JSON parses");
+    let victim = v
+        .get("place_states")
+        .and_then(|p| p.as_array())
+        .and_then(|ps| {
+            ps.iter()
+                .find(|p| p.get("place").and_then(|x| x.as_u64()) == Some(2))
+        })
+        .unwrap_or_else(|| panic!("the dead place must be listed: {json}"));
+    assert!(
+        victim.get("proxies").and_then(|x| x.as_u64()).is_some(),
+        "{json}"
+    );
+    assert!(
+        victim
+            .get("dense_pending")
+            .and_then(|x| x.as_bool())
+            .is_some(),
+        "{json}"
+    );
 }
 
 /// FINISH_LOCAL governs only place-local activities: killing an unrelated

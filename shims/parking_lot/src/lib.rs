@@ -8,13 +8,10 @@
 //! * no lock poisoning — a panic while holding a lock does not wedge it;
 //! * guards are plain RAII smart pointers (`Deref`/`DerefMut`);
 //! * [`Condvar::wait_for`] takes the guard by `&mut` and returns a
-//!   [`WaitTimeoutResult`];
-//! * [`ReentrantMutex`] may be re-locked by its owning thread.
+//!   [`WaitTimeoutResult`].
 
-use std::cell::UnsafeCell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 // ---------------------------------------------------------------------------
@@ -203,99 +200,6 @@ impl Condvar {
     }
 }
 
-// ---------------------------------------------------------------------------
-// ReentrantMutex
-// ---------------------------------------------------------------------------
-
-fn current_thread_id() -> u64 {
-    use std::cell::Cell;
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    thread_local! {
-        static ID: Cell<u64> = const { Cell::new(0) };
-    }
-    ID.with(|id| {
-        if id.get() == 0 {
-            id.set(NEXT.fetch_add(1, Ordering::Relaxed));
-        }
-        id.get()
-    })
-}
-
-/// A mutex the owning thread may lock recursively.
-pub struct ReentrantMutex<T: ?Sized> {
-    mutex: std::sync::Mutex<()>,
-    owner: AtomicU64,
-    recursion: UnsafeCell<usize>,
-    data: T,
-}
-
-// Safety: `recursion` is only touched by the thread that holds `mutex` (or
-// that already owns the lock), so the UnsafeCell is never aliased mutably.
-unsafe impl<T: ?Sized + Send> Send for ReentrantMutex<T> {}
-unsafe impl<T: ?Sized + Send> Sync for ReentrantMutex<T> {}
-
-/// RAII guard of a [`ReentrantMutex`]. Shared access only, as in parking_lot.
-pub struct ReentrantMutexGuard<'a, T: ?Sized> {
-    lock: &'a ReentrantMutex<T>,
-    /// The real lock, held only by the outermost guard (RAII-only field).
-    _inner: Option<std::sync::MutexGuard<'a, ()>>,
-}
-
-impl<T> ReentrantMutex<T> {
-    /// A new unlocked reentrant mutex.
-    pub const fn new(value: T) -> Self {
-        ReentrantMutex {
-            mutex: std::sync::Mutex::new(()),
-            owner: AtomicU64::new(0),
-            recursion: UnsafeCell::new(0),
-            data: value,
-        }
-    }
-}
-
-impl<T: ?Sized> ReentrantMutex<T> {
-    /// Acquire the lock; reentrant from the owning thread.
-    pub fn lock(&self) -> ReentrantMutexGuard<'_, T> {
-        let me = current_thread_id();
-        if self.owner.load(Ordering::Relaxed) == me {
-            // Already owned by this thread: bump the recursion count.
-            unsafe { *self.recursion.get() += 1 };
-            return ReentrantMutexGuard {
-                lock: self,
-                _inner: None,
-            };
-        }
-        let g = self.mutex.lock().unwrap_or_else(|e| e.into_inner());
-        self.owner.store(me, Ordering::Relaxed);
-        unsafe { *self.recursion.get() = 1 };
-        ReentrantMutexGuard {
-            lock: self,
-            _inner: Some(g),
-        }
-    }
-}
-
-impl<T: ?Sized> Deref for ReentrantMutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.lock.data
-    }
-}
-
-impl<T: ?Sized> Drop for ReentrantMutexGuard<'_, T> {
-    fn drop(&mut self) {
-        unsafe {
-            let r = self.lock.recursion.get();
-            *r -= 1;
-            if *r == 0 {
-                self.lock.owner.store(0, Ordering::Relaxed);
-            }
-        }
-        // `inner` (the real lock, present only on the outermost guard) drops
-        // after the owner marker is cleared.
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,26 +242,6 @@ mod tests {
         while !*g {
             cv.wait_for(&mut g, Duration::from_millis(50));
         }
-        drop(g);
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn reentrant_relock_same_thread() {
-        let m = ReentrantMutex::new(());
-        let _a = m.lock();
-        let _b = m.lock(); // must not deadlock
-    }
-
-    #[test]
-    fn reentrant_excludes_other_threads() {
-        let m = Arc::new(ReentrantMutex::new(()));
-        let g = m.lock();
-        let m2 = m.clone();
-        let h = std::thread::spawn(move || {
-            let _g = m2.lock();
-        });
-        std::thread::sleep(Duration::from_millis(10));
         drop(g);
         h.join().unwrap();
     }
