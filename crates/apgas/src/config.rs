@@ -2,9 +2,6 @@
 
 use std::time::Duration;
 
-/// Default usable stack per place context in M:N mode (1 MiB, `NORESERVE`).
-pub const DEFAULT_CONTEXT_STACK_SIZE: usize = 1 << 20;
-
 /// How `dist` collections rebuild chunks lost to a place death.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum RedundancyMode {
@@ -35,11 +32,6 @@ pub struct Config {
     /// values reduce latency, large values reduce CPU burn when places
     /// heavily outnumber cores (they do in this reproduction).
     pub park_timeout: Duration,
-    /// Flush threshold for finish-protocol delta coalescing: a place pushes
-    /// its accumulated termination-control deltas to the finish root when
-    /// its local live count reaches zero *or* the buffer covers more than
-    /// this many peer places.
-    pub finish_flush_entries: usize,
     /// Transport aggregation: flush a destination's coalescing buffer once
     /// it holds this many messages (see `x10rt::coalesce`).
     pub batch_max_msgs: usize,
@@ -49,12 +41,6 @@ pub struct Config {
     /// Disable transport aggregation entirely (every message goes out as its
     /// own envelope) — the ablation baseline.
     pub batch_disable: bool,
-    /// Per-(sender, receiver) mailbox ring capacity, in envelopes (rounded
-    /// up to a power of two; see `x10rt::ring`). Bursts past this divert to
-    /// the lane's overflow side-queue — never blocking, never dropping, but
-    /// slower — so size it above the workload's burst length and watch the
-    /// `mailbox.ring_overflow` counter.
-    pub mailbox_ring_capacity: usize,
     /// Disable batch-buffer recycling in the workers' envelope arenas: every
     /// coalescer flush allocates a fresh buffer and every received batch is
     /// freed after dispatch — the allocation-ablation baseline.
@@ -116,20 +102,16 @@ pub struct Config {
     /// cross-process transports, available in-process for testing the codec
     /// path. Both modes charge identical modeled byte counts.
     pub codec: x10rt::CodecMode,
-    /// M:N scheduling: multiplex the hosted places as lightweight stackful
-    /// contexts over this many executor OS threads instead of spawning one
-    /// thread per place. `None` — the default — keeps the classic
-    /// thread-per-place mode. With `Some(n)`, place counts decouple from
-    /// core counts: a 4,096-place runtime runs in one process on `n`
-    /// threads (see DESIGN.md §"M:N place scheduling"). Requires an x86_64
-    /// host.
+    /// OS threads that run the hosted places. `None` — the default — or a
+    /// count of at least the hosted places gives each place a thread of its
+    /// own (the dedicated executor, as on the paper's machine). `Some(n)`
+    /// below the hosted place count multiplexes them as lightweight
+    /// stackful contexts over `n` executor threads (the shared executor,
+    /// M:N scheduling): place counts decouple from core counts, and a
+    /// 4,096-place runtime runs in one process on `n` threads (see
+    /// DESIGN.md §"M:N place scheduling"). The shared executor requires an
+    /// x86_64 host.
     pub executor_threads: Option<usize>,
-    /// Usable stack bytes per place context in M:N mode (rounded up to a
-    /// page; a guard page is added below). Stacks are mapped `NORESERVE`,
-    /// so the cost is address space, not resident memory: 4,096 contexts at
-    /// the 1 MiB default reserve 4 GiB but commit only pages actually
-    /// touched. Ignored in thread-per-place mode (threads get 16 MiB).
-    pub context_stack_size: usize,
     /// Enable the resilient-finish recovery machinery for
     /// [`crate::FinishKind::Resilient`] roots: adoption of dead places'
     /// accounting, re-execution of registered command descriptors, and
@@ -156,11 +138,9 @@ impl Config {
             places,
             places_per_host: 32,
             park_timeout: Duration::from_micros(200),
-            finish_flush_entries: 64,
             batch_max_msgs: x10rt::coalesce::DEFAULT_MAX_MSGS,
             batch_max_bytes: x10rt::coalesce::DEFAULT_MAX_BYTES,
             batch_disable: false,
-            mailbox_ring_capacity: x10rt::ring::DEFAULT_RING_CAPACITY,
             arena_disable: false,
             trace_enable: false,
             trace_buffer_events: obs::trace::DEFAULT_BUFFER_EVENTS,
@@ -173,7 +153,6 @@ impl Config {
             deterministic: false,
             codec: x10rt::CodecMode::Inline,
             executor_threads: None,
-            context_stack_size: DEFAULT_CONTEXT_STACK_SIZE,
             resilient_finish: true,
             redundancy_mode: RedundancyMode::Replica,
             host_places: None,
@@ -193,19 +172,13 @@ impl Config {
         self
     }
 
-    /// Multiplex places as lightweight contexts over `n` executor threads
-    /// (builder style) — M:N scheduling. See [`Config::executor_threads`].
+    /// Run the hosted places on `n` OS threads (builder style): contexts
+    /// multiplexed over `n` executor threads when `n` is below the hosted
+    /// place count, a thread per place otherwise. See
+    /// [`Config::executor_threads`].
     pub fn executor_threads(mut self, n: usize) -> Self {
         assert!(n > 0, "the executor pool needs at least one thread");
         self.executor_threads = Some(n);
-        self
-    }
-
-    /// Set the usable per-context stack size in bytes (builder style). Only
-    /// meaningful together with [`Config::executor_threads`].
-    pub fn context_stack_size(mut self, bytes: usize) -> Self {
-        assert!(bytes > 0);
-        self.context_stack_size = bytes;
         self
     }
 
@@ -233,13 +206,6 @@ impl Config {
     /// Enable or disable transport aggregation (builder style).
     pub fn batch_disable(mut self, disable: bool) -> Self {
         self.batch_disable = disable;
-        self
-    }
-
-    /// Set the per-(sender, receiver) mailbox ring capacity (builder style).
-    pub fn mailbox_ring_capacity(mut self, n: usize) -> Self {
-        assert!(n > 0);
-        self.mailbox_ring_capacity = n;
         self
     }
 
@@ -330,6 +296,15 @@ impl Config {
         self.host_places = Some((start, count));
         self
     }
+
+    /// The places this process hosts: [`Config::host_places`] as a range,
+    /// or every place.
+    pub(crate) fn hosted(&self) -> std::ops::Range<usize> {
+        match self.host_places {
+            Some((s, c)) => s as usize..(s + c) as usize,
+            None => 0..self.places,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -344,7 +319,6 @@ mod tests {
         assert!(!c.batch_disable);
         assert_eq!(c.batch_max_msgs, 64);
         assert_eq!(c.batch_max_bytes, 16 * 1024);
-        assert_eq!(c.mailbox_ring_capacity, 256);
         assert!(!c.arena_disable, "arena recycling is on by default");
         assert!(!c.trace_enable, "tracing is opt-in");
         assert!(!c.obs_disable, "metrics are on by default");
@@ -374,16 +348,12 @@ mod tests {
             c.executor_threads.is_none(),
             "thread-per-place (a core per place, as on the p775) by default"
         );
-        assert_eq!(c.context_stack_size, 1 << 20);
     }
 
     #[test]
     fn mplex_builders() {
-        let c = Config::new(1024)
-            .executor_threads(4)
-            .context_stack_size(256 * 1024);
+        let c = Config::new(1024).executor_threads(4);
         assert_eq!(c.executor_threads, Some(4));
-        assert_eq!(c.context_stack_size, 256 * 1024);
     }
 
     #[test]
@@ -393,6 +363,8 @@ mod tests {
             .host_places(4, 4);
         assert_eq!(c.codec, x10rt::CodecMode::Bytes);
         assert_eq!(c.host_places, Some((4, 4)));
+        assert_eq!(c.hosted(), 4..8);
+        assert_eq!(Config::new(8).hosted(), 0..8);
     }
 
     #[test]
@@ -426,8 +398,7 @@ mod tests {
 
     #[test]
     fn transport_builders() {
-        let c = Config::new(4).mailbox_ring_capacity(32).arena_disable(true);
-        assert_eq!(c.mailbox_ring_capacity, 32);
+        let c = Config::new(4).arena_disable(true);
         assert!(c.arena_disable);
     }
 

@@ -1,11 +1,12 @@
-//! Stackful place contexts for M:N scheduling.
+//! Stackful place contexts for the shared executor (M:N scheduling).
 //!
-//! When [`crate::Config::executor_threads`] is set, each hosted place runs as
-//! a *context* — a worker loop on its own heap-allocated call stack — instead
+//! When the executor runs in shared mode (`Config::executor_threads` below
+//! the hosted place count; see `executor`), each hosted place runs as a
+//! *context* — a worker loop on its own heap-allocated call stack — instead
 //! of owning an OS thread. A small pool of executor threads resumes runnable
 //! contexts; a context that finds nothing to do yields back to its executor
 //! instead of blocking the thread, so thousands of places multiplex over a
-//! handful of cores (ROADMAP item "M:N lightweight places").
+//! handful of cores.
 //!
 //! The switch itself is ~20 instructions of `global_asm!`: save the SysV
 //! callee-saved registers plus the FP control words on the outgoing stack,
@@ -18,9 +19,9 @@
 //! Safety model: a context's stack, saved stack pointers, and entry closure
 //! are only ever touched by the executor thread that currently holds its
 //! `claimed` flag. The flag is handed over with acquire/release ordering
-//! ([`ExecutorPool`](crate::executor::ExecutorPool) does the claiming), which
-//! is what makes migrating a context between executor threads sound: the
-//! claiming thread observes every stack write the previous thread made.
+//! (the executor's shared pool does the claiming), which is what makes
+//! migrating a context between executor threads sound: the claiming thread
+//! observes every stack write the previous thread made.
 
 use std::cell::Cell;
 use std::cell::UnsafeCell;
@@ -45,8 +46,8 @@ mod sys {
     pub const PROT_WRITE: i32 = 2;
     pub const MAP_PRIVATE: i32 = 0x02;
     pub const MAP_ANONYMOUS: i32 = 0x20;
-    /// Virtual reservation only — 4,096 contexts × 1 MiB is 4 GiB of address
-    /// space but pages are only committed as stacks actually grow.
+    /// Virtual reservation only — 4,096 contexts × 16 MiB is 64 GiB of
+    /// address space but pages are only committed as stacks actually grow.
     pub const MAP_NORESERVE: i32 = 0x4000;
 
     extern "C" {
@@ -222,7 +223,7 @@ unsafe impl Sync for PlaceContext {}
 impl PlaceContext {
     pub(crate) fn new(stack_size: usize, entry: Box<dyn FnOnce() + Send>) -> Arc<PlaceContext> {
         if !cfg!(target_arch = "x86_64") {
-            panic!("Config::executor_threads (M:N place contexts) requires x86_64");
+            panic!("the shared executor (M:N place contexts) requires x86_64");
         }
         let ctx = Arc::new(PlaceContext {
             stack: StackMem::alloc(stack_size),
@@ -283,9 +284,8 @@ impl PlaceContext {
 }
 
 /// Yield the currently running place context back to its executor thread.
-/// Returns `false` (and does nothing) when the caller is not running on a
-/// context — workers use that to fall back to `thread::yield_now` in the
-/// classic one-thread-per-place mode.
+/// Only a worker on the shared executor calls this (through its
+/// `executor::Parker`), so it always runs on a context.
 ///
 /// Never inlined: a context may resume on a different executor thread than
 /// the one it yielded on, so no thread-local may be read across a switch.
@@ -295,15 +295,12 @@ impl PlaceContext {
 /// slot: a hang or a wild pointer. Keeping the read behind a call forces a
 /// fresh address lookup on whichever thread is running the context now.
 #[inline(never)]
-pub(crate) fn yield_now() -> bool {
+pub(crate) fn yield_now() {
     let p = CURRENT.with(|c| c.get());
-    if p.is_null() {
-        return false;
-    }
+    assert!(!p.is_null(), "yield_now called off a place context");
     // SAFETY: `p` was set by the executor that resumed us and the context
     // (and its Arc) outlives the suspended stack.
     unsafe { (*p).switch_out() };
-    true
 }
 
 /// Whether the calling code is running on a place context.
@@ -357,7 +354,7 @@ mod tests {
             Box::new(move || {
                 assert!(on_context());
                 s2.fetch_add(1, Ordering::SeqCst);
-                assert!(yield_now());
+                yield_now();
                 s2.fetch_add(1, Ordering::SeqCst);
             }),
         );
@@ -392,7 +389,7 @@ mod tests {
             MIN_STACK,
             Box::new(|| {
                 let local = 41u64;
-                assert!(yield_now());
+                yield_now();
                 assert_eq!(local + 1, 42);
             }),
         );

@@ -306,7 +306,6 @@ impl<'w> Ctx<'w> {
 
     fn spawn_via_proxy(&self, fin: FinishRef, target: PlaceId, body: SpawnBody, class: MsgClass) {
         let here = self.here();
-        let flush_bound = self.worker.g.cfg.finish_flush_entries;
         if target == here {
             self.worker.with_proxy(fin, |p| {
                 p.on_local_spawn();
@@ -343,7 +342,7 @@ impl<'w> Ctx<'w> {
             }
             self.worker.with_proxy(fin, |p| {
                 p.on_remote_spawn(target.0);
-                p.maybe_flush_threshold(flush_bound)
+                p.maybe_flush_threshold(crate::finish::proxy::FLUSH_ENTRIES)
             });
             self.worker.send_spawn(
                 target,

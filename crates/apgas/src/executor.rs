@@ -1,5 +1,25 @@
-//! The shared executor pool that multiplexes place contexts over a fixed
-//! number of OS threads (M:N scheduling; see `context`).
+//! How places get a CPU. This is the one module that knows there are two
+//! ways; everything above it has one path. [`Executor::start`] takes one
+//! worker entry per hosted place, [`Executor::wake_place`] wakes a place
+//! (deliveries, root submissions, shutdown and step-gate grants all come
+//! through it), and the [`Parker`] each entry is handed is how its worker
+//! gives the CPU away when it runs out of work.
+//!
+//! * **Dedicated** — each hosted place gets its own OS thread, and the
+//!   worker loop runs directly on it with no stack switch: the paper's
+//!   launch, one worker per place (`X10_NTHREADS=1`). A parked worker
+//!   yields the thread a few times, then sleeps on its slot's condvar for
+//!   at most `park_timeout`. Used when [`crate::Config::executor_threads`]
+//!   is unset or at least the hosted place count; runs on every platform.
+//! * **Shared** — the hosted places run as stackful contexts (see
+//!   `context`) multiplexed over a fixed pool of executor threads (M:N
+//!   scheduling). A parked worker switches its context out. Used when
+//!   `executor_threads(n)` is below the hosted place count; needs x86_64.
+//!
+//! Both modes give a worker the same [`WORKER_STACK`] bytes of stack, so an
+//! activity's recursion limit does not depend on the mode.
+//!
+//! # The shared pool
 //!
 //! Scheduling is deliberately simple: every executor thread scans the whole
 //! context table (starting at its own offset to spread contention), claims
@@ -9,13 +29,13 @@
 //! next, which is exactly what the claimed-flag acquire/release handoff is
 //! for.
 //!
-//! Wake protocol (the same Dekker pattern `PlaceState::wake` uses for
-//! threads): a waker stores `runnable = true` (SeqCst) and then reads
-//! `sleepers`; an executor increments `sleepers` (SeqCst) under the idle
-//! lock and then re-scans for runnable contexts before sleeping. The SeqCst
-//! total order means at least one side always sees the other, so a wake
-//! cannot be lost; `notify_all` under the idle lock closes the window where
-//! the executor holds the lock but has not started waiting yet.
+//! Wake protocol (the same Dekker pattern a dedicated slot uses): a waker
+//! stores `runnable = true` (SeqCst) and then reads `sleepers`; an executor
+//! increments `sleepers` (SeqCst) under the idle lock and then re-scans for
+//! runnable contexts before sleeping. The SeqCst total order means at least
+//! one side always sees the other, so a wake cannot be lost; `notify_all`
+//! under the idle lock closes the window where the executor holds the lock
+//! but has not started waiting yet.
 //!
 //! Wakes come from outside the context: deliveries from other places and
 //! submissions from outside the runtime. A place's own worker enqueues
@@ -27,20 +47,224 @@
 //! `park_timeout`) and mark *every* unfinished context runnable. That
 //! re-poll is what keeps time-based machinery alive — the finish watchdog,
 //! GLB steal timeouts, and coalescer retry backoff all assume a parked
-//! worker re-checks its condition on the park-timeout cadence.
+//! worker re-checks its condition on the park-timeout cadence (a dedicated
+//! slot's timed condvar wait is the same re-poll).
 //!
 //! With observability on, every pass over the table publishes its counts
 //! once, from locals: `executor.resumes`, `executor.empty_passes`,
-//! `executor.sleeps` and `executor.resweeps` (OBSERVABILITY.md).
+//! `executor.sleeps` and `executor.resweeps` (OBSERVABILITY.md). A
+//! dedicated executor has no table and leaves them at zero.
 
 use crate::context::PlaceContext;
 use obs::metrics::{Counter, MetricsRegistry};
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-pub(crate) struct ExecutorPool {
+/// Usable stack bytes of every worker: a dedicated thread's stack and a
+/// shared context's both. Help-first waiting nests activity frames on the
+/// worker's stack, so it needs room. Context stacks are mapped `NORESERVE`:
+/// the cost is address space, and only touched pages are committed.
+pub(crate) const WORKER_STACK: usize = 16 << 20;
+
+/// Idle parks a dedicated worker spends yielding the CPU before it sleeps
+/// on its condvar. Aggregated traffic arrives in bursts, so a receiver that
+/// just drained its mailbox very often gets its next batch within a few
+/// scheduler quanta of the sender — yielding there avoids a futex
+/// sleep/wake round trip per burst, which dominates on oversubscribed hosts.
+const PARK_SPIN_YIELDS: u32 = 8;
+
+/// One hosted place's worker body, run with the parker it idles through.
+pub(crate) type Entry = Box<dyn FnOnce(Parker) + Send>;
+
+/// The executor threads `Config::executor_threads` asks for when they run
+/// `hosted` places shared — fewer threads than places — or `None` when
+/// each place gets a dedicated thread.
+pub(crate) fn shared_threads(threads: Option<usize>, hosted: usize) -> Option<usize> {
+    threads.filter(|&n| n < hosted)
+}
+
+/// The places of one process and how they get a CPU (see the module docs).
+pub(crate) struct Executor {
+    /// The first hosted place: slot `i` runs place `first_place + i`.
+    first_place: usize,
+    slots: Slots,
+}
+
+enum Slots {
+    Dedicated(Vec<Arc<ThreadSlot>>),
+    Shared(Arc<ExecutorPool>),
+}
+
+impl Executor {
+    /// Run `entries[i]` as the worker of place `first_place + i`, on a
+    /// shared executor when [`shared_threads`] says so and on dedicated
+    /// threads otherwise. `connect` sees the executor before any worker
+    /// runs — the runtime routes its place wakes and step-gate grants there
+    /// first, so no wake can land on a place that is not yet reachable.
+    /// Returns the threads to join at shutdown; they exit once every worker
+    /// has returned.
+    pub(crate) fn start(
+        first_place: usize,
+        entries: Vec<Entry>,
+        threads: Option<usize>,
+        park_timeout: Duration,
+        metrics: Option<&MetricsRegistry>,
+        connect: impl FnOnce(&Arc<Executor>),
+    ) -> Vec<JoinHandle<()>> {
+        type Body = Box<dyn FnOnce() + Send>;
+        let (slots, bodies): (Slots, Vec<(String, Body)>) =
+            match shared_threads(threads, entries.len()) {
+                None => {
+                    let slots: Vec<Arc<ThreadSlot>> =
+                        entries.iter().map(|_| Arc::default()).collect();
+                    let bodies = entries.into_iter().zip(slots.clone()).enumerate();
+                    let bodies = bodies.map(|(i, (entry, slot))| {
+                        let parker = Parker::Thread {
+                            slot,
+                            timeout: park_timeout,
+                            idle_streak: Cell::new(0),
+                        };
+                        let body: Body = Box::new(move || entry(parker));
+                        (format!("place-{}", first_place + i), body)
+                    });
+                    (Slots::Dedicated(slots), bodies.collect())
+                }
+                Some(n) => {
+                    let contexts = entries.into_iter().map(|entry| {
+                        PlaceContext::new(WORKER_STACK, Box::new(move || entry(Parker::Context)))
+                    });
+                    let pool = Arc::new(ExecutorPool::new(
+                        contexts.collect(),
+                        n,
+                        park_timeout,
+                        metrics,
+                    ));
+                    let bodies = (0..n).map(|t| {
+                        let pool = pool.clone();
+                        let body: Body = Box::new(move || pool.run_executor(t));
+                        (format!("executor-{t}"), body)
+                    });
+                    let bodies = bodies.collect();
+                    (Slots::Shared(pool), bodies)
+                }
+            };
+        connect(&Arc::new(Executor { first_place, slots }));
+        bodies
+            .into_iter()
+            .map(|(name, body)| {
+                std::thread::Builder::new()
+                    .name(name)
+                    .stack_size(WORKER_STACK)
+                    .spawn(body)
+                    .expect("spawn executor thread")
+            })
+            .collect()
+    }
+
+    /// Wake `place`'s worker if it is parked, or make its next park return
+    /// at once if it is running. A place this process does not host is
+    /// ignored.
+    pub(crate) fn wake_place(&self, place: usize) {
+        let slot = place.wrapping_sub(self.first_place);
+        match &self.slots {
+            Slots::Dedicated(slots) => {
+                if let Some(s) = slots.get(slot) {
+                    s.wake();
+                }
+            }
+            Slots::Shared(pool) => {
+                if slot < pool.contexts.len() {
+                    pool.wake_slot(slot);
+                }
+            }
+        }
+    }
+}
+
+/// How one worker gives its CPU away when it has nothing to do. Handed to
+/// the worker's entry by [`Executor::start`].
+pub(crate) enum Parker {
+    /// Shared executor: switch the context out.
+    Context,
+    /// Dedicated thread: yield, then sleep on the slot.
+    Thread {
+        slot: Arc<ThreadSlot>,
+        timeout: Duration,
+        /// Consecutive parks with no wake in between; the first
+        /// [`PARK_SPIN_YIELDS`] of them only yield the thread.
+        idle_streak: Cell<u32>,
+    },
+}
+
+impl Parker {
+    /// Give the CPU away until this place is woken or `park_timeout`
+    /// passes. On a shared executor the context switches out and runs again
+    /// once an executor finds it runnable. On a dedicated one the thread
+    /// yields for [`PARK_SPIN_YIELDS`] parks after each wake, then sleeps on
+    /// its slot. A wake that lands while the worker runs is never lost:
+    /// the next park returns at once.
+    pub(crate) fn park(&self) {
+        match self {
+            Parker::Context => crate::context::yield_now(),
+            Parker::Thread {
+                slot,
+                timeout,
+                idle_streak,
+            } => slot.park(idle_streak, *timeout),
+        }
+    }
+}
+
+/// Park/wake state of one dedicated place thread. Same Dekker pairing as
+/// the shared pool: the waker stores `woken` and then reads `sleeping`,
+/// the parker stores `sleeping` under the lock and then reads `woken`, all
+/// SeqCst, so one side always sees the other.
+#[derive(Default)]
+pub(crate) struct ThreadSlot {
+    /// Set by every wake; taken by the next park, which then only yields.
+    woken: AtomicBool,
+    /// Set while the thread is (about to be) waiting on `cv`.
+    sleeping: AtomicBool,
+    lock: Mutex<()>,
+    cv: Condvar,
+}
+
+impl ThreadSlot {
+    fn wake(&self) {
+        self.woken.store(true, Ordering::SeqCst);
+        if self.sleeping.load(Ordering::SeqCst) {
+            let _guard = self.lock.lock();
+            self.cv.notify_one();
+        }
+    }
+
+    fn park(&self, idle_streak: &Cell<u32>, timeout: Duration) {
+        if self.woken.swap(false, Ordering::SeqCst) {
+            idle_streak.set(0);
+        }
+        // Back off gently first: give the CPU away and re-check before
+        // committing to a condvar sleep (see PARK_SPIN_YIELDS).
+        let streak = idle_streak.get();
+        if streak < PARK_SPIN_YIELDS {
+            idle_streak.set(streak + 1);
+            std::thread::yield_now();
+            return;
+        }
+        let mut guard = self.lock.lock();
+        self.sleeping.store(true, Ordering::SeqCst);
+        if !self.woken.load(Ordering::SeqCst) {
+            self.cv.wait_for(&mut guard, timeout);
+        }
+        self.sleeping.store(false, Ordering::SeqCst);
+    }
+}
+
+/// The shared pool: place contexts over a fixed set of executor threads.
+struct ExecutorPool {
     contexts: Vec<Arc<PlaceContext>>,
     threads: usize,
     sleepers: AtomicUsize,
@@ -59,10 +283,13 @@ struct PoolMetrics {
 }
 
 impl ExecutorPool {
-    pub(crate) fn new(
+    /// A pool over `contexts`, reporting its scheduling counts into
+    /// `metrics` when given.
+    fn new(
         contexts: Vec<Arc<PlaceContext>>,
         threads: usize,
         resweep: Duration,
+        metrics: Option<&MetricsRegistry>,
     ) -> ExecutorPool {
         ExecutorPool {
             contexts,
@@ -72,19 +299,13 @@ impl ExecutorPool {
             idle_cv: Condvar::new(),
             // A zero resweep would busy-spin every idle executor.
             resweep: resweep.max(Duration::from_micros(10)),
-            metrics: None,
+            metrics: metrics.map(|m| PoolMetrics {
+                resumes: m.counter(obs::names::EXECUTOR_RESUMES),
+                empty_passes: m.counter(obs::names::EXECUTOR_EMPTY_PASSES),
+                sleeps: m.counter(obs::names::EXECUTOR_SLEEPS),
+                resweeps: m.counter(obs::names::EXECUTOR_RESWEEPS),
+            }),
         }
-    }
-
-    /// Report scheduling counts into `metrics`.
-    pub(crate) fn with_obs(mut self, metrics: &MetricsRegistry) -> Self {
-        self.metrics = Some(PoolMetrics {
-            resumes: metrics.counter(obs::names::EXECUTOR_RESUMES),
-            empty_passes: metrics.counter(obs::names::EXECUTOR_EMPTY_PASSES),
-            sleeps: metrics.counter(obs::names::EXECUTOR_SLEEPS),
-            resweeps: metrics.counter(obs::names::EXECUTOR_RESWEEPS),
-        });
-        self
     }
 
     /// Mark one context runnable and kick a sleeping executor if any.
@@ -198,9 +419,8 @@ mod tests {
     fn single_executor_interleaves_many_contexts() {
         let count = Arc::new(AtomicU64::new(0));
         let contexts: Vec<_> = (0..16)
-            .map(|i| {
+            .map(|_| {
                 let c = count.clone();
-                let _ = i;
                 PlaceContext::new(
                     crate::context::MIN_STACK,
                     Box::new(move || {
@@ -212,7 +432,8 @@ mod tests {
                 )
             })
             .collect();
-        let pool = Arc::new(ExecutorPool::new(contexts, 1, Duration::from_micros(50)));
+        let resweep = Duration::from_micros(50);
+        let pool = Arc::new(ExecutorPool::new(contexts, 1, resweep, None));
         // Idle-yielded contexts are only re-marked by the resweep here, so
         // this also exercises the timeout path.
         pool.run_executor(0);
@@ -235,7 +456,8 @@ mod tests {
             }),
         );
         // Long resweep: without the explicit wake the run would take ~1s.
-        let pool = Arc::new(ExecutorPool::new(vec![ctx], 1, Duration::from_secs(1)));
+        let resweep = Duration::from_secs(1);
+        let pool = Arc::new(ExecutorPool::new(vec![ctx], 1, resweep, None));
         let p2 = pool.clone();
         let h = std::thread::spawn(move || p2.run_executor(0));
         std::thread::sleep(Duration::from_millis(30));
@@ -258,9 +480,8 @@ mod tests {
         // vary — but the run completing proves migration is at least safe.)
         let total = Arc::new(AtomicU64::new(0));
         let contexts: Vec<_> = (0..32)
-            .map(|i| {
+            .map(|_| {
                 let t = total.clone();
-                let _ = i;
                 PlaceContext::new(
                     crate::context::MIN_STACK,
                     Box::new(move || {
@@ -272,7 +493,8 @@ mod tests {
                 )
             })
             .collect();
-        let pool = Arc::new(ExecutorPool::new(contexts, 3, Duration::from_micros(50)));
+        let resweep = Duration::from_micros(50);
+        let pool = Arc::new(ExecutorPool::new(contexts, 3, resweep, None));
         let hs: Vec<_> = (0..3)
             .map(|w| {
                 let p = pool.clone();

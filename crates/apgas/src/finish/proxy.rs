@@ -7,6 +7,12 @@
 use super::{Deltas, FinishKind, FinishRef};
 use x10rt::IntMap;
 
+/// Flush threshold for finish-protocol delta coalescing: a place pushes its
+/// accumulated termination-control deltas to the finish root when its local
+/// live count reaches zero *or* the buffer covers more than this many peer
+/// places (see [`Proxy::maybe_flush_threshold`]).
+pub const FLUSH_ENTRIES: usize = 64;
+
 /// What the place must transmit after a proxy state change.
 #[derive(Debug)]
 pub enum ProxyEmit {

@@ -1,7 +1,8 @@
 //! Per-place state that threads other than the place's worker must touch:
-//! root submissions from outside the runtime (the ingress), the wake-up
-//! machinery, the finish roots, and counts the worker publishes for the
-//! residue oracle, the schedule controller and the status report.
+//! root submissions from outside the runtime (the ingress), the route to
+//! its executor slot for wake-ups, the finish roots, and counts the worker
+//! publishes for the residue oracle, the schedule controller and the status
+//! report.
 //!
 //! Everything only the worker uses — its run queue, the finish proxies,
 //! backup snapshots, the dense aggregator, the object registry, team and
@@ -9,7 +10,7 @@
 
 use crate::finish::root::RootState;
 use crate::task::Task;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -43,12 +44,6 @@ pub struct PlaceState {
     /// Set while `ingress` is non-empty, so a quantum with no submissions
     /// takes no lock.
     ingress_ready: AtomicBool,
-    /// Condvar protocol for idle workers.
-    pub wake_mutex: Mutex<()>,
-    /// Signalled whenever a message or activity arrives.
-    pub wake_cv: Condvar,
-    /// Number of workers currently parked (wake fast-path check).
-    pub sleepers: AtomicUsize,
     /// Times a worker of this place actually went to sleep (scheduler
     /// diagnostic; the aggregation ablation reports it).
     pub parks: AtomicU64,
@@ -71,11 +66,10 @@ pub struct PlaceState {
     /// Does the worker's FINISH_DENSE aggregator buffer undelivered deltas?
     /// (Published on every absorb and drain.)
     pub dense_pending: AtomicBool,
-    /// M:N mode: routes this place's wake-ups to the executor pool (marks
-    /// the place's context runnable and kicks a sleeping executor) instead
-    /// of the thread condvar above. Installed once at runtime construction,
-    /// before any worker runs.
-    pub mplex_waker: std::sync::OnceLock<Arc<dyn Fn() + Send + Sync>>,
+    /// Routes this place's wake-ups to its slot in the executor
+    /// (`Executor::wake_place`). Installed once at runtime construction,
+    /// before any worker runs; unset for places this process does not host.
+    pub waker: std::sync::OnceLock<Box<dyn Fn() + Send + Sync>>,
     /// Activities of this place currently paused inside a `Ctx::probe`
     /// pump. Maintained only in deterministic mode: a probing activity has
     /// application work to continue even when every queue is empty, and the
@@ -95,41 +89,29 @@ impl PlaceState {
             id,
             ingress: Mutex::new(Vec::new()),
             ingress_ready: AtomicBool::new(false),
-            wake_mutex: Mutex::new(()),
-            wake_cv: Condvar::new(),
-            sleepers: AtomicUsize::new(0),
             parks: AtomicU64::new(0),
             roots: Mutex::new(IntMap::default()),
             queued: AtomicUsize::new(0),
             proxy_count: AtomicUsize::new(0),
             backup_count: AtomicUsize::new(0),
             dense_pending: AtomicBool::new(false),
-            mplex_waker: std::sync::OnceLock::new(),
+            waker: std::sync::OnceLock::new(),
             probing: AtomicUsize::new(0),
             coalesced_bytes: AtomicU64::new(0),
         }
     }
 
-    /// Wake any parked worker of this place. In M:N mode the place's worker
-    /// is a parked *context*, not a parked thread, so the wake is routed to
-    /// the executor pool unconditionally (the pool does its own
-    /// sleeper-count fast path).
+    /// Wake this place's worker through its executor slot: a parked worker
+    /// runs again, a running one's next park returns at once.
     pub fn wake(&self) {
-        if let Some(w) = self.mplex_waker.get() {
+        if let Some(w) = self.waker.get() {
             w();
-            return;
-        }
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _g = self.wake_mutex.lock();
-            self.wake_cv.notify_all();
         }
     }
 
     /// Submit a root activity from outside the runtime and wake the worker.
     /// The flag is set under the ingress lock, so it is clear only while the
-    /// ingress is empty. It and `sleepers` are SeqCst on both sides: either
-    /// a parking worker sees the flag, or the wake sees its `sleepers`
-    /// increment.
+    /// ingress is empty; the wake after it makes the worker poll again.
     pub(crate) fn submit(&self, act: Activity) {
         {
             let mut ingress = self.ingress.lock();

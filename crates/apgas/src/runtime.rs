@@ -3,6 +3,7 @@
 use crate::config::Config;
 use crate::ctx::Ctx;
 use crate::error::ApgasError;
+use crate::executor::{Entry, Executor};
 use crate::place_state::{Activity, PlaceState};
 use crate::step::StepGate;
 use crate::task::Task;
@@ -164,8 +165,9 @@ impl FinishResidue {
     }
 }
 
-/// An APGAS runtime: `cfg.places` places, each with its own scheduler
-/// thread(s), connected by an in-process X10RT transport.
+/// An APGAS runtime: `cfg.places` places, each with one worker run by the
+/// executor (`apgas::executor`), connected by an in-process X10RT
+/// transport.
 ///
 /// The runtime is reusable: [`Runtime::run`] can be called repeatedly (the
 /// benchmark harness runs many rounds on one runtime). Dropping the runtime
@@ -179,7 +181,7 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Build a runtime and start its worker threads.
+    /// Build a runtime and start its workers.
     pub fn new(cfg: Config) -> Self {
         Self::build(cfg, None)
     }
@@ -229,8 +231,7 @@ impl Runtime {
         let base: Arc<dyn Transport> = match external {
             Some(t) => t,
             None => {
-                let mut lt =
-                    LocalTransport::with_ring_capacity(cfg.places, cfg.mailbox_ring_capacity);
+                let mut lt = LocalTransport::new(cfg.places);
                 if let Some(o) = &obs {
                     lt = lt.with_obs(&o.metrics);
                 }
@@ -278,83 +279,36 @@ impl Runtime {
             obs_plane: crate::status::ObsPlane::new(),
             cfg,
         });
-        // Multi-process: spawn worker threads only for the places this
-        // process hosts; remote places are reached through the transport.
-        let (host_start, host_count) = g
-            .cfg
-            .host_places
-            .map(|(s, c)| (s as usize, c as usize))
-            .unwrap_or((0, g.cfg.places));
-        let mut handles = Vec::new();
-        if let Some(threads) = g.cfg.executor_threads {
-            // M:N mode: each hosted place becomes a stackful context; a
-            // fixed pool of executor threads multiplexes them (see the
-            // `context` and `executor` modules and DESIGN.md §"M:N place
-            // scheduling"). Place counts and core counts are decoupled.
-            let contexts: Vec<Arc<crate::context::PlaceContext>> = (host_start
-                ..host_start + host_count)
-                .map(|i| {
-                    let g2 = g.clone();
-                    let place = g.places[i].clone();
-                    crate::context::PlaceContext::new(
-                        g.cfg.context_stack_size,
-                        Box::new(move || Worker::new(g2, place).main_loop()),
-                    )
-                })
-                .collect();
-            let mut pool =
-                crate::executor::ExecutorPool::new(contexts, threads, g.cfg.park_timeout);
-            if let Some(o) = &g.obs {
-                pool = pool.with_obs(&o.metrics);
-            }
-            let pool = Arc::new(pool);
-            // Route every hosted place's wake to the pool *before* any
-            // executor runs: submissions, deliveries and shutdown all funnel
-            // through `PlaceState::wake`.
-            for (slot, i) in (host_start..host_start + host_count).enumerate() {
-                let p2 = pool.clone();
-                let _ = g.places[i].mplex_waker.set(Arc::new(move || {
-                    p2.wake_slot(slot);
-                }));
-            }
-            // Deterministic M:N: a grant must rouse the granted context —
-            // it polls the gate instead of blocking in step_wait.
-            if let Some(gate) = &g.step_gate {
-                let p2 = pool.clone();
-                gate.set_grant_hook(Box::new(move |place| {
-                    if let Some(slot) = (place as usize).checked_sub(host_start) {
-                        if slot < host_count {
-                            p2.wake_slot(slot);
-                        }
-                    }
-                }));
-            }
-            for t in 0..threads {
-                let p2 = pool.clone();
-                handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("executor-{t}"))
-                        .spawn(move || p2.run_executor(t))
-                        .expect("spawn executor thread"),
-                );
-            }
-        } else {
-            for i in host_start..host_start + host_count {
-                let g2 = g.clone();
-                let place = g.places[i].clone();
-                handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("place-{i}"))
-                        // Help-first waiting nests activity frames on the
-                        // worker stack; give it room.
-                        .stack_size(16 * 1024 * 1024)
-                        .spawn(move || {
-                            Worker::new(g2, place).main_loop();
-                        })
-                        .expect("spawn worker thread"),
-                );
-            }
-        }
+        // Multi-process: run workers only for the places this process
+        // hosts; remote places are reached through the transport.
+        let hosted = g.cfg.hosted();
+        let entries: Vec<Entry> = hosted
+            .clone()
+            .map(|i| {
+                let (g2, place) = (g.clone(), g.places[i].clone());
+                Box::new(move |parker| Worker::new(g2, place, parker).main_loop()) as Entry
+            })
+            .collect();
+        let handles = Executor::start(
+            hosted.start,
+            entries,
+            g.cfg.executor_threads,
+            g.cfg.park_timeout,
+            g.obs.as_ref().map(|o| &o.metrics),
+            |executor| {
+                // Submissions, deliveries and shutdown all funnel through
+                // `PlaceState::wake`; a step-gate grant wakes the granted
+                // place, whose worker polls the gate between parks.
+                for i in hosted {
+                    let ex = executor.clone();
+                    let _ = g.places[i].waker.set(Box::new(move || ex.wake_place(i)));
+                }
+                if let Some(gate) = &g.step_gate {
+                    let ex = executor.clone();
+                    gate.set_grant_hook(Box::new(move |place| ex.wake_place(place as usize)));
+                }
+            },
+        );
         Runtime {
             g,
             handles: Mutex::new(handles),
@@ -362,13 +316,10 @@ impl Runtime {
         }
     }
 
-    /// Does this process host `place` (spawn worker threads for it)?
+    /// Does this process host `place` (run a worker for it)?
     /// Always true without [`Config::host_places`].
     pub fn hosts_place(&self, place: PlaceId) -> bool {
-        match self.g.cfg.host_places {
-            None => (place.0 as usize) < self.g.cfg.places,
-            Some((s, c)) => place.0 >= s && place.0 < s + c,
-        }
+        self.g.cfg.hosted().contains(&place.index())
     }
 
     /// Register an application command handler under `id` (ids must be ≥

@@ -1,8 +1,8 @@
 //! Live runtime introspection: the status report.
 //!
 //! A status report is a process-wide view of the runtime *right now* — per-
-//! place run states (alive/dead, queued activities, mailbox depth, parked
-//! workers, coalescer buffering, finish proxies, dense buffering), every
+//! place run states (alive/dead, queued activities, mailbox depth, parks,
+//! coalescer buffering, finish proxies, dense buffering), every
 //! in-flight finish root with its protocol kind and liveness progress
 //! counter, the finish residue, and the full name-sorted metrics dump
 //! (which carries the mailbox ring-overflow, GLB steal/lifeline, and arena
@@ -56,7 +56,6 @@ struct PlaceStatus {
     dead: bool,
     queue: usize,
     mailbox: usize,
-    sleepers: usize,
     parks: u64,
     probing: usize,
     coalesced_bytes: u64,
@@ -90,12 +89,8 @@ impl PlaceStatus {
 
 fn collect(g: &Global) -> Vec<PlaceStatus> {
     let dead = g.transport.dead_places();
-    let (start, count) = g
-        .cfg
-        .host_places
-        .map(|(s, c)| (s as usize, c as usize))
-        .unwrap_or((0, g.cfg.places));
-    (start..start + count)
+    g.cfg
+        .hosted()
         .map(|i| {
             let p = &g.places[i];
             let roots = p
@@ -109,7 +104,6 @@ fn collect(g: &Global) -> Vec<PlaceStatus> {
                 dead: dead.contains(&p.id),
                 queue: p.queued_total(),
                 mailbox: g.transport.queue_len(p.id),
-                sleepers: p.sleepers.load(Ordering::Relaxed),
                 parks: p.parks.load(Ordering::Relaxed),
                 probing: p.probing.load(Ordering::Relaxed),
                 coalesced_bytes: p.coalesced_bytes.load(Ordering::Relaxed),
@@ -126,22 +120,18 @@ fn collect(g: &Global) -> Vec<PlaceStatus> {
 pub(crate) fn report_text(g: &Global) -> String {
     let states = collect(g);
     let dead = g.transport.dead_places();
-    let (start, count) = g
-        .cfg
-        .host_places
-        .map(|(s, c)| (s as usize, c as usize))
-        .unwrap_or((0, g.cfg.places));
+    let hosted = g.cfg.hosted();
     let mut s = String::new();
     let _ = writeln!(
         s,
         "runtime status: rank {} hosts places {}..{} of {} ({})",
         g.rank(),
-        start,
-        start + count,
+        hosted.start,
+        hosted.end,
         g.cfg.places,
-        match g.cfg.executor_threads {
-            Some(t) => format!("M:N, {t} executor threads"),
-            None => "one thread per place".to_string(),
+        match crate::executor::shared_threads(g.cfg.executor_threads, hosted.len()) {
+            Some(t) => format!("shared executor, {t} threads"),
+            None => format!("dedicated executor, {} threads", hosted.len()),
         }
     );
     let _ = writeln!(
@@ -158,13 +148,12 @@ pub(crate) fn report_text(g: &Global) -> String {
         }
         let _ = writeln!(
             s,
-            "place {}: {}  queue {}  mailbox {}  sleepers {}  parks {}  \
+            "place {}: {}  queue {}  mailbox {}  parks {}  \
              probing {}  coalesced_bytes {}  backup_roots {}  proxies {}  dense_pending {}",
             ps.place,
             if ps.dead { "DEAD" } else { "alive" },
             ps.queue,
             ps.mailbox,
-            ps.sleepers,
             ps.parks,
             ps.probing,
             ps.coalesced_bytes,
@@ -202,19 +191,15 @@ pub(crate) fn report_text(g: &Global) -> String {
 pub(crate) fn report_json(g: &Global) -> String {
     let states = collect(g);
     let dead = g.transport.dead_places();
-    let (start, count) = g
-        .cfg
-        .host_places
-        .map(|(s, c)| (s as usize, c as usize))
-        .unwrap_or((0, g.cfg.places));
+    let hosted = g.cfg.hosted();
     let mut s = String::from("{");
     let _ = write!(
         s,
         "\"rank\": {}, \"places\": {}, \"hosted\": [{}, {}], \"shutdown\": {}, ",
         g.rank(),
         g.cfg.places,
-        start,
-        count,
+        hosted.start,
+        hosted.len(),
         g.shutdown.load(Ordering::Acquire)
     );
     let _ = write!(
@@ -240,14 +225,13 @@ pub(crate) fn report_json(g: &Global) -> String {
         let _ = write!(
             s,
             "{{\"place\": {}, \"dead\": {}, \"queue\": {}, \"mailbox\": {}, \
-             \"sleepers\": {}, \"parks\": {}, \"probing\": {}, \
+             \"parks\": {}, \"probing\": {}, \
              \"coalesced_bytes\": {}, \"backup_roots\": {}, \"proxies\": {}, \
              \"dense_pending\": {}, \"roots\": [",
             ps.place,
             ps.dead,
             ps.queue,
             ps.mailbox,
-            ps.sleepers,
             ps.parks,
             ps.probing,
             ps.coalesced_bytes,

@@ -1,11 +1,11 @@
 //! Deterministic stepping: the baton-passing gate behind
 //! [`Config::deterministic`](crate::Config::deterministic).
 //!
-//! In deterministic mode every place still has its own worker thread, but
-//! only one of them runs at a time: an external schedule controller (the
-//! `sim` crate) holds a baton and grants it to one place per scheduling
-//! quantum. A worker yields at the **top** of its scheduling quantum
-//! ([`StepGate::step_wait`] is the first thing `Worker::run_one` does), which
+//! In deterministic mode every place still has its own worker, but only one
+//! of them runs at a time: an external schedule controller (the `sim`
+//! crate) holds a baton and grants it to one place per scheduling quantum.
+//! A worker yields at the **top** of its scheduling quantum (polling
+//! [`StepGate::try_step`] is the first thing `Worker::run_one` does), which
 //! puts the quantum boundary exactly at the point where the worker would
 //! next pump messages. Everything between two quanta — a `wait_until`
 //! condition re-check, a finish body, activity execution — runs while the
@@ -14,10 +14,11 @@
 //! grants plus the sequence of message deliveries. That is the invariant
 //! that makes a run replayable from its schedule alone.
 //!
-//! The gate is permanently released on shutdown ([`StepGate::release_all`]):
-//! every blocked worker returns immediately and all future waits are
-//! no-ops, so teardown never deadlocks on a controller that has already
-//! exited.
+//! A worker that is not granted parks through its executor between polls;
+//! the gate's grant hook wakes the granted place. The gate is permanently
+//! released on shutdown ([`StepGate::release_all`]): every poll then
+//! reports [`TryStep::Released`] and the controller returns, so teardown
+//! never deadlocks on a controller that has already exited.
 
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -25,12 +26,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 struct GateState {
     /// The place currently granted a quantum, if any.
     granted: Option<u32>,
-    /// Set by the granted worker when it finishes its quantum (reaches its
-    /// next [`StepGate::step_wait`]).
+    /// Set by the granted worker when it finishes its quantum (polls
+    /// [`StepGate::try_step`] again).
     done: bool,
-    /// Did the granted worker actually take the baton (return from
-    /// [`StepGate::step_wait`]) for the outstanding grant? Guards against a
-    /// worker's *first-ever* `step_wait` arriving while a grant is already
+    /// Did the granted worker actually take the baton (get
+    /// [`TryStep::Granted`]) for the outstanding grant? Guards against a
+    /// worker's *first-ever* poll arriving while a grant is already
     /// outstanding: without this flag that arrival would be mistaken for
     /// quantum completion and the grant would silently perform no work —
     /// a startup race that shifts the whole schedule by one quantum and
@@ -41,33 +42,29 @@ struct GateState {
 /// The baton: serializes worker quanta under an external controller.
 ///
 /// Exactly one controller thread calls [`StepGate::grant`]; each place's
-/// single worker thread calls [`StepGate::step_wait`] at the top of every
-/// scheduling quantum. Deterministic mode requires one worker per place
-/// (asserted at runtime construction) so a grant names a unique thread.
+/// single worker polls [`StepGate::try_step`] at the top of every
+/// scheduling quantum. Every place runs one worker, so a grant names a
+/// unique worker.
 pub struct StepGate {
     state: Mutex<GateState>,
-    /// Workers wait here for a grant.
-    worker_cv: Condvar,
     /// The controller waits here for quantum completion.
     ctl_cv: Condvar,
     /// Permanent free-run switch (shutdown/teardown).
     released: AtomicBool,
-    /// M:N mode: called with the granted place id right after a grant is
-    /// published, so the runtime can mark that place's context runnable and
-    /// kick the executor pool (a parked context has no thread blocked in
-    /// [`StepGate::step_wait`] to notify).
+    /// Called with the granted place id right after a grant is published,
+    /// so the runtime can wake that place's parked worker.
     grant_hook: Mutex<Option<GrantHook>>,
 }
 
-/// The M:N grant hook: see [`StepGate::set_grant_hook`].
+/// The grant hook: see [`StepGate::set_grant_hook`].
 pub type GrantHook = Box<dyn Fn(u32) + Send + Sync>;
 
-/// What [`StepGate::try_step`] told a polling (non-blocking) worker.
+/// What [`StepGate::try_step`] told a polling worker.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TryStep {
     /// The baton is this worker's: run one quantum.
     Granted,
-    /// No grant for this place is outstanding; yield and poll again later.
+    /// No grant for this place is outstanding; park and poll again later.
     NotGranted,
     /// The gate is permanently released; free-run.
     Released,
@@ -82,14 +79,13 @@ impl StepGate {
                 done: false,
                 running: false,
             }),
-            worker_cv: Condvar::new(),
             ctl_cv: Condvar::new(),
             released: AtomicBool::new(false),
             grant_hook: Mutex::new(None),
         }
     }
 
-    /// Install the M:N grant hook (see the `grant_hook` field). At most one
+    /// Install the grant hook (see the `grant_hook` field). At most one
     /// hook; installing replaces the previous.
     pub fn set_grant_hook(&self, hook: GrantHook) {
         *self.grant_hook.lock() = Some(hook);
@@ -101,10 +97,9 @@ impl StepGate {
     }
 
     /// Controller side: grant one scheduling quantum to `place` and block
-    /// until its worker completes it (reaches its next
-    /// [`StepGate::step_wait`]). Returns `false` when the gate was released
-    /// before or during the grant — the quantum may then be incomplete and
-    /// the schedule is over.
+    /// until its worker completes it (polls [`StepGate::try_step`] again).
+    /// Returns `false` when the gate was released before or during the
+    /// grant — the quantum may then be incomplete and the schedule is over.
     pub fn grant(&self, place: u32) -> bool {
         if self.is_released() {
             return false;
@@ -114,11 +109,9 @@ impl StepGate {
         s.granted = Some(place);
         s.done = false;
         s.running = false;
-        self.worker_cv.notify_all();
-        // M:N mode: the granted place is a parked context, not a blocked
-        // thread — mark it runnable so an executor picks it up. (The hook
-        // only touches the executor pool's idle lock; executors never take
-        // the gate lock while holding it, so the order here is safe.)
+        // Wake the granted place's parked worker. (The hook only touches
+        // its executor slot's lock; no worker takes the gate lock while
+        // holding that, so the order here is safe.)
         if let Some(hook) = self.grant_hook.lock().as_ref() {
             hook(place);
         }
@@ -134,46 +127,18 @@ impl StepGate {
     }
 
     /// Worker side, called at the top of every scheduling quantum: report
-    /// the previous quantum complete (when this worker held the baton) and
-    /// block until the controller grants this place a new one. Returns
-    /// immediately once the gate is released.
-    pub fn step_wait(&self, place: u32) {
-        if self.is_released() {
-            return;
-        }
-        let mut s = self.state.lock();
-        // Only a worker that actually took the baton may complete the
-        // outstanding quantum; a first-ever arrival under an already-issued
-        // grant must instead fall through and *run* that quantum.
-        if s.granted == Some(place) && s.running && !s.done {
-            s.done = true;
-            s.running = false;
-            self.ctl_cv.notify_all();
-        }
-        loop {
-            if self.is_released() {
-                return;
-            }
-            if s.granted == Some(place) && !s.done {
-                s.running = true;
-                return;
-            }
-            self.worker_cv.wait(&mut s);
-        }
-    }
-
-    /// Worker side, non-blocking (M:N mode): the contexted twin of
-    /// [`StepGate::step_wait`]. Reports the previous quantum complete
-    /// exactly like `step_wait` does, then *polls* for a grant instead of
-    /// blocking — a context that gets [`TryStep::NotGranted`] yields to its
-    /// executor and retries when the grant hook marks it runnable.
+    /// the previous quantum complete (when this worker held the baton),
+    /// then poll for a new grant. A worker that gets
+    /// [`TryStep::NotGranted`] parks and polls again once the grant hook
+    /// wakes it.
     pub fn try_step(&self, place: u32) -> TryStep {
         if self.is_released() {
             return TryStep::Released;
         }
         let mut s = self.state.lock();
-        // Same completion rule as `step_wait`: only the worker that took
-        // the baton may complete the outstanding quantum.
+        // Only a worker that actually took the baton may complete the
+        // outstanding quantum; a first-ever arrival under an already-issued
+        // grant must instead *run* that quantum.
         if s.granted == Some(place) && s.running && !s.done {
             s.done = true;
             s.running = false;
@@ -189,13 +154,12 @@ impl StepGate {
         TryStep::NotGranted
     }
 
-    /// Permanently release the gate: every blocked worker and the
-    /// controller return immediately, and all future waits are no-ops.
-    /// Called on runtime shutdown; irreversible.
+    /// Permanently release the gate: the controller returns immediately,
+    /// and every poll reports [`TryStep::Released`]. Called on runtime
+    /// shutdown (which then wakes every place); irreversible.
     pub fn release_all(&self) {
         self.released.store(true, Ordering::Release);
         let _s = self.state.lock();
-        self.worker_cv.notify_all();
         self.ctl_cv.notify_all();
     }
 }
@@ -212,6 +176,17 @@ mod tests {
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
+    /// A worker's arrival at the top of a quantum: poll until granted or
+    /// released (`Worker::run_one` parks between polls; a test yields).
+    fn step(gate: &StepGate, place: u32) -> TryStep {
+        loop {
+            match gate.try_step(place) {
+                TryStep::NotGranted => std::thread::yield_now(),
+                t => return t,
+            }
+        }
+    }
+
     #[test]
     fn grants_serialize_workers() {
         let gate = Arc::new(StepGate::new());
@@ -221,8 +196,7 @@ mod tests {
         for p in 0..3u32 {
             let (gate, log, running) = (gate.clone(), log.clone(), running.clone());
             handles.push(std::thread::spawn(move || loop {
-                gate.step_wait(p);
-                if gate.is_released() {
+                if step(&gate, p) == TryStep::Released {
                     return;
                 }
                 // Only one worker may be inside a quantum at a time.
@@ -247,7 +221,7 @@ mod tests {
     #[test]
     fn early_grant_is_not_completed_by_first_arrival() {
         // Regression: the controller may issue a grant before the worker
-        // thread has ever reached `step_wait`. The worker's first arrival
+        // has ever polled the gate. The worker's first arrival
         // must *take* that grant and run the quantum — not report it
         // complete and park, which would silently drop a quantum and shift
         // the whole schedule (breaking replay determinism).
@@ -262,9 +236,11 @@ mod tests {
         let worker = {
             let (gate, ran) = (gate.clone(), ran.clone());
             std::thread::spawn(move || {
-                gate.step_wait(0); // first-ever arrival: takes the grant
-                ran.fetch_add(1, Ordering::SeqCst); // the quantum's work
-                gate.step_wait(0); // completes the quantum, then parks
+                // First-ever arrival: takes the grant and runs the quantum.
+                assert_eq!(step(&gate, 0), TryStep::Granted);
+                ran.fetch_add(1, Ordering::SeqCst);
+                // Completes the quantum, then polls until the release.
+                assert_eq!(step(&gate, 0), TryStep::Released);
             })
         };
         // grant() must only return once the quantum actually ran.
@@ -275,7 +251,7 @@ mod tests {
     }
 
     #[test]
-    fn try_step_polls_the_same_protocol_as_step_wait() {
+    fn try_step_takes_only_its_own_grant_and_fires_the_hook() {
         let gate = Arc::new(StepGate::new());
         let woken = Arc::new(AtomicU64::new(0));
         let w2 = woken.clone();
@@ -287,13 +263,7 @@ mod tests {
         let g2 = gate.clone();
         let ctl = std::thread::spawn(move || g2.grant(3));
         // Poll until the grant lands (the hook will have fired by then).
-        loop {
-            match gate.try_step(3) {
-                TryStep::Granted => break,
-                TryStep::NotGranted => std::thread::yield_now(),
-                TryStep::Released => panic!("gate released early"),
-            }
-        }
+        assert_eq!(step(&gate, 3), TryStep::Granted);
         // ... quantum work would run here ...
         // Next poll completes the quantum; the controller unblocks.
         let _ = gate.try_step(3);
@@ -304,12 +274,7 @@ mod tests {
         let ctl2 = std::thread::spawn(move || g3.grant(1));
         std::thread::sleep(std::time::Duration::from_millis(10));
         assert_eq!(gate.try_step(0), TryStep::NotGranted);
-        loop {
-            match gate.try_step(1) {
-                TryStep::Granted => break,
-                _ => std::thread::yield_now(),
-            }
-        }
+        assert_eq!(step(&gate, 1), TryStep::Granted);
         let _ = gate.try_step(1);
         assert!(ctl2.join().unwrap());
         gate.release_all();
@@ -328,6 +293,6 @@ mod tests {
         assert!(!h.join().unwrap());
         assert!(!gate.grant(7), "grants after release fail fast");
         // Workers pass straight through after release.
-        gate.step_wait(3);
+        assert_eq!(gate.try_step(3), TryStep::Released);
     }
 }

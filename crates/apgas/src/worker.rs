@@ -14,6 +14,7 @@
 
 use crate::clock::ClockTables;
 use crate::ctx::Ctx;
+use crate::executor::Parker;
 use crate::finish::dense::{next_hop, DenseAggregator};
 use crate::finish::proxy::{Proxy, ProxyEmit};
 use crate::finish::root::RootState;
@@ -133,9 +134,6 @@ pub struct Worker {
     pub(crate) clocks: RefCell<ClockTables>,
     /// Next home-local finish sequence number.
     pub(crate) next_finish_seq: Cell<u64>,
-    /// Consecutive idle quanta; drives the yield-before-sleep backoff in
-    /// [`Worker::park_brief`].
-    idle_streak: Cell<u32>,
     /// The causal identity of whatever this worker is currently executing or
     /// handling — the parent every outgoing stamped message links to.
     /// Saved/restored around nested execution (help-first waiting runs
@@ -146,10 +144,9 @@ pub struct Worker {
     /// runtime was built with `Config::obs_disable`) so every hot-path hook
     /// is a `None` check plus, at most, one relaxed atomic increment.
     hooks: Option<WorkerHooks>,
-    /// M:N mode (`Config::executor_threads` set): this worker runs on a
-    /// place context, so idle waits yield the context to its executor
-    /// instead of spinning or condvar-sleeping the thread.
-    mplex: bool,
+    /// How this worker gives its CPU away when idle, handed over by the
+    /// executor that runs it.
+    parker: Parker,
 }
 
 /// A worker's resolved observability handles: its event ring (trace and
@@ -173,13 +170,6 @@ struct WorkerHooks {
 /// activities run after the sweep.
 const QUANTUM: usize = 256;
 
-/// Idle quanta a worker spends yielding the CPU before it takes the condvar
-/// sleep. Aggregated traffic arrives in bursts, so a receiver that just
-/// drained its mailbox very often gets its next batch within a few scheduler
-/// quanta of the sender — yielding there avoids a futex sleep/wake round
-/// trip per burst, which dominates on oversubscribed hosts.
-const PARK_SPIN_YIELDS: u32 = 8;
-
 /// Convert a panic payload into a printable message. Typed runtime errors
 /// stringify through their `Display`, which embeds the dead-place marker so
 /// [`crate::ApgasError::from_panic`] can recover them after a place hop.
@@ -197,8 +187,9 @@ pub fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
 
 impl Worker {
     /// A worker for `place` within runtime `g`, with its own aggregation
-    /// buffers sized from the runtime configuration.
-    pub fn new(g: Arc<Global>, place: Arc<PlaceState>) -> Self {
+    /// buffers sized from the runtime configuration, idling through
+    /// `parker`.
+    pub(crate) fn new(g: Arc<Global>, place: Arc<PlaceState>, parker: Parker) -> Self {
         let here = place.id;
         let mut coalescer = Coalescer::new(
             here,
@@ -230,7 +221,6 @@ impl Worker {
             stray_ctl: o.metrics.counter(obs::names::FINISH_STRAY_CTL),
             watchdog_fired: o.metrics.counter(obs::names::FINISH_WATCHDOG_FIRED),
         });
-        let mplex = g.cfg.executor_threads.is_some();
         Worker {
             g,
             place,
@@ -245,10 +235,9 @@ impl Worker {
             team: RefCell::new(TeamInbox::default()),
             clocks: RefCell::new(ClockTables::default()),
             next_finish_seq: Cell::new(1),
-            idle_streak: Cell::new(0),
             current_cause: Cell::new(None),
             hooks,
-            mplex,
+            parker,
         }
     }
 
@@ -378,22 +367,10 @@ impl Worker {
             // leave them in the coalescer, where the schedule controller
             // cannot see them.
             self.flush_sends();
-            if self.mplex {
-                // M:N: poll the baton instead of blocking — the executor
-                // thread must stay free to run the granted place's context.
-                // The gate's grant hook marks this context runnable again.
-                loop {
-                    match gate.try_step(self.here.0) {
-                        crate::step::TryStep::Granted | crate::step::TryStep::Released => break,
-                        crate::step::TryStep::NotGranted => {
-                            if !crate::context::yield_now() {
-                                std::thread::yield_now();
-                            }
-                        }
-                    }
-                }
-            } else {
-                gate.step_wait(self.here.0);
+            // Poll the baton and park between polls; the gate's grant hook
+            // wakes the granted place.
+            while gate.try_step(self.here.0) == crate::step::TryStep::NotGranted {
+                self.parker.park();
             }
         }
         self.place.take_ingress(&mut self.queue.borrow_mut());
@@ -413,11 +390,7 @@ impl Worker {
             // Sends made by inline control handling during the sweep.
             self.flush_sends();
         }
-        let progress = ran > 0 || handled > 0;
-        if progress {
-            self.idle_streak.set(0);
-        }
-        progress
+        ran > 0 || handled > 0
     }
 
     /// Drain this worker's aggregation buffers onto the transport. The
@@ -528,9 +501,11 @@ impl Worker {
                     self.here
                 );
             }
-            if !self.run_one() {
-                self.park_brief();
-            }
+            // Check progress and the deadline right after the quantum that
+            // drained the mailbox, and park only after that: checked right
+            // after a long park, the deadline would pass before the messages
+            // carrying the progress were drained.
+            let busy = self.run_one();
             if root.kind == FinishKind::Resilient {
                 // Dead-place detection is the adoption trigger; the
                 // reconstruction bumps the root's progress events, so a
@@ -569,6 +544,9 @@ impl Worker {
                     ),
                 });
             }
+            if !busy {
+                self.park_brief();
+            }
         }
         Ok(())
     }
@@ -590,54 +568,26 @@ impl Worker {
         self.place.queued.store(queue.len(), Ordering::Relaxed);
     }
 
+    /// Give the CPU away after a quantum that found nothing to do, until a
+    /// delivery, a submission or shutdown wakes this place, or
+    /// `park_timeout` passes (see `executor::Parker::park`). Safe against
+    /// lost wakes: a delivery from another place, or a submission from
+    /// outside the runtime, wakes the place even while it is mid-quantum;
+    /// this worker's own enqueues do not wake, but it parks only after a
+    /// quantum that found its queue empty. The timed re-poll keeps the
+    /// time-based machinery alive (watchdog, GLB steal timeouts, coalescer
+    /// retries).
     pub(crate) fn park_brief(&self) {
         // Never sleep on buffered sends: a peer may be waiting on them.
         self.flush_sends();
-        // Deterministic mode: never condvar-sleep — the next run_one blocks
-        // on the stepping gate anyway, and sleeping here would deadlock
-        // against a controller that only wakes workers through grants.
+        // Deterministic mode: this worker holds the baton until its next
+        // run_one polls the gate (and parks there until its next grant);
+        // parking here would only stall the schedule controller.
         if self.g.step_gate.is_some() {
             return;
         }
-        // M:N mode: never block the executor thread and skip the spin
-        // backoff (it would starve sibling contexts when places outnumber
-        // cores) — park the *context* by yielding it non-runnable. Safe
-        // against lost wakes: a delivery from another place, or a submission
-        // from outside the runtime, marks the context runnable even while it
-        // is mid-quantum; this worker's own enqueues do not wake, but it
-        // parks only after a quantum that found its queue empty. The executor
-        // pool's periodic resweep re-polls parked contexts on the
-        // park-timeout cadence for the time-based machinery (watchdog, GLB
-        // steal timeouts, coalescer retries).
-        if self.mplex {
-            self.note_park();
-            if !crate::context::yield_now() {
-                std::thread::yield_now();
-            }
-            return;
-        }
-        // Back off gently first: give the CPU away and re-check before
-        // committing to a condvar sleep (see PARK_SPIN_YIELDS).
-        let streak = self.idle_streak.get();
-        if streak < PARK_SPIN_YIELDS {
-            self.idle_streak.set(streak + 1);
-            self.note_park();
-            std::thread::yield_now();
-            return;
-        }
-        let mut guard = self.place.wake_mutex.lock();
-        self.place.sleepers.fetch_add(1, Ordering::SeqCst);
-        if self.queue.borrow().is_empty()
-            && !self.place.has_ingress()
-            && self.g.transport.queue_len(self.here) == 0
-            && !self.g.shutdown.load(Ordering::Acquire)
-        {
-            self.note_park();
-            self.place
-                .wake_cv
-                .wait_for(&mut guard, self.g.cfg.park_timeout);
-        }
-        self.place.sleepers.fetch_sub(1, Ordering::SeqCst);
+        self.note_park();
+        self.parker.park();
     }
 
     /// Count one park: this `park_brief` is about to give up the CPU, by a

@@ -43,6 +43,8 @@ fn local_asyncs_all_run_under_finish() {
     });
 }
 
+/// Also on the shared executor: help-first waits nest activity frames on
+/// the worker's stack, and a context gets the same stack as a thread.
 #[test]
 fn fib_recursive_parallel_decomposition() {
     // The paper's fib example: finish { async f1 = fib(n-1); f2 = fib(n-2) }.
@@ -60,8 +62,13 @@ fn fib_recursive_parallel_decomposition() {
         });
         f1.load(Ordering::Relaxed) + f2
     }
-    let got = rt(1).run(|ctx| fib(ctx, 15));
-    assert_eq!(got, 610);
+    for cfg in [
+        Config::new(1).places_per_host(4),
+        Config::new(2).executor_threads(1),
+    ] {
+        let got = Runtime::new(cfg).run(|ctx| fib(ctx, 15));
+        assert_eq!(got, 610);
+    }
 }
 
 #[test]

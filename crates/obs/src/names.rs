@@ -18,8 +18,9 @@ pub const SPAWN_REMOTE_SENT: &str = "spawn.remote.sent";
 pub const SPAWN_REMOTE_RECV: &str = "spawn.remote.recv";
 
 /// Counter: idle parks — a worker's `park_brief` giving up the CPU, by a
-/// context yield (M:N), a thread yield during the spin backoff or a condvar
-/// sleep (unit: parks). Incremented in the worker's park path.
+/// context switch-out (shared executor), or a thread yield during the spin
+/// backoff or a condvar sleep (dedicated executor) (unit: parks).
+/// Incremented in the worker's park path.
 pub const WORKER_PARKS: &str = "worker.parks";
 
 /// Counter: activities executed to completion (unit: activities).
@@ -32,9 +33,9 @@ pub const WORKER_ACTIVITIES: &str = "worker.activities";
 /// [`WORKER_ACTIVITIES`] it gives the sweeps paid per activity.
 pub const WORKER_MAILBOX_SWEEPS: &str = "worker.mailbox_sweeps";
 
-/// Counter: place contexts resumed by M:N executor threads (unit:
+/// Counter: place contexts resumed by shared executor threads (unit:
 /// resumes; sharded by executor). Summed per pass over the context table
-/// and published once per pass. Zero under thread-per-place scheduling.
+/// and published once per pass. Zero on a dedicated executor.
 pub const EXECUTOR_RESUMES: &str = "executor.resumes";
 
 /// Counter: executor passes over the context table that resumed nothing
@@ -78,8 +79,8 @@ pub const MAILBOX_DRAIN_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128, 256];
 /// Counter: sends diverted to a mailbox lane's overflow side-queue because
 /// the SPSC ring was full or still draining a previous overflow (unit:
 /// envelopes; sharded by sender). Incremented in `x10rt`'s
-/// `LocalTransport`. A workload living in overflow needs a larger
-/// `mailbox_ring_capacity`.
+/// `LocalTransport`. A workload living in overflow needs a larger ring
+/// capacity (`LocalTransport::with_ring_capacity`).
 pub const MAILBOX_RING_OVERFLOW: &str = "mailbox.ring_overflow";
 
 /// Counter: mailbox lanes materialized — (sender, receiver) SPSC channels

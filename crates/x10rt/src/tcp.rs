@@ -201,7 +201,12 @@ impl OutQueue {
         }
     }
 
+    /// Wake the writer for good. The flag is stored under the `frames`
+    /// lock: a writer between its `closed` check and its `wait` holds that
+    /// lock, so the notify cannot fall into that gap and be lost (a lost
+    /// one left `Drop` joining a writer that never woke).
     fn close(&self) {
+        let _q = self.frames.lock();
         self.closed.store(true, Ordering::Release);
         self.ready.notify_all();
     }
@@ -1072,5 +1077,35 @@ mod tests {
         let err = t.send(wire_env(0, 2, 9, vec![])).unwrap_err();
         assert_eq!(err.dropped, 1);
         assert_eq!(t.dead_places(), vec![PlaceId(2)]);
+    }
+
+    /// Dropping a transport closes its writer queues and joins the writer
+    /// threads, so a writer that misses the close's wake hangs the drop
+    /// forever. The cycles run on a helper thread: a hang fails the test
+    /// (no cycle finished for 5 s) instead of wedging the suite.
+    #[test]
+    fn create_drop_cycles_never_hang() {
+        const CYCLES: u64 = 2_000;
+        let done = Arc::new(AtomicU64::new(0));
+        let d2 = done.clone();
+        let h = std::thread::spawn(move || {
+            for _ in 0..CYCLES {
+                drop(TcpTransport::self_loop(3).expect("self loop"));
+                d2.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        let (mut seen, mut last) = (0, Instant::now());
+        while !h.is_finished() {
+            std::thread::sleep(Duration::from_millis(20));
+            let now = done.load(Ordering::Relaxed);
+            if now != seen {
+                (seen, last) = (now, Instant::now());
+            }
+            assert!(
+                last.elapsed() < Duration::from_secs(5),
+                "a drop hung after {seen} of {CYCLES} create/drop cycles"
+            );
+        }
+        h.join().unwrap();
     }
 }

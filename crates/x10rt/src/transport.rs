@@ -57,8 +57,8 @@
 //! always older than overflow items, so the receiver drains ring-then-
 //! overflow. Overflow engagements are counted (`NetStats::
 //! total_ring_overflows`, the `mailbox.ring_overflow` metric); a workload
-//! that lives in overflow mode needs a bigger `mailbox_ring_capacity`, not a
-//! faster mutex.
+//! that lives in overflow mode needs a bigger ring capacity
+//! ([`LocalTransport::with_ring_capacity`]), not a faster mutex.
 //!
 //! # Waker debouncing
 //!
@@ -71,9 +71,8 @@
 //! ordered, and RMWs extend release sequences, so either the sender's swap
 //! observes the re-arm (and fires) or the receiver's re-arm acquires the
 //! sender's append (and the re-check sees it). Spurious wakes are possible;
-//! lost wakes are not. The scheduler's park path additionally re-checks
-//! [`Transport::queue_len`] before sleeping, which makes the protocol
-//! robust even against misuse.
+//! lost wakes are not. An idle worker's park is bounded by the runtime's
+//! `park_timeout`, so even a misused waker costs a delay, not a hang.
 
 use crate::hash::IntMap;
 use crate::message::{Envelope, MsgClass};
