@@ -48,7 +48,12 @@
 //! re-poll is what keeps time-based machinery alive — the finish watchdog,
 //! GLB steal timeouts, and coalescer retry backoff all assume a parked
 //! worker re-checks its condition on the park-timeout cadence (a dedicated
-//! slot's timed condvar wait is the same re-poll).
+//! slot's timed condvar wait is the same re-poll). So the pre-sleep
+//! re-scan counts only contexts this executor could claim: a context that
+//! another executor is running, re-marked by a delivery, is that
+//! executor's to rescan after its quantum. Counting it would keep an idle
+//! executor from sleeping, hence from resweeping, for as long as the other
+//! one runs, and parked places' timed waits would stall that long.
 //!
 //! With observability on, every pass over the table publishes its counts
 //! once, from locals: `executor.resumes`, `executor.empty_passes`,
@@ -321,10 +326,12 @@ impl ExecutorPool {
         }
     }
 
+    /// Is there a context this executor could claim? One another executor
+    /// holds does not count: that executor rescans it after its quantum.
     fn any_runnable(&self) -> bool {
-        self.contexts
-            .iter()
-            .any(|c| !c.finished() && c.runnable.load(Ordering::SeqCst))
+        self.contexts.iter().any(|c| {
+            !c.finished() && !c.claimed.load(Ordering::Acquire) && c.runnable.load(Ordering::SeqCst)
+        })
     }
 
     fn mark_all_runnable(&self) {

@@ -1,8 +1,9 @@
 //! Live runtime introspection: the status report.
 //!
 //! A status report is a process-wide view of the runtime *right now* — per-
-//! place run states (alive/dead, queued activities, mailbox depth, parks,
-//! coalescer buffering, finish proxies, dense buffering), every
+//! place run states (alive/dead, queued activities, mailbox depth, outgoing
+//! lanes and their slot memory, parks, coalescer buffering, finish proxies,
+//! dense buffering), every
 //! in-flight finish root with its protocol kind and liveness progress
 //! counter, the finish residue, and the full name-sorted metrics dump
 //! (which carries the mailbox ring-overflow, GLB steal/lifeline, and arena
@@ -56,6 +57,10 @@ struct PlaceStatus {
     dead: bool,
     queue: usize,
     mailbox: usize,
+    /// Outgoing mailbox lanes and the KiB of ring slots they hold, walked
+    /// from the transport on demand.
+    lanes: usize,
+    lane_kib: usize,
     parks: u64,
     probing: usize,
     coalesced_bytes: u64,
@@ -99,11 +104,14 @@ fn collect(g: &Global) -> Vec<PlaceStatus> {
                 .values()
                 .map(|r| (r.kind.label(), r.id.seq, r.progress_events(), r.is_done()))
                 .collect();
+            let (lanes, lane_bytes) = g.transport.lane_footprint(p.id);
             PlaceStatus {
                 place: p.id.0,
                 dead: dead.contains(&p.id),
                 queue: p.queued_total(),
                 mailbox: g.transport.queue_len(p.id),
+                lanes,
+                lane_kib: lane_bytes.div_ceil(1024),
                 parks: p.parks.load(Ordering::Relaxed),
                 probing: p.probing.load(Ordering::Relaxed),
                 coalesced_bytes: p.coalesced_bytes.load(Ordering::Relaxed),
@@ -148,12 +156,14 @@ pub(crate) fn report_text(g: &Global) -> String {
         }
         let _ = writeln!(
             s,
-            "place {}: {}  queue {}  mailbox {}  parks {}  \
+            "place {}: {}  queue {}  mailbox {}  lanes {}  lane_kib {}  parks {}  \
              probing {}  coalesced_bytes {}  backup_roots {}  proxies {}  dense_pending {}",
             ps.place,
             if ps.dead { "DEAD" } else { "alive" },
             ps.queue,
             ps.mailbox,
+            ps.lanes,
+            ps.lane_kib,
             ps.parks,
             ps.probing,
             ps.coalesced_bytes,
@@ -225,13 +235,15 @@ pub(crate) fn report_json(g: &Global) -> String {
         let _ = write!(
             s,
             "{{\"place\": {}, \"dead\": {}, \"queue\": {}, \"mailbox\": {}, \
-             \"parks\": {}, \"probing\": {}, \
+             \"lanes\": {}, \"lane_kib\": {}, \"parks\": {}, \"probing\": {}, \
              \"coalesced_bytes\": {}, \"backup_roots\": {}, \"proxies\": {}, \
              \"dense_pending\": {}, \"roots\": [",
             ps.place,
             ps.dead,
             ps.queue,
             ps.mailbox,
+            ps.lanes,
+            ps.lane_kib,
             ps.parks,
             ps.probing,
             ps.coalesced_bytes,

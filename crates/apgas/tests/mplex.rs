@@ -176,6 +176,44 @@ fn watchdog_attributes_stall_to_the_right_place() {
     );
 }
 
+/// An idle executor must sleep, and so resweep, while another executor
+/// runs a context that a delivery has re-marked runnable. Place 1 spins on
+/// one executor; place 2's reply lands in its mailbox mid-spin; place 3
+/// waits 20 ms on a timed condition that only a resweep re-polls. An idle
+/// executor that counted the claimed place 1 as runnable never slept, so
+/// the wait lasted as long as the spin.
+#[test]
+fn timed_wait_is_repolled_while_a_reached_place_spins() {
+    const SPIN: Duration = Duration::from_secs(2);
+    let rt = Runtime::new(Config::new(4).executor_threads(2));
+    let waited = rt.run(|ctx| {
+        let done = Arc::new(AtomicBool::new(false));
+        let waited = Arc::new(Mutex::new(Duration::ZERO));
+        let (d1, d3, w) = (done.clone(), done.clone(), waited.clone());
+        ctx.finish(move |c| {
+            c.at_async(PlaceId(1), move |c1| {
+                c1.at_async(PlaceId(2), |c2| c2.at_async(PlaceId(1), |_| {}));
+                let spun = Instant::now();
+                while !d1.load(Ordering::Acquire) && spun.elapsed() < SPIN {
+                    std::hint::spin_loop();
+                }
+            });
+            c.at_async(PlaceId(3), move |c3| {
+                let start = Instant::now();
+                c3.wait_until(|| start.elapsed() >= Duration::from_millis(20));
+                *w.lock().unwrap() = start.elapsed();
+                d3.store(true, Ordering::Release);
+            });
+        });
+        let v = *waited.lock().unwrap();
+        v
+    });
+    assert!(
+        waited < Duration::from_millis(500),
+        "a 20 ms timed wait took {waited:?} while another place spun"
+    );
+}
+
 /// The M:N runtime is reusable across `run` calls like the threaded one.
 #[test]
 fn runtime_is_reusable_across_runs() {

@@ -169,6 +169,10 @@ fn watchdog_trip_dumps_a_status_report() {
         "report must carry the introspection dump:\n{report}"
     );
     assert!(
+        report.contains("lanes 1  lane_kib 1"),
+        "report must show each place's lane memory:\n{report}"
+    );
+    assert!(
         report.contains("finish.watchdog_fired"),
         "report must carry the metrics dump:\n{report}"
     );
@@ -187,10 +191,9 @@ fn watchdog_trip_dumps_a_status_report() {
                 .find(|p| p.get("place").and_then(|x| x.as_u64()) == Some(2))
         })
         .unwrap_or_else(|| panic!("the dead place must be listed: {json}"));
-    assert!(
-        victim.get("proxies").and_then(|x| x.as_u64()).is_some(),
-        "{json}"
-    );
+    for key in ["proxies", "lanes", "lane_kib"] {
+        assert!(victim.get(key).and_then(|x| x.as_u64()).is_some(), "{json}");
+    }
     assert!(
         victim
             .get("dense_pending")

@@ -76,11 +76,12 @@ pub const MAILBOX_DRAIN_DEPTH: &str = "mailbox.drain_depth";
 /// overflow bucket is added past the last bound).
 pub const MAILBOX_DRAIN_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128, 256];
 
-/// Counter: sends diverted to a mailbox lane's overflow side-queue because
-/// the SPSC ring was full or still draining a previous overflow (unit:
-/// envelopes; sharded by sender). Incremented in `x10rt`'s
-/// `LocalTransport`. A workload living in overflow needs a larger ring
-/// capacity (`LocalTransport::with_ring_capacity`).
+/// Counter: sends that found their mailbox lane's newest slot array full
+/// and grew the SPSC ring by linking an array twice the size (unit:
+/// growths; sharded by sender). Incremented in `x10rt`'s `LocalTransport`.
+/// The name predates growth, when it counted sends diverted to an
+/// overflow side-queue. A lane grows once per doubling, so a steady count
+/// means new lanes bursting, not a lane living in a slow path.
 pub const MAILBOX_RING_OVERFLOW: &str = "mailbox.ring_overflow";
 
 /// Counter: mailbox lanes materialized — (sender, receiver) SPSC channels

@@ -711,6 +711,10 @@ impl Transport for FaultTransport {
         self.inner.queue_len(place)
     }
 
+    fn lane_footprint(&self, from: PlaceId) -> (usize, usize) {
+        self.inner.lane_footprint(from)
+    }
+
     fn kill_place(&self, place: PlaceId) {
         self.kill(place)
     }

@@ -10,9 +10,8 @@
 //! This crate provides:
 //!
 //! * [`transport::Transport`] — the point-to-point API, with the in-process
-//!   [`transport::LocalTransport`] back-end: one lock-free SPSC [`ring`]
-//!   lane per (sender, receiver) pair with an overflow side-queue,
-//!   preserving per-sender FIFO — exactly the guarantee PAMI gives and the
+//!   [`transport::LocalTransport`] back-end: one growable lock-free SPSC
+//!   [`ring`] lane per (sender, receiver) pair, preserving per-sender FIFO — exactly the guarantee PAMI gives and the
 //!   guarantee the finish protocols rely on;
 //! * [`arena::EnvelopeArena`] — freelist recycling of coalescer batch
 //!   buffers, making the steady-state send path allocation-free;

@@ -1,18 +1,25 @@
-//! Bounded lock-free SPSC rings — the mailbox fast path.
+//! Growable lock-free SPSC rings — the mailbox fast path.
 //!
-//! [`SpscRing`] is a Lamport single-producer/single-consumer ring over a
-//! power-of-two slot array, with the two classic refinements that make it
-//! cheap at message-storm rates:
+//! [`SpscRing`] is a Lamport single-producer/single-consumer ring over
+//! power-of-two slot arrays, with the refinements that make it cheap at
+//! message-storm rates and at large place counts:
 //!
 //! * **Cached opposite indices.** The producer keeps a relaxed snapshot of
 //!   the consumer's `head` and only re-reads the shared index when the
-//!   snapshot says the ring *might* be full (and symmetrically for the
+//!   snapshot says the array *might* be full (and symmetrically for the
 //!   consumer's snapshot of `tail`). In steady state a push is one relaxed
 //!   load, one slot write and one release store — no read-modify-write, no
 //!   shared-line ping-pong beyond the slot itself.
-//! * **Lazy slot allocation.** The slot array is allocated on first push
-//!   (via [`std::sync::OnceLock`]), so a ring that never carries a message
-//!   costs a header, not a buffer.
+//! * **Growth.** A ring starts with one small slot array, allocated in
+//!   [`SpscRing::new`]. A push that finds the newest array full allocates
+//!   one twice the size, links it behind the full one and writes there from
+//!   then on; the consumer drains the old array up to the link, follows it
+//!   and frees the old array. Indices count items since the ring was made,
+//!   so item `i` sits in slot `i & mask` of whichever array holds it, and
+//!   FIFO holds by construction. A push never fails, never blocks and
+//!   never drops, and a ring costs what it carries: one that never backs up
+//!   keeps its first array for life, and a burst pays one allocation per
+//!   doubling.
 //!
 //! # Multi-producer reality
 //!
@@ -32,66 +39,101 @@
 //!
 //! Publication is the textbook pair: the producer writes the slot, then
 //! stores `tail` with `Release`; the consumer loads `tail` with `Acquire`
-//! before reading the slot. The *wakeup* handshake layered on top is the
-//! transport's job (an `AcqRel` swap chain on a per-destination flag — see
-//! `transport.rs`, which owns that protocol); the ring itself only promises
-//! FIFO and visibility.
+//! before reading the slot. A link is stored (`Release`) before the tail
+//! store that publishes its first item, so a consumer that sees that item
+//! sees the link; and the producer never touches an array again after
+//! linking its successor, so the consumer's `Acquire` load of the link
+//! orders every producer access before the free. The *wakeup* handshake
+//! layered on top is the transport's job (an `AcqRel` swap chain on a
+//! per-destination flag — see `transport.rs`, which owns that protocol);
+//! the ring itself only promises FIFO and visibility.
 
 use std::cell::UnsafeCell;
+use std::convert::Infallible;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::ptr;
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 
-/// Default per-(sender, receiver) ring capacity, in envelopes. Power of two.
-/// Sized so a full coalescer quantum (64-message batches, 256-envelope
-/// drains) fits without touching the overflow side-queue.
-pub const DEFAULT_RING_CAPACITY: usize = 256;
+/// Size of a mailbox lane's first slot array, in envelopes. Power of two.
+/// Most lanes never hold more than a few envelopes at once; one that backs
+/// up grows (see the module docs), so this is what an idle pair costs, not
+/// a ceiling.
+pub const DEFAULT_RING_CAPACITY: usize = 16;
 
 /// One slot of the ring. The atomics around it (tail/head) decide whether
 /// the `MaybeUninit` is live.
-struct Slot<T>(UnsafeCell<MaybeUninit<T>>);
+type Slot<T> = UnsafeCell<MaybeUninit<T>>;
+
+/// One slot array and the link to the array written after it filled.
+struct Block<T> {
+    slots: Box<[Slot<T>]>,
+    /// Index of the first item written here.
+    start: usize,
+    /// The next (twice larger) array; null while this one is the newest.
+    next: AtomicPtr<Block<T>>,
+}
+
+impl<T> Block<T> {
+    fn alloc(len: usize, start: usize) -> *mut Block<T> {
+        let slots = (0..len).map(|_| UnsafeCell::new(MaybeUninit::uninit()));
+        let next = AtomicPtr::new(ptr::null_mut());
+        Box::into_raw(Box::new(Block {
+            slots: slots.collect(),
+            start,
+            next,
+        }))
+    }
+
+    #[inline]
+    fn slot(&self, index: usize) -> *mut MaybeUninit<T> {
+        self.slots[index & (self.slots.len() - 1)].get()
+    }
+}
 
 /// Producer-owned hot state, on its own cache line so producer stores never
 /// invalidate the consumer's line (and vice versa).
 #[repr(align(64))]
-struct ProdSide {
-    /// Next slot to write. Written only by the producer (under its guard).
+struct ProdSide<T> {
+    /// Next index to write. Written only by the producer (under its guard).
     tail: AtomicUsize,
-    /// Producer's snapshot of `head`; refreshed only when the ring looks
+    /// Producer's snapshot of `head`; refreshed only when the array looks
     /// full. Relaxed — it is a private cache, never a synchronization edge.
     cached_head: AtomicUsize,
+    /// The newest array. Relaxed: read and replaced under the guard only.
+    block: AtomicPtr<Block<T>>,
     /// Producer spin guard (see module docs).
     guard: AtomicBool,
 }
 
 /// Consumer-owned hot state, cache-line isolated like [`ProdSide`].
 #[repr(align(64))]
-struct ConsSide {
-    /// Next slot to read. Written only by the consumer (under its guard).
+struct ConsSide<T> {
+    /// Next index to read. Written only by the consumer (under its guard).
     head: AtomicUsize,
     /// Consumer's snapshot of `tail`; refreshed only when the ring looks
     /// empty.
     cached_tail: AtomicUsize,
+    /// The oldest live array. Relaxed: read and replaced under the guard
+    /// only.
+    block: AtomicPtr<Block<T>>,
     /// Consumer spin guard.
     guard: AtomicBool,
 }
 
-/// A bounded lock-free single-producer/single-consumer ring (with spin
+/// A growable lock-free single-producer/single-consumer ring (with spin
 /// guards degrading gracefully under accidental multi-producer use — see
-/// the module docs). `push` fails (returning the value) when full; it never
-/// blocks and never drops.
+/// the module docs).
 pub struct SpscRing<T> {
-    prod: ProdSide,
-    cons: ConsSide,
-    /// Slot array, allocated on first push.
-    slots: OnceLock<Box<[Slot<T>]>>,
-    /// Capacity (power of two); `mask == capacity - 1`.
-    mask: usize,
+    prod: ProdSide<T>,
+    cons: ConsSide<T>,
+    /// Slots across the live arrays: grows on a link, shrinks on a free.
+    slots: AtomicUsize,
 }
 
-// SAFETY: the slot array is only accessed through the head/tail protocol
+// SAFETY: the slot arrays are only accessed through the head/tail protocol
 // (each index is advanced only after its side's read/write completes, with
-// Release/Acquire pairing), and each side is serialized by its spin guard.
+// Release/Acquire pairing), each side is serialized by its spin guard, and
+// an array is freed only by the consumer, after the producer has left it.
 unsafe impl<T: Send> Send for SpscRing<T> {}
 unsafe impl<T: Send> Sync for SpscRing<T> {}
 
@@ -119,30 +161,32 @@ impl Drop for SpinToken<'_> {
 }
 
 impl<T> SpscRing<T> {
-    /// A ring holding up to `capacity` items (rounded up to a power of two,
-    /// minimum 2). The slot array is not allocated until the first push.
+    /// A ring whose first slot array holds `capacity` items (rounded up to
+    /// a power of two, minimum 2).
     pub fn new(capacity: usize) -> Self {
-        let cap = capacity.next_power_of_two().max(2);
+        let len = capacity.next_power_of_two().max(2);
+        let first = Block::alloc(len, 0);
         SpscRing {
             prod: ProdSide {
                 tail: AtomicUsize::new(0),
                 cached_head: AtomicUsize::new(0),
+                block: AtomicPtr::new(first),
                 guard: AtomicBool::new(false),
             },
             cons: ConsSide {
                 head: AtomicUsize::new(0),
                 cached_tail: AtomicUsize::new(0),
+                block: AtomicPtr::new(first),
                 guard: AtomicBool::new(false),
             },
-            slots: OnceLock::new(),
-            mask: cap - 1,
+            slots: AtomicUsize::new(len),
         }
     }
 
-    /// Ring capacity in items.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.mask + 1
+    /// Bytes of slot storage the ring holds right now, across every array
+    /// not yet drained (approximate under concurrency).
+    pub fn slot_bytes(&self) -> usize {
+        self.slots.load(Ordering::Relaxed) * std::mem::size_of::<Slot<T>>()
     }
 
     /// Items currently in the ring (approximate under concurrency).
@@ -159,38 +203,42 @@ impl<T> SpscRing<T> {
         self.len() == 0
     }
 
+    /// Push one item, growing the ring when the newest array is full.
+    /// Returns whether this push grew it; it never fails.
     #[inline]
-    fn slots(&self) -> &[Slot<T>] {
-        self.slots.get_or_init(|| {
-            (0..self.mask + 1)
-                .map(|_| Slot(UnsafeCell::new(MaybeUninit::uninit())))
-                .collect()
-        })
-    }
-
-    /// Push one item. `Err(value)` means the ring is full — the caller
-    /// routes the item to its overflow path; nothing blocks, nothing drops.
-    #[inline]
-    pub fn push(&self, value: T) -> Result<(), T> {
+    pub fn push(&self, value: T) -> Result<bool, Infallible> {
         let _guard = spin_lock(&self.prod.guard);
         let tail = self.prod.tail.load(Ordering::Relaxed);
-        let mut head = self.prod.cached_head.load(Ordering::Relaxed);
-        if tail.wrapping_sub(head) >= self.capacity() {
-            head = self.cons.head.load(Ordering::Acquire);
+        // SAFETY: the newest array is never freed (see `pop_exclusive`).
+        let mut block = unsafe { &*self.prod.block.load(Ordering::Relaxed) };
+        let (len, start) = (block.slots.len(), block.start);
+        // Items in the newest array: those since `head` or since the array
+        // began, whichever is later.
+        let used = |head: usize| tail.wrapping_sub(head).min(tail.wrapping_sub(start));
+        let mut grew = false;
+        if used(self.prod.cached_head.load(Ordering::Relaxed)) >= len {
+            let head = self.cons.head.load(Ordering::Acquire);
             self.prod.cached_head.store(head, Ordering::Relaxed);
-            if tail.wrapping_sub(head) >= self.capacity() {
-                return Err(value);
+            if used(head) >= len {
+                let next = Block::alloc(2 * len, tail);
+                self.slots.fetch_add(2 * len, Ordering::Relaxed);
+                // Once linked, the full array is the consumer's to free, so
+                // it is not touched again.
+                block.next.store(next, Ordering::Release);
+                self.prod.block.store(next, Ordering::Relaxed);
+                // SAFETY: just allocated, and now the newest array.
+                block = unsafe { &*next };
+                grew = true;
             }
         }
-        let slot = &self.slots()[tail & self.mask];
-        // SAFETY: `tail - head < capacity`, so this slot is not live; the
-        // producer guard serializes writers; the consumer will only read it
-        // after the Release store below.
-        unsafe { (*slot.0.get()).write(value) };
+        // SAFETY: fewer than `len` items of this array are live, so slot
+        // `tail` is free; the producer guard serializes writers; the
+        // consumer reads it only after the Release store below.
+        unsafe { (*block.slot(tail)).write(value) };
         self.prod
             .tail
             .store(tail.wrapping_add(1), Ordering::Release);
-        Ok(())
+        Ok(grew)
     }
 
     /// Pop one item, or `None` when empty.
@@ -204,22 +252,16 @@ impl<T> SpscRing<T> {
     /// Pop up to `max` items into `out`, acquiring the consumer guard once.
     /// Returns how many were appended.
     pub fn pop_many(&self, max: usize, out: &mut Vec<T>) -> usize {
-        if max == 0 {
-            return 0;
-        }
         let _guard = spin_lock(&self.cons.guard);
-        let mut n = 0;
+        let before = out.len();
         // SAFETY: the consumer guard is held for the whole drain.
-        while n < max {
-            match unsafe { self.pop_exclusive() } {
-                Some(v) => {
-                    out.push(v);
-                    n += 1;
-                }
-                None => break,
-            }
+        while out.len() - before < max {
+            let Some(v) = (unsafe { self.pop_exclusive() }) else {
+                break;
+            };
+            out.push(v);
         }
-        n
+        out.len() - before
     }
 
     /// Pop with the consumer side exclusively owned.
@@ -238,12 +280,23 @@ impl<T> SpscRing<T> {
                 return None;
             }
         }
-        let slots = self.slots.get()?; // never pushed → empty
-        let slot = &slots[head & self.mask];
+        let mut block = self.cons.block.load(Ordering::Relaxed);
+        // SAFETY: the consumer's array is live until the consumer frees it.
+        // Item `head` is published, so a link stored before it is visible.
+        let next = unsafe { &*block }.next.load(Ordering::Acquire);
+        if !next.is_null() && unsafe { &*next }.start == head {
+            // Every item before the link has been read: free the drained
+            // array (the producer left it when it linked `next`).
+            let old = unsafe { Box::from_raw(block) };
+            self.slots.fetch_sub(old.slots.len(), Ordering::Relaxed);
+            drop(old);
+            self.cons.block.store(next, Ordering::Relaxed);
+            block = next;
+        }
         // SAFETY: `head < tail`, so the slot was written and published by
         // the producer's Release store, which our Acquire load of `tail`
         // synchronized with; advancing `head` below releases it back.
-        let value = unsafe { (*slot.0.get()).assume_init_read() };
+        let value = unsafe { (*(*block).slot(head)).assume_init_read() };
         self.cons
             .head
             .store(head.wrapping_add(1), Ordering::Release);
@@ -256,6 +309,12 @@ impl<T> Drop for SpscRing<T> {
         // `&mut self`: no concurrent access — drain and drop what remains.
         // SAFETY: exclusive access makes us the sole consumer.
         while unsafe { self.pop_exclusive() }.is_some() {}
+        // Drained, the consumer's array is the newest: every linked array
+        // holds at least the item whose push linked it.
+        let last = self.cons.block.load(Ordering::Relaxed);
+        debug_assert_eq!(last, self.prod.block.load(Ordering::Relaxed));
+        // SAFETY: allocated by `Block::alloc` and referenced nowhere else.
+        drop(unsafe { Box::from_raw(last) });
     }
 }
 
@@ -273,7 +332,7 @@ mod tests {
         for lap in 0..50 {
             let burst = 1 + (lap % 8);
             for _ in 0..burst {
-                r.push(next_push).unwrap();
+                assert_eq!(r.push(next_push), Ok(false), "fits: must not grow");
                 next_push += 1;
             }
             for _ in 0..burst {
@@ -286,30 +345,36 @@ mod tests {
     }
 
     #[test]
-    fn full_ring_rejects_without_losing_the_value() {
-        let r = SpscRing::new(4);
-        for i in 0..4 {
-            r.push(i).unwrap();
+    fn full_array_grows_and_frees_it_once_drained() {
+        let r = SpscRing::<u64>::new(4);
+        for i in 0..10 {
+            assert_eq!(r.push(i), Ok(i == 4), "only push 4 links an array of 8");
         }
-        assert_eq!(r.push(99), Err(99));
-        assert_eq!(r.len(), 4);
-        assert_eq!(r.pop(), Some(0));
-        r.push(99).unwrap(); // space reclaimed
-        for want in [1, 2, 3, 99] {
+        assert_eq!(r.len(), 10);
+        assert_eq!(r.slot_bytes(), (4 + 8) * 8);
+        for want in 0..4 {
             assert_eq!(r.pop(), Some(want));
         }
+        // The first array is freed when the item past the link is read.
+        assert_eq!(r.slot_bytes(), (4 + 8) * 8);
+        assert_eq!(r.pop(), Some(4));
+        assert_eq!(r.slot_bytes(), 8 * 8);
+        for want in 5..10 {
+            assert_eq!(r.pop(), Some(want));
+        }
+        assert_eq!(r.pop(), None);
     }
 
     #[test]
-    fn capacity_rounds_to_power_of_two() {
-        assert_eq!(SpscRing::<u8>::new(1).capacity(), 2);
-        assert_eq!(SpscRing::<u8>::new(5).capacity(), 8);
-        assert_eq!(SpscRing::<u8>::new(256).capacity(), 256);
+    fn first_array_rounds_to_power_of_two() {
+        assert_eq!(SpscRing::<u8>::new(1).slot_bytes(), 2);
+        assert_eq!(SpscRing::<u8>::new(5).slot_bytes(), 8);
+        assert_eq!(SpscRing::<u8>::new(256).slot_bytes(), 256);
     }
 
     #[test]
-    fn pop_many_drains_in_order() {
-        let r = SpscRing::new(16);
+    fn pop_many_drains_in_order_across_links() {
+        let r = SpscRing::<u64>::new(2);
         for i in 0..10 {
             r.push(i).unwrap();
         }
@@ -318,37 +383,31 @@ mod tests {
         assert_eq!(r.pop_many(100, &mut out), 6);
         assert_eq!(r.pop_many(100, &mut out), 0);
         assert_eq!(out, (0..10).collect::<Vec<_>>());
+        assert_eq!(r.slot_bytes(), 8 * 8, "only the newest array is left");
     }
 
     #[test]
-    fn drop_releases_unconsumed_items() {
+    fn drop_releases_unconsumed_items_and_every_array() {
         let item = Arc::new(());
-        let r = SpscRing::new(8);
-        for _ in 0..5 {
+        let r = SpscRing::new(2);
+        for _ in 0..9 {
             r.push(item.clone()).unwrap();
         }
-        assert_eq!(Arc::strong_count(&item), 6);
+        assert_eq!(r.pop().map(|_| ()), Some(()));
+        assert_eq!(Arc::strong_count(&item), 9);
         drop(r);
         assert_eq!(Arc::strong_count(&item), 1);
     }
 
     #[test]
     fn concurrent_producer_consumer_conserves_and_orders() {
-        let r = Arc::new(SpscRing::new(32));
+        let r = Arc::new(SpscRing::new(4));
         const N: u64 = 100_000;
         let p = {
             let r = r.clone();
             std::thread::spawn(move || {
-                let mut backoff = 0u32;
                 for i in 0..N {
-                    let mut v = i;
-                    while let Err(back) = r.push(v) {
-                        v = back;
-                        backoff = backoff.wrapping_add(1);
-                        if backoff.is_multiple_of(64) {
-                            std::thread::yield_now();
-                        }
-                    }
+                    r.push(i).unwrap();
                 }
             })
         };

@@ -59,7 +59,8 @@ struct Shard {
     envelopes: AtomicU64,
     /// Physical wire bytes handed to the transport.
     env_bytes: AtomicU64,
-    /// Envelopes diverted to a mailbox lane's overflow side-queue.
+    /// Pushes that found a mailbox lane's newest slot array full and grew
+    /// its ring.
     ring_overflows: AtomicU64,
 }
 
@@ -152,8 +153,8 @@ impl NetStats {
         shard.env_bytes.fetch_add(nbytes as u64, Ordering::Relaxed);
     }
 
-    /// Record one envelope diverted to an overflow side-queue because its
-    /// mailbox ring was full (or still draining a previous overflow).
+    /// Record one push that found its mailbox lane's newest slot array full
+    /// and grew the ring (the name predates growth: it was an overflow).
     #[inline]
     pub fn record_ring_overflow(&self, from: u32) {
         self.shard(from)
@@ -208,9 +209,9 @@ impl NetStats {
             .sum()
     }
 
-    /// Total envelopes that took the overflow side-queue instead of their
-    /// lane's ring. Zero in a well-sized configuration; growth means the
-    /// bounded rings are too small for the traffic bursts.
+    /// Total mailbox ring growths (one per doubling of a lane's slot array).
+    /// Zero while every lane keeps up within its first array; a few per
+    /// lane mean bursts, and each costs one allocation.
     pub fn total_ring_overflows(&self) -> u64 {
         self.shards
             .iter()

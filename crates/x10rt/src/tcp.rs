@@ -165,7 +165,7 @@ impl From<std::io::Error> for TcpError {
 /// Outgoing bytes for one peer connection: an unbounded frame queue drained
 /// by a dedicated writer thread, so `Transport::send` never blocks on the
 /// socket (the transport contract) — backpressure shows up as queue memory,
-/// as it does for the in-process overflow side-queues.
+/// as it does for the in-process lanes' ring growth.
 struct OutQueue {
     frames: Mutex<VecDeque<Vec<u8>>>,
     ready: Condvar,
@@ -802,6 +802,10 @@ impl Transport for TcpTransport {
 
     fn queue_len(&self, place: PlaceId) -> usize {
         self.core.inner.queue_len(place)
+    }
+
+    fn lane_footprint(&self, from: PlaceId) -> (usize, usize) {
+        self.core.inner.lane_footprint(from)
     }
 
     fn kill_place(&self, place: PlaceId) {

@@ -9,9 +9,9 @@
 //! # Lanes
 //!
 //! [`LocalTransport`] realizes the API with one *lane* per (sender,
-//! destination) pair: a bounded lock-free SPSC ring (see [`crate::ring`])
-//! backed by an overflow side-queue. The hot send path is a ring push — no
-//! allocation — and the receive path bulk-drains whole rings. Per-pair FIFO
+//! destination) pair: a growable lock-free SPSC ring (see [`crate::ring`]).
+//! The hot send path is a ring push — no allocation while the lane keeps
+//! up — and the receive path bulk-drains whole rings. Per-pair FIFO
 //! holds because one sender's messages to one destination all travel the
 //! same lane in program order (this is exactly the PAMI guarantee the finish
 //! protocols rely on; see `apgas::finish::default_proto`). No ordering holds
@@ -24,7 +24,9 @@
 //! finish protocols talk to a home place, GLB to O(log P) lifelines and a
 //! few random victims — so at 4,096 places a run allocates thousands of
 //! lanes, not 16.7 M. The `mailbox.lanes_allocated` metric
-//! ([`LocalTransport::lanes_allocated`]) counts them.
+//! ([`LocalTransport::lanes_allocated`]) counts them, and the status
+//! report shows each place's outgoing lanes and the slot bytes they hold
+//! ([`Transport::lane_footprint`]).
 //!
 //! # Ready list
 //!
@@ -46,19 +48,18 @@
 //! reached back at the head of the list, still queued, and the lane it
 //! stopped in at the tail, so a hot sender cannot starve the others.
 //!
-//! # Overflow side-queue
+//! # Growth
 //!
-//! A full ring must not block the sender (the worker that would drain it may
-//! itself be blocked on this send completing) and must not drop. When a push
-//! finds the ring full, the envelope diverts to the lane's mutex-protected
-//! overflow deque and the lane stays in *overflow mode* — subsequent sends
-//! append to the overflow, never the ring, until the receiver has drained
-//! the overflow empty. That rule is what preserves FIFO: ring items are
-//! always older than overflow items, so the receiver drains ring-then-
-//! overflow. Overflow engagements are counted (`NetStats::
-//! total_ring_overflows`, the `mailbox.ring_overflow` metric); a workload
-//! that lives in overflow mode needs a bigger ring capacity
-//! ([`LocalTransport::with_ring_capacity`]), not a faster mutex.
+//! A full lane must not block the sender (the worker that would drain it may
+//! itself be blocked on this send completing) and must not drop. A lane
+//! starts with a [`DEFAULT_RING_CAPACITY`]-slot array (or the capacity given
+//! to [`LocalTransport::with_ring_capacity`]); a push that finds it full
+//! links an array twice the size behind it, and the receiver frees the old
+//! one once drained. FIFO needs no rule of its own: the ring is one queue
+//! however many arrays it spans. Growths are counted (`NetStats::
+//! total_ring_overflows`, the `mailbox.ring_overflow` metric), so a lane
+//! pays for a burst once per doubling and an idle pair costs one small
+//! array.
 //!
 //! # Waker debouncing
 //!
@@ -279,6 +280,13 @@ pub trait Transport: Send + Sync {
     /// scheduler's pre-park re-check).
     fn queue_len(&self, place: PlaceId) -> usize;
 
+    /// The lanes `from` has opened to other places and the slot bytes they
+    /// hold, computed on demand (status reports). Zero for back-ends without
+    /// per-pair lanes.
+    fn lane_footprint(&self, _from: PlaceId) -> (usize, usize) {
+        (0, 0)
+    }
+
     /// Kill `place`: its mailbox black-holes (pending and future traffic is
     /// destroyed) and subsequent sends to it fail with
     /// [`TransportError::PlaceDead`]. Irreversible. The default is a no-op
@@ -296,41 +304,12 @@ pub trait Transport: Send + Sync {
     }
 }
 
-/// One (sender place, destination place) channel: a lock-free ring plus the
-/// overflow side-queue that catches what the ring cannot hold.
+/// One (sender place, destination place) channel.
 struct Lane {
     ring: SpscRing<Envelope>,
-    /// Overflow side-queue — only touched when the ring fills (or until the
-    /// receiver has drained a previous overflow empty). Deliberately a
-    /// mutex: this is the documented escape hatch, not the fast path.
-    overflow: Mutex<VecDeque<Envelope>>,
-    /// Mirror of the overflow queue length, written under the mutex, so the
-    /// fast path can check "overflow engaged?" with one relaxed-cost load.
-    overflow_len: AtomicUsize,
     /// True while the lane is on its destination's ready list (or taken off
     /// it by a sweep that has not cleared the flag yet). See the module docs.
     queued: AtomicBool,
-}
-
-impl Lane {
-    fn new(ring_capacity: usize) -> Self {
-        Lane {
-            ring: SpscRing::new(ring_capacity),
-            overflow: Mutex::new(VecDeque::new()),
-            overflow_len: AtomicUsize::new(0),
-            queued: AtomicBool::new(false),
-        }
-    }
-
-    /// Messages queued in this lane (approximate under concurrency).
-    fn len(&self) -> usize {
-        self.ring.len() + self.overflow_len.load(Ordering::Acquire)
-    }
-
-    /// Any message queued in this lane?
-    fn is_active(&self) -> bool {
-        !self.ring.is_empty() || self.overflow_len.load(Ordering::Acquire) != 0
-    }
 }
 
 /// Lanes in the order they became ready.
@@ -360,9 +339,9 @@ struct RecvState {
     draining: Mutex<ReadyList>,
 }
 
-/// In-process transport: a lock-free SPSC ring lane per (sender, receiver)
-/// pair, with overflow side-queues, per-destination ready lists, debounced
-/// wakers and bulk sweep drain.
+/// In-process transport: a growable lock-free SPSC ring lane per (sender,
+/// receiver) pair, per-destination ready lists, debounced wakers and bulk
+/// sweep drain.
 pub struct LocalTransport {
     places: usize,
     ring_capacity: usize,
@@ -371,12 +350,11 @@ pub struct LocalTransport {
     recv: Box<[RecvState]>,
     wakers: RwLock<Vec<Option<Waker>>>,
     stats: NetStats,
-    /// Observability mirror of the ring-overflow counter (sharded by
-    /// sender), resolved once at construction.
-    overflow_obs: Option<Counter>,
-    /// Lanes materialized so far, one per pair that has communicated.
-    lanes_allocated: AtomicUsize,
-    /// Observability mirror of `lanes_allocated` (sharded by sender).
+    /// Observability mirror of the ring-growth counter (sharded by sender),
+    /// resolved once at construction.
+    growth_obs: Option<Counter>,
+    /// Observability mirror of [`Self::lanes_allocated`] (sharded by
+    /// sender).
     lanes_obs: Option<Counter>,
 }
 
@@ -387,9 +365,8 @@ impl LocalTransport {
         Self::with_ring_capacity(places, DEFAULT_RING_CAPACITY)
     }
 
-    /// A transport with an explicit per-lane ring capacity (rounded up to a
-    /// power of two). Lanes and their ring buffers are allocated lazily, on
-    /// a pair's first message.
+    /// A transport whose lanes start with `ring_capacity` slots (rounded up
+    /// to a power of two). Lanes are allocated on a pair's first message.
     pub fn with_ring_capacity(places: usize, ring_capacity: usize) -> Self {
         assert!(places > 0);
         let recv = (0..places)
@@ -409,20 +386,19 @@ impl LocalTransport {
             recv,
             wakers: RwLock::new(vec![None; places]),
             stats: NetStats::new(places),
-            overflow_obs: None,
-            lanes_allocated: AtomicUsize::new(0),
+            growth_obs: None,
             lanes_obs: None,
         }
     }
 
-    /// Mirror ring-overflow engagements and lane materializations into the
-    /// shared metrics registry (builder style): resolves the counters once
-    /// so the hot paths stay one relaxed increment.
+    /// Mirror ring growths and lane materializations into the shared
+    /// metrics registry (builder style): resolves the counters once so the
+    /// hot paths stay one relaxed increment.
     pub fn with_obs(mut self, metrics: &MetricsRegistry) -> Self {
-        self.overflow_obs = Some(metrics.counter(obs::names::MAILBOX_RING_OVERFLOW));
+        self.growth_obs = Some(metrics.counter(obs::names::MAILBOX_RING_OVERFLOW));
         let lanes = metrics.counter(obs::names::MAILBOX_LANES_ALLOCATED);
         // Catch up on lanes created before this call.
-        let already = self.lanes_allocated.load(Ordering::Relaxed);
+        let already = self.lanes_allocated();
         if already > 0 {
             lanes.add(0, already as u64);
         }
@@ -430,16 +406,11 @@ impl LocalTransport {
         self
     }
 
-    /// The per-lane ring capacity this transport was built with.
-    pub fn ring_capacity(&self) -> usize {
-        self.ring_capacity
-    }
-
     /// How many (sender, receiver) lanes are backed by storage: one per
     /// pair that has communicated — the number the
-    /// `mailbox.lanes_allocated` metric mirrors.
+    /// `mailbox.lanes_allocated` metric mirrors. Walks every sender's row.
     pub fn lanes_allocated(&self) -> usize {
-        self.lanes_allocated.load(Ordering::Relaxed)
+        self.lanes.iter().map(|row| row.read().len()).sum()
     }
 
     /// Run `f` on the lane for `(from, to)`, materializing it on first
@@ -453,11 +424,13 @@ impl LocalTransport {
         }
         let mut row = row.write();
         let lane = row.entry(to).or_insert_with(|| {
-            self.lanes_allocated.fetch_add(1, Ordering::Relaxed);
             if let Some(c) = &self.lanes_obs {
                 c.inc(from as u32);
             }
-            Arc::new(Lane::new(self.ring_capacity))
+            Arc::new(Lane {
+                ring: SpscRing::new(self.ring_capacity),
+                queued: AtomicBool::new(false),
+            })
         });
         f(lane)
     }
@@ -473,21 +446,19 @@ impl LocalTransport {
         }
     }
 
-    /// Enqueue `env` on its lane: ring fast path, overflow side-queue when
-    /// the ring is full *or* a previous overflow has not drained yet (the
-    /// rule that keeps ring items strictly older than overflow items, hence
-    /// per-pair FIFO). Then queue the lane on the destination's ready list
-    /// if this push won the `queued` edge. Returns whether it did — the
-    /// caller then owes the destination a wake.
+    /// Enqueue `env` on its lane's ring (counting a growth), then queue the
+    /// lane on the destination's ready list if this push won the `queued`
+    /// edge. Returns whether it did — the caller then owes the destination
+    /// a wake.
     fn push_lane(&self, env: Envelope) -> bool {
-        let to = env.to.index();
+        let (from, to) = (env.from.0, env.to.index());
         self.with_lane(env.from.index(), env.to.0, |lane| {
-            if lane.overflow_len.load(Ordering::Acquire) == 0 {
-                if let Err(env) = lane.ring.push(env) {
-                    self.push_overflow(lane, env);
+            let Ok(grew) = lane.ring.push(env);
+            if grew {
+                self.stats.record_ring_overflow(from);
+                if let Some(c) = &self.growth_obs {
+                    c.inc(from);
                 }
-            } else {
-                self.push_overflow(lane, env);
             }
             if lane.queued.swap(true, Ordering::AcqRel) {
                 return false;
@@ -498,19 +469,6 @@ impl LocalTransport {
             rs.ready_len.store(ready.len(), Ordering::Release);
             true
         })
-    }
-
-    fn push_overflow(&self, lane: &Lane, env: Envelope) {
-        let from = env.from.0;
-        {
-            let mut q = lane.overflow.lock();
-            q.push_back(env);
-            lane.overflow_len.store(q.len(), Ordering::Release);
-        }
-        self.stats.record_ring_overflow(from);
-        if let Some(c) = &self.overflow_obs {
-            c.inc(from);
-        }
     }
 
     /// Fire `to`'s waker on the false→true edge of its debounce flag. The
@@ -524,46 +482,6 @@ impl LocalTransport {
             let waker = self.wakers.read()[to].clone();
             if let Some(w) = waker {
                 w();
-            }
-        }
-    }
-
-    /// Drain one lane FIFO-correctly: ring first (strictly older), then the
-    /// overflow, then the ring again (items pushed after the overflow
-    /// emptied). Returns how many envelopes were appended (≤ `budget`).
-    ///
-    /// Ordering subtlety: the first `pop_many` may run against a *stale*
-    /// view of the ring (the producer's tail store not yet observed) while
-    /// the `overflow_len` load — which synchronizes with the producer's
-    /// *later* overflow push — succeeds. Draining the overflow on that
-    /// stale view would deliver newer items ahead of older ring items, so
-    /// after every non-zero `overflow_len` observation the ring is drained
-    /// *again* first: the Acquire load made every earlier ring push
-    /// visible.
-    fn drain_lane(&self, lane: &Lane, budget: usize, out: &mut Vec<Envelope>) -> usize {
-        let mut n = lane.ring.pop_many(budget, out);
-        loop {
-            if n >= budget || lane.overflow_len.load(Ordering::Acquire) == 0 {
-                return n;
-            }
-            // Ring items are strictly older than overflow items (producers
-            // divert only on full-or-diverting) — and the Acquire above is
-            // what guarantees we can actually see all of them. Ring first.
-            let more = lane.ring.pop_many(budget - n, out);
-            n += more;
-            if n >= budget {
-                return n;
-            }
-            let drained = {
-                let mut q = lane.overflow.lock();
-                let k = (budget - n).min(q.len());
-                out.extend(q.drain(..k));
-                lane.overflow_len.store(q.len(), Ordering::Release);
-                k
-            };
-            n += drained;
-            if drained == 0 && more == 0 {
-                return n;
             }
         }
     }
@@ -594,7 +512,7 @@ impl LocalTransport {
             // Clear before draining: a push that misses this drain re-queues
             // the lane itself (module docs).
             lane.queued.swap(false, Ordering::AcqRel);
-            total += self.drain_lane(&lane, budget - total, out);
+            total += lane.ring.pop_many(budget - total, out);
             if total >= budget {
                 // Out of budget. The lanes not reached keep their place
                 // ahead of anything queued meanwhile; the lane cut short is
@@ -602,7 +520,7 @@ impl LocalTransport {
                 let mut ready = rs.ready.lock();
                 batch.append(&mut ready);
                 std::mem::swap(&mut *ready, &mut *batch);
-                if lane.is_active() && !lane.queued.swap(true, Ordering::AcqRel) {
+                if !lane.ring.is_empty() && !lane.queued.swap(true, Ordering::AcqRel) {
                     if resume {
                         ready.push_front(lane);
                     } else {
@@ -735,7 +653,13 @@ impl Transport for LocalTransport {
         if rs.closed.load(Ordering::Acquire) {
             return 0;
         }
-        rs.ready.lock().iter().map(|lane| lane.len()).sum()
+        rs.ready.lock().iter().map(|lane| lane.ring.len()).sum()
+    }
+
+    fn lane_footprint(&self, from: PlaceId) -> (usize, usize) {
+        let row = self.lanes[from.index()].read();
+        let bytes = row.values().map(|lane| lane.ring.slot_bytes()).sum();
+        (row.len(), bytes)
     }
 
     fn kill_place(&self, place: PlaceId) {
@@ -797,31 +721,42 @@ mod tests {
         }
     }
 
+    const SLOT: usize = std::mem::size_of::<Envelope>();
+
     #[test]
-    fn per_pair_fifo_through_overflow() {
-        // Ring capacity 4: most of the burst lands in the overflow
-        // side-queue, and order must survive the ring → overflow → ring
-        // transitions.
+    fn per_pair_fifo_across_growth() {
+        // A first array of 4: the burst links arrays of 8, 16, 32 and 64,
+        // and order must survive every link.
         let t = LocalTransport::with_ring_capacity(2, 4);
         for i in 0..100u64 {
             t.send(env(0, 1, i)).unwrap();
         }
-        assert!(t.stats().total_ring_overflows() > 0, "overflow must engage");
+        assert_eq!(t.stats().total_ring_overflows(), 4, "one count per growth");
         assert_eq!(t.queue_len(PlaceId(1)), 100);
         for i in 0..100u64 {
             let got = t.try_recv(PlaceId(1)).unwrap();
             assert_eq!(*got.payload.downcast::<u64>().unwrap(), i);
         }
         assert!(t.try_recv(PlaceId(1)).is_none());
+        // Drained, the lane holds only its newest array.
+        assert_eq!(t.lane_footprint(PlaceId(0)), (1, 64 * SLOT));
     }
 
     #[test]
-    fn no_overflow_within_ring_capacity() {
-        let t = LocalTransport::new(2);
-        for i in 0..DEFAULT_RING_CAPACITY as u64 {
-            t.send(env(0, 1, i)).unwrap();
+    fn lane_that_keeps_up_never_grows() {
+        let t = LocalTransport::new(3);
+        let mut out = Vec::new();
+        for burst in 0..4 * DEFAULT_RING_CAPACITY as u64 {
+            for i in 0..burst % (DEFAULT_RING_CAPACITY as u64 + 1) {
+                t.send_batch(vec![env(0, 1, i), env(0, 2, i)]).unwrap();
+            }
+            t.try_recv_batch(PlaceId(1), usize::MAX, &mut out);
+            t.try_recv_batch(PlaceId(2), usize::MAX, &mut out);
         }
         assert_eq!(t.stats().total_ring_overflows(), 0);
+        let held = 2 * DEFAULT_RING_CAPACITY * SLOT;
+        assert_eq!(t.lane_footprint(PlaceId(0)), (2, held));
+        assert_eq!(t.lane_footprint(PlaceId(1)), (0, 0), "place 1 never sent");
     }
 
     #[test]
@@ -1020,14 +955,21 @@ mod tests {
     }
 
     #[test]
-    fn queue_len_counts_ring_and_overflow() {
+    fn queue_len_counts_across_linked_arrays() {
+        // 4 envelopes in the first array, 6 in the linked array of 8.
         let t = LocalTransport::with_ring_capacity(2, 4);
         for i in 0..10u64 {
             t.send(env(0, 1, i)).unwrap();
         }
+        assert_eq!(t.lane_footprint(PlaceId(0)), (1, 12 * SLOT));
         assert_eq!(t.queue_len(PlaceId(1)), 10);
-        assert!(t.try_recv(PlaceId(1)).is_some());
-        assert_eq!(t.queue_len(PlaceId(1)), 9);
+        let mut out = Vec::new();
+        for (take, left) in [(1, 9), (3, 6), (1, 5), (5, 0)] {
+            assert_eq!(t.try_recv_batch(PlaceId(1), take, &mut out), take);
+            assert_eq!(t.queue_len(PlaceId(1)), left);
+        }
+        // The first array was freed when the receiver crossed the link.
+        assert_eq!(t.lane_footprint(PlaceId(0)), (1, 8 * SLOT));
     }
 
     #[test]

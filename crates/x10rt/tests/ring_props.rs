@@ -1,8 +1,9 @@
 //! Property tests of the SPSC-ring mailbox fast path, run at deliberately
-//! tiny ring capacities so wraparound and the overflow side-queue — the
-//! paths a default-sized ring almost never exercises — are hit constantly.
-//! These mirror the invariants `transport_props.rs` checks at the default
-//! capacity: per-pair FIFO, conservation, and waker-debounce liveness.
+//! tiny first arrays so wraparound and growth — linking a larger array and
+//! freeing the drained one, which a lane that keeps up never does — are hit
+//! constantly. These mirror the invariants `transport_props.rs` checks at
+//! the default capacity: per-pair FIFO, conservation, and waker-debounce
+//! liveness.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -20,21 +21,26 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     /// FIFO and conservation survive arbitrary push/pop interleavings across
-    /// many wraparounds of a tiny ring.
+    /// many wraparounds and growths of a tiny ring, and the ring grows
+    /// exactly when a push finds more items queued than its newest array
+    /// holds.
     #[test]
     fn ring_fifo_across_wraparound(
         ops in prop::collection::vec(any::<bool>(), 1..300),
         cap in 1usize..9
     ) {
         let r = SpscRing::new(cap);
+        let mut len = cap.next_power_of_two().max(2) as u64;
         let mut next_push = 0u64;
         let mut next_pop = 0u64;
         for &push in &ops {
             if push {
-                match r.push(next_push) {
-                    Ok(()) => next_push += 1,
-                    Err(v) => prop_assert_eq!(v, next_push, "rejected value mangled"),
+                let Ok(grew) = r.push(next_push);
+                prop_assert!(!grew || next_push - next_pop >= len, "grew with room left");
+                if grew {
+                    len *= 2;
                 }
+                next_push += 1;
             } else {
                 match r.pop() {
                     Some(v) => {
@@ -54,12 +60,11 @@ proptest! {
         prop_assert_eq!(next_pop, next_push);
     }
 
-    /// With rings far smaller than the traffic, most envelopes divert to the
-    /// overflow side-queues — per-pair FIFO and conservation must hold
-    /// across the ring → overflow → ring transitions, for any interleaving
-    /// and any receive chunking.
+    /// With first arrays far smaller than the traffic, lanes grow through
+    /// several linked arrays — per-pair FIFO and conservation must hold
+    /// across every link, for any interleaving and any receive chunking.
     #[test]
-    fn overflow_preserves_per_pair_fifo(
+    fn growth_preserves_per_pair_fifo(
         sends in prop::collection::vec((0u32..4, 0u32..4), 1..200),
         cap in 1usize..5,
         chunk in 1usize..9
@@ -89,27 +94,29 @@ proptest! {
             }
         }
         prop_assert_eq!(total, sends.len());
-        // Bursts longer than ring capacity must have engaged the overflow.
+        // A lane grows exactly when its burst outruns the first array.
         let max_pair = seq.iter().flatten().copied().max().unwrap_or(0);
-        if max_pair > t.ring_capacity() as u64 {
-            prop_assert!(t.stats().total_ring_overflows() > 0);
-        }
+        let first = cap.next_power_of_two().max(2) as u64;
+        prop_assert_eq!(t.stats().total_ring_overflows() > 0, max_pair > first);
     }
 
-    /// Interleaving receives between sends (so lanes oscillate between ring
-    /// mode and overflow mode) never reorders or loses messages.
+    /// Interleaving receives between sends never reorders or loses
+    /// messages, `queue_len` counts across linked arrays, and a lane that
+    /// never backs up past its first array never grows.
     #[test]
-    fn mixed_send_recv_oscillates_overflow_mode(
+    fn mixed_send_recv_grows_only_past_the_first_array(
         steps in prop::collection::vec(any::<bool>(), 1..300),
         cap in 1usize..4
     ) {
         let t = LocalTransport::with_ring_capacity(2, cap);
         let mut pushed = 0u64;
         let mut popped = 0u64;
+        let mut deepest = 0u64;
         for &send in &steps {
             if send {
                 t.send(env(0, 1, pushed)).unwrap();
                 pushed += 1;
+                deepest = deepest.max(pushed - popped);
             } else if let Some(e) = t.try_recv(PlaceId(1)) {
                 prop_assert_eq!(*e.payload.downcast::<u64>().unwrap(), popped);
                 popped += 1;
@@ -121,16 +128,18 @@ proptest! {
             popped += 1;
         }
         prop_assert_eq!(popped, pushed);
+        let first = cap.next_power_of_two().max(2) as u64;
+        prop_assert_eq!(t.stats().total_ring_overflows() > 0, deepest > first);
     }
 }
 
-/// The waker-liveness harness from `transport_props.rs`, re-run over a
-/// 2-slot ring so nearly every send crosses the overflow side-queue: the
-/// empty→non-empty edge, the re-arm race and the overflow handoff all
-/// interleave under 4 producer threads. A lost wakeup fails the 5-second
-/// condvar timeout.
+/// The waker-liveness harness from `transport_props.rs`, re-run over lanes
+/// whose first array has 2 slots: the empty→non-empty edge, the re-arm
+/// race and the receiver crossing links all interleave under 4 producer
+/// threads, each on a lane of its own and one shared by two. A lost wakeup
+/// fails the 5-second condvar timeout.
 #[test]
-fn debounced_waker_survives_constant_overflow() {
+fn debounced_waker_survives_growth() {
     use parking_lot::{Condvar, Mutex};
     use std::time::Duration;
 
@@ -138,7 +147,7 @@ fn debounced_waker_survives_constant_overflow() {
     const PER_SENDER: u64 = 5_000;
     const TOTAL: u64 = SENDERS * PER_SENDER;
 
-    let t = Arc::new(LocalTransport::with_ring_capacity(2, 2));
+    let t = Arc::new(LocalTransport::with_ring_capacity(4, 2));
     let state = Arc::new((Mutex::new(false), Condvar::new()));
 
     let s2 = state.clone();
@@ -155,8 +164,9 @@ fn debounced_waker_survives_constant_overflow() {
         .map(|s| {
             let t = t.clone();
             std::thread::spawn(move || {
+                let from = [0, 2, 3, 3][s as usize];
                 for i in 0..PER_SENDER {
-                    t.send(env(0, 1, (s << 32) | i)).unwrap();
+                    t.send(env(from, 1, (s << 32) | i)).unwrap();
                 }
             })
         })
@@ -185,38 +195,44 @@ fn debounced_waker_survives_constant_overflow() {
     assert_eq!(got, TOTAL);
     assert!(
         t.stats().total_ring_overflows() > 0,
-        "2-slot rings under 4 producers must overflow"
+        "2-slot first arrays under 4 producers must grow"
     );
     for p in producers {
         p.join().unwrap();
     }
 }
 
-/// Concurrent per-pair senders at tiny capacity: each pair's FIFO holds even
-/// while other pairs' lanes overflow and drain concurrently.
+/// The TCP-reader case: two threads push into one lane (a place's worker
+/// and a reader thread delivering for the same sender) while the receiver
+/// drains it concurrently. The receiver holds off until 64 envelopes are
+/// queued, so the 2-slot first array has grown at least five times before
+/// draining starts; each producer's own sequence must arrive in order.
 #[test]
-fn concurrent_pairs_keep_fifo_under_overflow() {
-    let t = Arc::new(LocalTransport::with_ring_capacity(3, 4));
-    const PER_SENDER: u64 = 2_000;
-    let producers: Vec<_> = (0..2u32)
+fn two_producers_keep_fifo_across_growth() {
+    const PER_SENDER: u64 = 20_000;
+    let t = Arc::new(LocalTransport::with_ring_capacity(2, 2));
+    let producers: Vec<_> = (0..2u64)
         .map(|s| {
             let t = t.clone();
             std::thread::spawn(move || {
                 for i in 0..PER_SENDER {
-                    t.send(env(s, 2, ((s as u64) << 32) | i)).unwrap();
+                    t.send(env(0, 1, (s << 32) | i)).unwrap();
                 }
             })
         })
         .collect();
+    while t.queue_len(PlaceId(1)) < 64 {
+        std::hint::spin_loop();
+    }
     let mut next = [0u64; 2];
     let mut got = 0u64;
     let mut out = Vec::new();
     while got < 2 * PER_SENDER {
-        let n = t.try_recv_batch(PlaceId(2), 256, &mut out);
+        let n = t.try_recv_batch(PlaceId(1), 7, &mut out);
         for e in out.drain(..) {
             let tag = *e.payload.downcast::<u64>().unwrap();
             let s = (tag >> 32) as usize;
-            assert_eq!(tag & 0xffff_ffff, next[s], "sender {s} FIFO violated");
+            assert_eq!(tag & 0xffff_ffff, next[s], "producer {s} FIFO violated");
             next[s] += 1;
         }
         got += n as u64;
@@ -228,4 +244,9 @@ fn concurrent_pairs_keep_fifo_under_overflow() {
         p.join().unwrap();
     }
     assert_eq!(next, [PER_SENDER; 2]);
+    assert_eq!(t.queue_len(PlaceId(1)), 0);
+    assert!(
+        t.stats().total_ring_overflows() >= 5,
+        "2 → 64 slots is 5 links"
+    );
 }
