@@ -1,6 +1,33 @@
 //! Runtime configuration.
 
+use crate::ctx::Ctx;
+use std::sync::Arc;
 use std::time::Duration;
+use x10rt::{HandlerId, IntMap};
+
+/// An application command handler: runs with the receiving activity's
+/// [`Ctx`] and the serialized argument bytes the sender passed to
+/// [`Ctx::at_async_cmd`].
+pub type AppHandler = Arc<dyn Fn(&Ctx, &[u8]) + Send + Sync>;
+
+/// Application command handlers keyed by handler id (see
+/// [`Config::handler`]).
+#[derive(Clone, Default)]
+pub(crate) struct Handlers(IntMap<u32, AppHandler>);
+
+impl Handlers {
+    pub(crate) fn get(&self, id: HandlerId) -> Option<&AppHandler> {
+        self.0.get(&id.0)
+    }
+}
+
+impl std::fmt::Debug for Handlers {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut ids: Vec<u32> = self.0.keys().copied().collect();
+        ids.sort_unstable();
+        f.debug_set().entries(ids).finish()
+    }
+}
 
 /// How `dist` collections rebuild chunks lost to a place death.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -41,10 +68,6 @@ pub struct Config {
     /// Disable transport aggregation entirely (every message goes out as its
     /// own envelope) — the ablation baseline.
     pub batch_disable: bool,
-    /// Disable batch-buffer recycling in the workers' envelope arenas: every
-    /// coalescer flush allocates a fresh buffer and every received batch is
-    /// freed after dispatch — the allocation-ablation baseline.
-    pub arena_disable: bool,
     /// Start with event tracing enabled (spans and instants recorded into
     /// the per-worker ring buffers; see `obs::trace`). Metrics counters are
     /// always on unless [`Config::obs_disable`] is set; this knob only
@@ -77,11 +100,6 @@ pub struct Config {
     /// plan (chaos testing). `None` — the default — uses the bare transport
     /// with zero added overhead.
     pub fault_plan: Option<x10rt::FaultPlan>,
-    /// How long a worker's coalescer retries transiently-rejected flushes
-    /// (exponential backoff) before giving up with a typed timeout. Only
-    /// reachable when the transport can reject sends, i.e. under a fault
-    /// plan.
-    pub send_timeout: Duration,
     /// Liveness watchdog for `finish`: if termination detection makes no
     /// protocol progress for this long after the body returns, the finish
     /// aborts with [`crate::ApgasError::DeadPlace`] instead of hanging.
@@ -129,6 +147,10 @@ pub struct Config {
     /// [`x10rt::TcpTransport`], each process spawns worker threads only for
     /// its own range; the others are reached through the transport.
     pub host_places: Option<(u32, u32)>,
+    /// Application command handlers (see [`Config::handler`]). The runtime
+    /// holds them from before its first worker runs, unchanged for its
+    /// life, so workers read the table without a lock.
+    pub(crate) handlers: Handlers,
 }
 
 impl Config {
@@ -141,14 +163,12 @@ impl Config {
             batch_max_msgs: x10rt::coalesce::DEFAULT_MAX_MSGS,
             batch_max_bytes: x10rt::coalesce::DEFAULT_MAX_BYTES,
             batch_disable: false,
-            arena_disable: false,
             trace_enable: false,
             trace_buffer_events: obs::trace::DEFAULT_BUFFER_EVENTS,
             obs_disable: false,
             causal_enable: false,
             sample_interval_ms: None,
             fault_plan: None,
-            send_timeout: x10rt::coalesce::DEFAULT_SEND_TIMEOUT,
             finish_watchdog: None,
             deterministic: false,
             codec: x10rt::CodecMode::Inline,
@@ -156,7 +176,30 @@ impl Config {
             resilient_finish: true,
             redundancy_mode: RedundancyMode::Replica,
             host_places: None,
+            handlers: Handlers::default(),
         }
+    }
+
+    /// Install the application command handler `f` under `id` (builder
+    /// style). [`Ctx::at_async_cmd`] spawns run it at the destination with
+    /// the sender's argument bytes. Ids below [`HandlerId::FIRST_APP`] are
+    /// reserved for the runtime (`PROTOCOL.md` §3) and panic here;
+    /// installing an id twice keeps the last handler. In a multi-process
+    /// launch every process installs its own handlers (ids name behavior,
+    /// and behavior cannot cross the wire).
+    pub fn handler(
+        mut self,
+        id: HandlerId,
+        f: impl Fn(&Ctx, &[u8]) + Send + Sync + 'static,
+    ) -> Self {
+        assert!(
+            id.is_app(),
+            "handler id #{} is in the runtime-reserved range (app ids start at {})",
+            id.0,
+            HandlerId::FIRST_APP.0
+        );
+        self.handlers.0.insert(id.0, Arc::new(f));
+        self
     }
 
     /// Enable or disable the resilient-finish recovery machinery (builder
@@ -209,12 +252,6 @@ impl Config {
         self
     }
 
-    /// Enable or disable the envelope-arena ablation (builder style).
-    pub fn arena_disable(mut self, disable: bool) -> Self {
-        self.arena_disable = disable;
-        self
-    }
-
     /// Start with event tracing on or off (builder style).
     pub fn trace_enable(mut self, on: bool) -> Self {
         self.trace_enable = on;
@@ -252,13 +289,6 @@ impl Config {
     /// Inject faults according to `plan` (builder style) — chaos testing.
     pub fn fault_plan(mut self, plan: x10rt::FaultPlan) -> Self {
         self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Set the coalescer retry budget for transiently-rejected sends
-    /// (builder style).
-    pub fn send_timeout(mut self, t: Duration) -> Self {
-        self.send_timeout = t;
         self
     }
 
@@ -319,14 +349,12 @@ mod tests {
         assert!(!c.batch_disable);
         assert_eq!(c.batch_max_msgs, 64);
         assert_eq!(c.batch_max_bytes, 16 * 1024);
-        assert!(!c.arena_disable, "arena recycling is on by default");
         assert!(!c.trace_enable, "tracing is opt-in");
         assert!(!c.obs_disable, "metrics are on by default");
         assert_eq!(c.trace_buffer_events, 65_536);
         assert!(!c.causal_enable, "causal tracing is opt-in");
         assert!(c.sample_interval_ms.is_none(), "metrics sampling is opt-in");
         assert!(c.fault_plan.is_none(), "fault injection is opt-in");
-        assert_eq!(c.send_timeout, Duration::from_millis(5));
         assert!(c.finish_watchdog.is_none(), "watchdog is opt-in");
         assert!(!c.deterministic, "deterministic stepping is opt-in");
         assert_eq!(
@@ -397,20 +425,22 @@ mod tests {
     }
 
     #[test]
-    fn transport_builders() {
-        let c = Config::new(4).arena_disable(true);
-        assert!(c.arena_disable);
-    }
-
-    #[test]
     fn fault_builders() {
         let c = Config::new(4)
             .fault_plan(x10rt::FaultPlan::new(7).kill_place(x10rt::PlaceId(2), 100))
-            .send_timeout(Duration::from_millis(50))
             .finish_watchdog(Duration::from_secs(2));
         assert_eq!(c.fault_plan.as_ref().unwrap().seed, 7);
-        assert_eq!(c.send_timeout, Duration::from_millis(50));
         assert_eq!(c.finish_watchdog, Some(Duration::from_secs(2)));
+    }
+
+    #[test]
+    fn handler_builder_installs_app_ids() {
+        let c = Config::new(2)
+            .handler(HandlerId(2001), |_, _| {})
+            .handler(HandlerId::FIRST_APP, |_, _| {});
+        assert!(c.handlers.get(HandlerId(2001)).is_some());
+        assert!(c.handlers.get(HandlerId(2002)).is_none());
+        assert_eq!(format!("{:?}", c.handlers), "{1024, 2001}");
     }
 
     #[test]

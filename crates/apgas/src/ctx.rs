@@ -152,13 +152,13 @@ impl<'w> Ctx<'w> {
         self.spawn_inner(p, SpawnBody::Closure(Task::new(f)), MsgClass::Task);
     }
 
-    /// Like [`Ctx::at_async`] but the activity body is a *registered
-    /// command* — a handler id (see `Runtime::register_handler`) plus
-    /// serialized argument bytes — instead of a closure. Commands are fully
-    /// serializable, so they are the only spawn form that can cross a
+    /// Like [`Ctx::at_async`] but the activity body is an *installed
+    /// command* — a handler id (see [`Config::handler`](crate::Config::handler))
+    /// plus serialized argument bytes — instead of a closure. Commands are
+    /// fully serializable, so they are the only spawn form that can cross a
     /// process boundary over [`x10rt::tcp::TcpTransport`]; they also work
     /// unchanged in-process under either codec mode. An id with no handler
-    /// registered at the destination panics there, naming the id, and the
+    /// installed at the destination panics there, naming the id, and the
     /// panic surfaces through the governing finish.
     pub fn at_async_cmd(&self, p: PlaceId, handler: HandlerId, args: Vec<u8>) {
         self.spawn_inner(p, SpawnBody::Cmd { handler, args }, MsgClass::Task);

@@ -45,8 +45,8 @@
 //!
 //! Idle executors wake on their own every `resweep` (the configured
 //! `park_timeout`) and mark *every* unfinished context runnable. That
-//! re-poll is what keeps time-based machinery alive — the finish watchdog,
-//! GLB steal timeouts, and coalescer retry backoff all assume a parked
+//! re-poll is what keeps time-based machinery alive — the two timed
+//! re-polls, the finish watchdog and GLB steal timeouts, assume a parked
 //! worker re-checks its condition on the park-timeout cadence (a dedicated
 //! slot's timed condvar wait is the same re-poll). So the pre-sleep
 //! re-scan counts only contexts this executor could claim: a context that

@@ -10,21 +10,16 @@ use crate::task::Task;
 use crate::wire::{ObsMsg, Wire};
 use crate::worker::Worker;
 use obs::Obs;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use x10rt::codec::{self, HandlerId, WireMsg};
+use x10rt::codec::{self, WireMsg};
 use x10rt::{
-    CongruentAllocator, Envelope, FaultCounts, FaultTransport, IntMap, LocalTransport, MsgClass,
-    NetStats, PlaceId, SegmentTable, Topology, Transport,
+    CongruentAllocator, Envelope, FaultCounts, FaultTransport, LocalTransport, MsgClass, NetStats,
+    PlaceId, SegmentTable, Topology, Transport,
 };
-
-/// A registered application command handler: runs with the receiving
-/// activity's [`Ctx`] and the serialized argument bytes the sender passed to
-/// [`Ctx::at_async_cmd`].
-pub type AppHandler = Arc<dyn Fn(&Ctx, &[u8]) + Send + Sync>;
 
 /// Shared state of one runtime instance (places, transport, allocators).
 pub struct Global {
@@ -59,10 +54,6 @@ pub struct Global {
     /// every scheduling quantum (see [`crate::step`]); the threaded path
     /// pays one `Option` check.
     pub step_gate: Option<Arc<StepGate>>,
-    /// Application command handlers, keyed by handler id (ids ≥
-    /// [`HandlerId::FIRST_APP`]; see `PROTOCOL.md` §3). Resolved at command
-    /// *run* time, so registration order relative to spawns is free.
-    pub(crate) handlers: RwLock<IntMap<u32, AppHandler>>,
     /// Cross-process observability-plane state: `H_OBS` shipments and
     /// status replies accepted from other ranks, the last watchdog report,
     /// and the serve-shutdown shipping guard (see [`crate::status`]).
@@ -228,28 +219,21 @@ impl Runtime {
             )),
             _ => None,
         };
-        let base: Arc<dyn Transport> = match external {
-            Some(t) => t,
-            None => {
-                let mut lt = LocalTransport::new(cfg.places);
-                if let Some(o) = &obs {
-                    lt = lt.with_obs(&o.metrics);
-                }
-                Arc::new(lt)
-            }
-        };
+        let base = external
+            .unwrap_or_else(|| Arc::new(LocalTransport::new(cfg.places)) as Arc<dyn Transport>);
         let (transport, fault): (Arc<dyn Transport>, Option<Arc<FaultTransport>>) =
             match &cfg.fault_plan {
                 None => (base, None),
                 Some(plan) => {
-                    let mut ft = FaultTransport::new(base, plan.clone());
-                    if let Some(o) = &obs {
-                        ft = ft.with_obs(&o.metrics);
-                    }
-                    let ft = Arc::new(ft);
+                    let ft = Arc::new(FaultTransport::new(base, plan.clone()));
                     (ft.clone(), Some(ft))
                 }
             };
+        // One wiring path for every transport, built here or supplied:
+        // wrappers forward it to the transport they hold.
+        if let Some(o) = &obs {
+            transport.wire_obs(&o.metrics);
+        }
         let places: Vec<Arc<PlaceState>> = (0..cfg.places)
             .map(|i| Arc::new(PlaceState::new(PlaceId(i as u32))))
             .collect();
@@ -275,7 +259,6 @@ impl Runtime {
             uncounted_panics: Mutex::new(Vec::new()),
             obs,
             step_gate,
-            handlers: RwLock::new(IntMap::default()),
             obs_plane: crate::status::ObsPlane::new(),
             cfg,
         });
@@ -322,23 +305,6 @@ impl Runtime {
         self.g.cfg.hosted().contains(&place.index())
     }
 
-    /// Register an application command handler under `id` (ids must be ≥
-    /// [`HandlerId::FIRST_APP`]; lower ids are reserved for the runtime —
-    /// see `PROTOCOL.md` §3). [`Ctx::at_async_cmd`] spawns run the handler
-    /// at the destination with the sender's argument bytes. Registering an
-    /// id twice replaces the handler. In a multi-process launch every
-    /// process must register its own handlers (ids name behavior, and
-    /// behavior cannot cross the wire).
-    pub fn register_handler(&self, id: HandlerId, f: impl Fn(&Ctx, &[u8]) + Send + Sync + 'static) {
-        assert!(
-            id.is_app(),
-            "handler id #{} is in the runtime-reserved range (app ids start at {})",
-            id.0,
-            HandlerId::FIRST_APP.0
-        );
-        self.g.handlers.write().insert(id.0, Arc::new(f));
-    }
-
     /// Serve remote work until the launch shuts down: block this thread (the
     /// workers keep running) until the shutdown flag is set — either by a
     /// remote process's [`Runtime::broadcast_shutdown`] arriving as an
@@ -382,7 +348,7 @@ impl Runtime {
             "run() enqueues at place 0, which this process does not host — \
              non-zero ranks call serve()"
         );
-        let (tx, rx) = crossbeam_channel::bounded(1);
+        let (tx, rx) = mpsc::sync_channel(1);
         let task = Task::new(move |ctx: &Ctx| {
             let result = catch_unwind(AssertUnwindSafe(|| ctx.finish(|c| f(c))));
             let _ = tx.send(result);
@@ -406,7 +372,7 @@ impl Runtime {
         &self,
         f: impl FnOnce(&Ctx) -> R + Send + 'static,
     ) -> Result<R, ApgasError> {
-        let (tx, rx) = crossbeam_channel::bounded(1);
+        let (tx, rx) = mpsc::sync_channel(1);
         let task = Task::new(move |ctx: &Ctx| {
             let result = catch_unwind(AssertUnwindSafe(|| ctx.finish(|c| f(c))));
             let _ = tx.send(result);
@@ -426,9 +392,9 @@ impl Runtime {
     }
 
     /// Kill `place`: its mailbox black-holes, and sends to or from it fail
-    /// with [`x10rt::TransportError::PlaceDead`]. Irreversible for the life
-    /// of this runtime. The victim's worker threads keep running (they just
-    /// lose all connectivity), mirroring a network-partitioned node.
+    /// with [`x10rt::SendError`]. Irreversible for the life of this
+    /// runtime. The victim's worker threads keep running (they just lose
+    /// all connectivity), mirroring a network-partitioned node.
     pub fn kill_place(&self, place: PlaceId) {
         self.g.transport.kill_place(place);
         // Wake everyone: waiters must notice the changed world and let the

@@ -51,7 +51,7 @@ pub enum SpawnBody {
     /// A registered command: run the handler with the argument bytes. It
     /// ships as a [`WireMsg`] in both codec modes.
     Cmd {
-        /// Handler registered via `Runtime::register_handler`.
+        /// Handler installed with `Config::handler`.
         handler: HandlerId,
         /// Serialized arguments, passed to the handler verbatim.
         args: Vec<u8>,
@@ -60,23 +60,22 @@ pub enum SpawnBody {
 
 impl SpawnBody {
     /// Turn the body into a runnable activity cell. Commands resolve their
-    /// handler at *run* time so registration order does not matter; an
-    /// unregistered id panics inside the activity, surfacing through the
+    /// handler in the runtime's configuration, installed before any worker
+    /// ran; an unknown id panics inside the activity, surfacing through the
     /// governing finish as a typed message naming the id.
     pub(crate) fn into_task(self) -> Box<Task> {
         match self {
             SpawnBody::Closure(t) => t,
             SpawnBody::Cmd { handler, args } => Task::new(move |ctx: &Ctx| {
-                let h = ctx.worker().g.handlers.read().get(&handler.0).cloned();
-                match h {
-                    Some(h) => h(ctx, &args),
-                    None => panic!(
-                        "unknown handler id #{}: no command registered under it at {} \
-                         (register it with Runtime::register_handler before spawning)",
+                let Some(h) = ctx.worker().g.cfg.handlers.get(handler) else {
+                    panic!(
+                        "unknown handler id #{}: no command installed under it at {} \
+                         (install it with Config::handler)",
                         handler.0,
                         ctx.here()
-                    ),
-                }
+                    )
+                };
+                h(ctx, &args)
             }),
         }
     }
@@ -200,10 +199,6 @@ impl Worker {
         );
         if let Some(o) = g.obs.as_ref() {
             coalescer = coalescer.with_obs(&o.metrics);
-        }
-        coalescer = coalescer.with_send_timeout(g.cfg.send_timeout);
-        if g.cfg.arena_disable {
-            coalescer = coalescer.with_arena_disabled();
         }
         let hooks = g.obs.as_ref().map(|o| WorkerHooks {
             ring: o.tracer.register(here.0),
@@ -447,15 +442,14 @@ impl Worker {
         }
     }
 
-    /// Account for messages the transport refused or destroyed (dead
-    /// destination, retry budget exhausted). The messages are gone; the
-    /// protocols above degrade via the finish watchdog and GLB's
-    /// dead-victim handling rather than by blocking here.
+    /// Account for messages the transport destroyed (dead destination).
+    /// The messages are gone; the protocols above degrade via the finish
+    /// watchdog and GLB's dead-victim handling rather than by blocking
+    /// here.
     fn note_send_failure(&self, e: &x10rt::SendError) {
         if let Some(h) = &self.hooks {
-            h.send_failed.add(self.here.0, e.affected() as u64);
-            h.ring
-                .instant("transport", "send_failed", e.place().0 as u64);
+            h.send_failed.add(self.here.0, e.dropped as u64);
+            h.ring.instant("transport", "send_failed", e.place.0 as u64);
         }
     }
 
@@ -575,8 +569,8 @@ impl Worker {
     /// outside the runtime, wakes the place even while it is mid-quantum;
     /// this worker's own enqueues do not wake, but it parks only after a
     /// quantum that found its queue empty. The timed re-poll keeps the
-    /// time-based machinery alive (watchdog, GLB steal timeouts, coalescer
-    /// retries).
+    /// time-based machinery alive (the finish watchdog and GLB steal
+    /// timeouts).
     pub(crate) fn park_brief(&self) {
         // Never sleep on buffered sends: a peer may be waiting on them.
         self.flush_sends();

@@ -3,10 +3,12 @@
 //! message is serialized at the send site (`PROTOCOL.md`), and over the TCP
 //! self-loop transport, where the serialized bytes cross a real socket.
 
-use apgas::{CodecMode, Config, HandlerId, Runtime};
+use apgas::{CodecMode, Config, HandlerId, PlaceId, Runtime};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use x10rt::TcpTransport;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
+use x10rt::{ProcSpec, TcpConfig, TcpTransport};
 
 fn cfg_bytes(places: usize) -> Config {
     Config::new(places).codec(CodecMode::Bytes)
@@ -101,16 +103,18 @@ fn teams_and_clocks_work_serialized() {
 }
 
 #[test]
-fn at_async_cmd_runs_registered_handler_in_both_modes() {
+fn at_async_cmd_runs_installed_handler_in_both_modes() {
     for mode in [CodecMode::Inline, CodecMode::Bytes] {
-        let rt = Runtime::new(Config::new(3).codec(mode));
         let hits = Arc::new(AtomicU64::new(0));
         let h2 = hits.clone();
-        rt.register_handler(HandlerId(2000), move |ctx, args| {
-            let mut cur = x10rt::codec::Cursor::new(args);
-            let v = cur.u64().expect("u64 arg");
-            h2.fetch_add(v * (ctx.here().0 as u64 + 1), Ordering::Relaxed);
-        });
+        let cfg = Config::new(3)
+            .codec(mode)
+            .handler(HandlerId(2000), move |ctx, args| {
+                let mut cur = x10rt::codec::Cursor::new(args);
+                let v = cur.u64().expect("u64 arg");
+                h2.fetch_add(v * (ctx.here().0 as u64 + 1), Ordering::Relaxed);
+            });
+        let rt = Runtime::new(cfg);
         rt.run(|ctx| {
             ctx.finish(|c| {
                 for p in c.places() {
@@ -135,7 +139,7 @@ fn unknown_handler_id_panics_naming_the_id() {
             });
         });
     }))
-    .expect_err("unregistered handler must fail the finish");
+    .expect_err("an unknown handler must fail the finish");
     let msg = apgas::panic_message(err);
     assert!(
         msg.contains("unknown handler id #4321"),
@@ -146,6 +150,69 @@ fn unknown_handler_id_panics_naming_the_id() {
 #[test]
 #[should_panic(expected = "runtime-reserved range")]
 fn runtime_range_handler_ids_rejected() {
-    let rt = Runtime::new(Config::new(1));
-    rt.register_handler(HandlerId(5), |_, _| {});
+    let _ = Config::new(1).handler(HandlerId(5), |_, _| {});
+}
+
+/// A command can reach a process as soon as its runtime's workers run,
+/// while the process is still busy with its own set-up. Handlers come with
+/// the configuration, so they are there from the first worker step: rank 1
+/// here does nothing after building its runtime until rank 0's command has
+/// run at its place.
+#[test]
+fn command_arriving_during_setup_finds_its_handler() {
+    let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+    let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+    let procs: Vec<ProcSpec> = [&l0, &l1]
+        .iter()
+        .enumerate()
+        .map(|(rank, l)| ProcSpec {
+            addr: l.local_addr().unwrap().to_string(),
+            place_start: rank as u32,
+            place_count: 1,
+        })
+        .collect();
+    let cfg1 = TcpConfig::new(procs.clone(), 1);
+    let dial = std::thread::spawn(move || TcpTransport::connect_with_listener(cfg1, l1));
+    let t0 = TcpTransport::connect_with_listener(TcpConfig::new(procs, 0), l0).expect("rank 0");
+    let t1 = dial.join().unwrap().expect("rank 1");
+    let rank = |r: u32| Config::new(2).codec(CodecMode::Bytes).host_places(r, 1);
+    let (up, rank1_up) = mpsc::channel();
+    let rank0 = std::thread::spawn(move || {
+        let rt = Runtime::with_transport(rank(0), t0);
+        rank1_up.recv().expect("rank 1 built its runtime");
+        rt.run(|ctx| ctx.finish(|c| c.at_async_cmd(PlaceId(1), HandlerId(2001), vec![7])));
+        rt.broadcast_shutdown();
+    });
+    let hits = Arc::new(AtomicU64::new(0));
+    let h = hits.clone();
+    let cfg = rank(1).handler(HandlerId(2001), move |_, args| {
+        h.fetch_add(u64::from(args[0]), Ordering::Relaxed);
+    });
+    let rt = Runtime::with_transport(cfg, t1);
+    up.send(()).unwrap();
+    // Rank 1's own set-up: nothing past it runs until the command has.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while hits.load(Ordering::Relaxed) == 0 {
+        assert!(Instant::now() < deadline, "rank 0's command never ran");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    rt.serve();
+    rank0.join().expect("rank 0's finish completed");
+    assert_eq!(hits.load(Ordering::Relaxed), 7);
+}
+
+/// The runtime wires the metrics of whatever transport it runs over: the
+/// lanes inside a TCP transport count like the in-process transport's.
+#[test]
+fn tcp_transport_reports_its_mailbox_lanes() {
+    let t = TcpTransport::self_loop(4).expect("loopback transport");
+    let rt = Runtime::with_transport(cfg_bytes(4), t);
+    mixed_workload(&rt);
+    let lanes = rt
+        .obs()
+        .expect("obs on by default")
+        .metrics
+        .counter(obs::names::MAILBOX_LANES_ALLOCATED)
+        .value();
+    assert!(lanes > 0, "mailbox.lanes_allocated read {lanes} over TCP");
 }

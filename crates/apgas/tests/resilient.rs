@@ -18,31 +18,29 @@ const HANG_BOUND: Duration = Duration::from_secs(10);
 const H_RECORD: HandlerId = HandlerId(2000);
 const TASKS: u64 = 12;
 
-fn runtime(resilient: bool) -> Runtime {
+/// A runtime with the idempotent record handler installed: it notes its
+/// task id in `seen`, then — if running at a victim place that is about to
+/// die — stalls until the transport declares the place dead, so its
+/// completion can never reach the root and the finish is guaranteed to
+/// need adoption.
+fn runtime(resilient: bool, seen: Arc<Mutex<HashSet<u64>>>, arrived: Arc<AtomicBool>) -> Runtime {
     Runtime::new(
         Config::new(4)
             .places_per_host(2)
             .fault_plan(FaultPlan::new(7)) // passthrough; enables kill_place isolation
             .finish_watchdog(LIMIT)
-            .resilient_finish(resilient),
+            .resilient_finish(resilient)
+            .handler(H_RECORD, move |c, args| {
+                let id = u64::from_le_bytes(args.try_into().expect("8-byte task id"));
+                seen.lock().insert(id);
+                if c.here() == VICTIM {
+                    arrived.store(true, Ordering::Release);
+                    while !c.place_dead(c.here()) {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+            }),
     )
-}
-
-/// Register the idempotent record handler: notes its task id in `seen`,
-/// then — if running at a victim place that is about to die — stalls until
-/// the transport declares the place dead, so its completion can never
-/// reach the root and the finish is guaranteed to need adoption.
-fn register_record(rt: &Runtime, seen: Arc<Mutex<HashSet<u64>>>, arrived: Arc<AtomicBool>) {
-    rt.register_handler(H_RECORD, move |c, args| {
-        let id = u64::from_le_bytes(args.try_into().expect("8-byte task id"));
-        seen.lock().insert(id);
-        if c.here() == VICTIM {
-            arrived.store(true, Ordering::Release);
-            while !c.place_dead(c.here()) {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-    });
 }
 
 fn fan_out(c: &apgas::Ctx) {
@@ -59,10 +57,9 @@ fn fan_out(c: &apgas::Ctx) {
 /// recovered every task that was destined to the dead place.
 #[test]
 fn resilient_finish_survives_victim_kill_exactly() {
-    let rt = runtime(true);
     let seen: Arc<Mutex<HashSet<u64>>> = Arc::new(Mutex::new(HashSet::new()));
     let arrived = Arc::new(AtomicBool::new(false));
-    register_record(&rt, seen.clone(), arrived.clone());
+    let rt = runtime(true, seen.clone(), arrived.clone());
     let started = Instant::now();
     std::thread::scope(|s| {
         s.spawn(|| {
@@ -95,10 +92,9 @@ fn resilient_finish_survives_victim_kill_exactly() {
 /// resilient path, not luck, is what makes the test above pass.
 #[test]
 fn broken_adoption_fails_typed_not_silent() {
-    let rt = runtime(false);
     let seen: Arc<Mutex<HashSet<u64>>> = Arc::new(Mutex::new(HashSet::new()));
     let arrived = Arc::new(AtomicBool::new(false));
-    register_record(&rt, seen.clone(), arrived.clone());
+    let rt = runtime(false, seen, arrived.clone());
     let err = std::thread::scope(|s| {
         s.spawn(|| {
             while !arrived.load(Ordering::Acquire) {
@@ -123,16 +119,17 @@ fn broken_adoption_fails_typed_not_silent() {
 /// (no place left holding `backup_roots` state after the runs).
 #[test]
 fn resilient_matches_default_fault_free_and_releases_backups() {
-    let rt = Runtime::new(Config::new(4).places_per_host(2));
     let seen: Arc<Mutex<HashSet<u64>>> = Arc::new(Mutex::new(HashSet::new()));
-    {
-        // No kill in this test, so the recording handler must not stall.
-        let seen = seen.clone();
-        rt.register_handler(H_RECORD, move |_, args| {
-            let id = u64::from_le_bytes(args.try_into().expect("8-byte task id"));
-            seen.lock().insert(id);
-        });
-    }
+    let sink = seen.clone();
+    // No kill in this test, so the recording handler must not stall.
+    let rt = Runtime::new(
+        Config::new(4)
+            .places_per_host(2)
+            .handler(H_RECORD, move |_, args| {
+                let id = u64::from_le_bytes(args.try_into().expect("8-byte task id"));
+                sink.lock().insert(id);
+            }),
+    );
     rt.run_checked(|ctx| {
         ctx.finish_pragma(FinishKind::Resilient, fan_out);
     })

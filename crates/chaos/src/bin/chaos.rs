@@ -31,7 +31,6 @@ struct Args {
     faults: Vec<FaultKind>,
     seeds: Vec<u64>,
     places: usize,
-    arena_off: bool,
     tcp: bool,
     timeout: Duration,
     repro_out: Option<String>,
@@ -43,7 +42,7 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: chaos [--matrix] [--workload uts|ra-msgs|uts-res|all] \
          [--fault drop|delay|dup|trunc|place-kill|all] \
-         [--seed N | --seeds A,B,C] [--places N] [--arena on|off] \
+         [--seed N | --seeds A,B,C] [--places N] \
          [--transport local|tcp] [--timeout-secs N] [--repro-out PATH] \
          [--trace-dir PATH]"
     );
@@ -56,7 +55,6 @@ fn parse_args() -> Args {
     let mut faults: Option<Vec<FaultKind>> = None;
     let mut seeds: Option<Vec<u64>> = None;
     let mut places = 8usize;
-    let mut arena_off = false;
     let mut tcp = false;
     let mut timeout = Duration::from_secs(120);
     let mut repro_out = None;
@@ -114,13 +112,6 @@ fn parse_args() -> Args {
                     .parse()
                     .unwrap_or_else(|_| usage("--places takes an integer"));
             }
-            "--arena" => {
-                arena_off = match value(&mut i, "--arena").as_str() {
-                    "on" => false,
-                    "off" => true,
-                    _ => usage("--arena takes on|off"),
-                };
-            }
             "--transport" => {
                 tcp = match value(&mut i, "--transport").as_str() {
                     "local" => false,
@@ -153,7 +144,6 @@ fn parse_args() -> Args {
         faults: faults.unwrap_or_else(|| FaultKind::ALL.to_vec()),
         seeds: seeds.unwrap_or_else(|| vec![1, 2, 3]),
         places,
-        arena_off,
         tcp,
         timeout,
         repro_out,
@@ -183,7 +173,6 @@ fn main() {
                     fault,
                     seed,
                     places: args.places,
-                    arena_off: args.arena_off,
                     tcp: args.tcp,
                 };
                 let report = run_cell_traced(spec, want, args.timeout, args.trace_dir.as_deref());

@@ -56,12 +56,13 @@
 
 use apgas::{ApgasError, ClassFaults, Config, FaultPlan, MsgClass, PlaceId, Runtime};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 use x10rt::FaultCounts;
 
 mod workloads;
 pub use workloads::{
-    ra_msgs_checksum, register_uts_resilient, uts_nodes, uts_resilient_nodes, UtsReplies,
+    ra_msgs_checksum, uts_nodes, uts_resilient_handlers, uts_resilient_nodes, UtsReplies,
     H_UTS_REPLY, H_UTS_SUBTREE, RA_LOG2_LOCAL, UTS_DEPTH,
 };
 
@@ -194,10 +195,6 @@ pub struct CellSpec {
     pub seed: u64,
     /// Place count (RandomAccess needs a power of two).
     pub places: usize,
-    /// Disable envelope-arena recycling (`Config::arena_disable`) — the
-    /// matrix runs each transport cell with recycling on and off to prove
-    /// box reuse never changes an outcome under faults.
-    pub arena_off: bool,
     /// Run over [`x10rt::TcpTransport`] in self-loop mode with
     /// `CodecMode::Bytes`, so every envelope is serialized per PROTOCOL.md
     /// and crosses a real loopback socket before delivery. Faults still
@@ -225,9 +222,6 @@ impl CellSpec {
             self.seed,
             self.places
         );
-        if self.arena_off {
-            line.push_str(" --arena off");
-        }
         if self.tcp {
             line.push_str(" --transport tcp");
         }
@@ -338,7 +332,6 @@ fn faulted_config(spec: &CellSpec, traced: bool) -> Config {
         .causal_enable(traced)
         // Aggregation stays ON for every kind, lossy ones included: batch
         // losses are tallied per inner class (see module docs).
-        .arena_disable(spec.arena_off)
         // TCP cells serialize every protocol message (closures cannot cross
         // a socket); local cells keep the inline fast path.
         .codec(if spec.tcp {
@@ -348,18 +341,20 @@ fn faulted_config(spec: &CellSpec, traced: bool) -> Config {
         })
 }
 
-/// Build the runtime for one faulted cell on the back-end the spec selects.
+/// Build the runtime for one faulted cell on the back-end the spec selects,
+/// with the resilient-UTS handlers installed, and the ledger they fill.
 /// The fault decorator always wraps the *outermost* transport, so drops and
 /// duplicates hit the same modeled envelopes whether or not the bytes then
 /// cross a socket.
-fn cell_runtime(spec: &CellSpec, traced: bool) -> Runtime {
-    let cfg = faulted_config(spec, traced);
-    if spec.tcp {
+fn cell_runtime(spec: &CellSpec, traced: bool) -> (Runtime, UtsReplies) {
+    let (cfg, replies) = uts_resilient_handlers(faulted_config(spec, traced));
+    let rt = if spec.tcp {
         let t = x10rt::TcpTransport::self_loop(spec.places).expect("tcp self-loop transport");
         Runtime::with_transport(cfg, t)
     } else {
         Runtime::new(cfg)
-    }
+    };
+    (rt, replies)
 }
 
 /// GLB knobs for chaos runs: small chunks (frequent probes ⇒ frequent
@@ -376,13 +371,20 @@ fn glb_config(fault: Option<FaultKind>) -> glb::GlbConfig {
     }
 }
 
-fn run_workload(rt: &Runtime, w: Workload, fault: Option<FaultKind>) -> Result<u64, ApgasError> {
+/// Run `w` once on `rt`; `replies` is the ledger of the runtime's
+/// resilient-UTS handlers.
+fn run_workload(
+    rt: &Runtime,
+    replies: &UtsReplies,
+    w: Workload,
+    fault: Option<FaultKind>,
+) -> Result<u64, ApgasError> {
     let glb_cfg = glb_config(fault);
     match w {
         Workload::Uts => rt.run_checked(move |ctx| uts_nodes(ctx, glb_cfg)),
         Workload::RaMsgs => rt.run_checked(ra_msgs_checksum),
         Workload::UtsResilient => {
-            let replies = register_uts_resilient(rt);
+            let replies = replies.clone();
             rt.run_checked(move |ctx| uts_resilient_nodes(ctx, &replies))
         }
     }
@@ -390,8 +392,9 @@ fn run_workload(rt: &Runtime, w: Workload, fault: Option<FaultKind>) -> Result<u
 
 /// Fault-free reference result for `workload` at `places` places.
 pub fn baseline(workload: Workload, places: usize) -> u64 {
-    let rt = Runtime::new(Config::new(places).places_per_host(4));
-    run_workload(&rt, workload, None).expect("fault-free baseline cannot fail")
+    let (cfg, replies) = uts_resilient_handlers(Config::new(places).places_per_host(4));
+    let rt = Runtime::new(cfg);
+    run_workload(&rt, &replies, workload, None).expect("fault-free baseline cannot fail")
 }
 
 /// Run one cell against a precomputed baseline, with a hard wall-clock
@@ -421,18 +424,17 @@ pub fn run_cell_traced(
 ) -> CellReport {
     let start = Instant::now();
     let traced = trace_dir.is_some();
-    let (tx, rx) = crossbeam_channel::bounded(1);
-    let (obs_tx, obs_rx) =
-        crossbeam_channel::bounded::<(std::sync::Arc<obs::Obs>, apgas::StatusHandle)>(1);
+    let (tx, rx) = mpsc::sync_channel(1);
+    let (obs_tx, obs_rx) = mpsc::sync_channel::<(std::sync::Arc<obs::Obs>, apgas::StatusHandle)>(1);
     std::thread::Builder::new()
         .name(format!("chaos-{}-{}", spec.fault.label(), spec.seed))
         .spawn(move || {
-            let rt = cell_runtime(&spec, traced);
+            let (rt, replies) = cell_runtime(&spec, traced);
             if let Some(o) = rt.obs() {
                 let _ = obs_tx.send((o.clone(), rt.status_handle()));
             }
             let out = catch_unwind(AssertUnwindSafe(|| {
-                run_workload(&rt, spec.workload, Some(spec.fault))
+                run_workload(&rt, &replies, spec.workload, Some(spec.fault))
             }));
             // Deliver the verdict (and the loss tallies the oracle needs)
             // before dropping the runtime: teardown is designed not to

@@ -2,7 +2,7 @@
 //! deterministic `u64` figure so faulted runs can be compared bit-for-bit
 //! against a fault-free baseline.
 
-use apgas::{Ctx, FinishKind, HandlerId, PlaceGroup, PlaceId, PlaceLocalHandle, Runtime};
+use apgas::{Config, Ctx, FinishKind, HandlerId, PlaceGroup, PlaceId, PlaceLocalHandle};
 use glb::GlbConfig;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,32 +37,33 @@ pub const H_UTS_REPLY: HandlerId = HandlerId(1101);
 /// shared between the reply handler and the dispatching activity.
 pub type UtsReplies = Arc<Mutex<HashMap<u64, u64>>>;
 
-/// Register the resilient-UTS command handlers on `rt` and hand back the
-/// reply ledger. Both handlers honour the `FinishKind::Resilient`
+/// Install the resilient-UTS command handlers in `cfg` and hand back the
+/// reply ledger they fill. Both handlers honour the `FinishKind::Resilient`
 /// re-execution contract: they are **idempotent** (the subtree count is a
 /// pure function of the task id, and the reply ledger inserts-if-absent, so
 /// a re-executed task's duplicate reply cannot double-count) and
 /// **location-independent** (re-execution runs them at the finish home, not
 /// at the dead place they were originally sent to).
-pub fn register_uts_resilient(rt: &Runtime) -> UtsReplies {
+pub fn uts_resilient_handlers(cfg: Config) -> (Config, UtsReplies) {
     let replies: UtsReplies = Arc::new(Mutex::new(HashMap::new()));
-    rt.register_handler(H_UTS_SUBTREE, |ctx, args| {
-        let id = u64::from_le_bytes(args[0..8].try_into().unwrap());
-        let i = u32::from_le_bytes(args[8..12].try_into().unwrap());
-        let j = u32::from_le_bytes(args[12..16].try_into().unwrap());
-        let n = uts::subtree_nodes(&GeoTree::paper(UTS_DEPTH), &[i, j]);
-        let mut reply = Vec::with_capacity(16);
-        reply.extend_from_slice(&id.to_le_bytes());
-        reply.extend_from_slice(&n.to_le_bytes());
-        ctx.at_async_cmd(PlaceId(0), H_UTS_REPLY, reply);
-    });
     let sink = replies.clone();
-    rt.register_handler(H_UTS_REPLY, move |_ctx, args| {
-        let id = u64::from_le_bytes(args[0..8].try_into().unwrap());
-        let n = u64::from_le_bytes(args[8..16].try_into().unwrap());
-        sink.lock().unwrap().entry(id).or_insert(n);
-    });
-    replies
+    let cfg = cfg
+        .handler(H_UTS_SUBTREE, |ctx, args| {
+            let id = u64::from_le_bytes(args[0..8].try_into().unwrap());
+            let i = u32::from_le_bytes(args[8..12].try_into().unwrap());
+            let j = u32::from_le_bytes(args[12..16].try_into().unwrap());
+            let n = uts::subtree_nodes(&GeoTree::paper(UTS_DEPTH), &[i, j]);
+            let mut reply = Vec::with_capacity(16);
+            reply.extend_from_slice(&id.to_le_bytes());
+            reply.extend_from_slice(&n.to_le_bytes());
+            ctx.at_async_cmd(PlaceId(0), H_UTS_REPLY, reply);
+        })
+        .handler(H_UTS_REPLY, move |_ctx, args| {
+            let id = u64::from_le_bytes(args[0..8].try_into().unwrap());
+            let n = u64::from_le_bytes(args[8..16].try_into().unwrap());
+            sink.lock().unwrap().entry(id).or_insert(n);
+        });
+    (cfg, replies)
 }
 
 /// Distributed UTS as re-executable commands under `FINISH_RESILIENT`:
@@ -71,7 +72,7 @@ pub fn register_uts_resilient(rt: &Runtime) -> UtsReplies {
 /// killed place loses its queued subtree commands *and* its in-flight
 /// replies — the resilient finish adopts the orphans, re-executes the
 /// registered commands at home, and the run still produces the exact
-/// sequential node count. Handlers come from [`register_uts_resilient`].
+/// sequential node count. Handlers come from [`uts_resilient_handlers`].
 pub fn uts_resilient_nodes(ctx: &Ctx, replies: &UtsReplies) -> u64 {
     let tree = GeoTree::paper(UTS_DEPTH);
     let places = ctx.num_places() as u64;

@@ -16,7 +16,6 @@ fn cell(workload: Workload, fault: FaultKind, seed: u64) -> CellSpec {
         fault,
         seed,
         places: PLACES,
-        arena_off: false,
         tcp: false,
     }
 }
@@ -109,30 +108,6 @@ fn ra_msgs_kill_identical_or_typed() {
     check(Workload::RaMsgs, FaultKind::Kill, 2);
 }
 
-/// Arena recycling off must not change any outcome — same delay cell as
-/// above, batch boxes freshly allocated each flush, identical result. The
-/// repro line records the ablation flag so a failure replays exactly.
-#[test]
-fn ra_msgs_delay_arena_off_is_identical() {
-    install_quiet_panic_hook();
-    let spec = CellSpec {
-        arena_off: true,
-        ..cell(Workload::RaMsgs, FaultKind::Delay, 2)
-    };
-    assert!(spec.repro_line().ends_with("--arena off"));
-    let want = baseline(Workload::RaMsgs, PLACES);
-    let report = run_cell_with_baseline(spec, want, TIMEOUT);
-    assert_eq!(
-        report.result,
-        Ok(CellOutcome::Identical),
-        "repro: {}",
-        spec.repro_line()
-    );
-}
-
-/// The degradation contract holds with every envelope serialized and
-/// carried over a real loopback socket (`--transport tcp`): a lossless
-/// fault must still reproduce the baseline bit-for-bit.
 #[test]
 fn uts_delay_over_tcp_is_identical() {
     install_quiet_panic_hook();

@@ -98,7 +98,7 @@ pub const ARENA_RECYCLE_HITS: &str = "arena.recycle.hits";
 
 /// Counter: arena takes that had to allocate a fresh batch buffer (unit:
 /// takes). Steady-state traffic should be nearly all hits; a high miss rate
-/// means the freelist is starved (asymmetric traffic or `arena_disable`).
+/// means the freelist is starved (asymmetric traffic).
 pub const ARENA_RECYCLE_MISSES: &str = "arena.recycle.misses";
 
 /// Counter: GLB random-steal attempts issued (unit: attempts).
@@ -165,9 +165,6 @@ pub const FAULT_DUPLICATED: &str = "fault.duplicated";
 /// Counter: payloads destroyed in flight by fault injection (unit:
 /// envelopes).
 pub const FAULT_TRUNCATED: &str = "fault.truncated";
-
-/// Counter: sends transiently refused by fault injection (unit: attempts).
-pub const FAULT_REJECTED: &str = "fault.rejected";
 
 /// Counter: places killed by fault injection (unit: places; sharded by the
 /// victim).

@@ -152,40 +152,6 @@ fn composes_with_delay_and_duplicate_faults() {
 }
 
 #[test]
-fn arena_toggle_is_invisible_to_the_simulated_schedule() {
-    // The envelope arena only recycles allocations — it must not change a
-    // single scheduling decision or message. Replaying the same seeds with
-    // recycling on and off has to produce bit-identical causal traces.
-    // Coalescing runs with `max_msgs = 1`, so every send takes the
-    // buffer-swap flush path through the arena immediately and exercises
-    // the machinery under test. (Larger batches would work too: a worker
-    // flushes before it waits on the step gate, so no message is left in a
-    // coalescer where the sim controller cannot see it.)
-    let run = |arena_off: bool| {
-        let tree = TreeSpec::generate(13, 4, 10).legalize(FinishKind::Default);
-        let cfg = Config::new(4)
-            .places_per_host(2)
-            .batch_max_msgs(1)
-            .arena_disable(arena_off);
-        let sim = Arc::new(SimTransport::new(4));
-        let mut chooser = Chooser::seeded(9);
-        let run = run_sim(cfg, &SimOpts::default(), &mut chooser, sim, move |ctx| {
-            run_tree(ctx, FinishKind::Default, &tree)
-        });
-        (
-            run.report.verdict,
-            run.report.trace_hash,
-            run.report.deliveries,
-            run.report.choices.clone(),
-        )
-    };
-    let on = run(false);
-    let off = run(true);
-    assert_eq!(on.0, RunVerdict::Completed);
-    assert_eq!(on, off, "arena recycling changed the simulated schedule");
-}
-
-#[test]
 fn codec_mode_is_invisible_to_the_simulated_schedule() {
     // `CodecMode::Bytes` serializes every protocol message at the send site
     // (PROTOCOL.md) instead of shipping typed inline payloads — but it must

@@ -106,22 +106,24 @@ fn traverse_intervals(args: &[u8]) -> u64 {
 /// whole tree — the aggregation-parity oracle of the integration test.
 const NODES_METRIC: &str = "uts.nodes";
 
-fn register_handlers(rt: &Runtime, remote_nodes: Arc<AtomicU64>) {
-    let obs = rt.obs().cloned();
-    rt.register_handler(H_TRAVERSE, move |ctx, args| {
+/// Install both command handlers in `cfg`: they are in place before any
+/// worker runs, so a command that arrives the moment the transport is up
+/// finds its handler.
+fn with_handlers(cfg: Config, remote_nodes: Arc<AtomicU64>) -> Config {
+    cfg.handler(H_TRAVERSE, move |ctx, args| {
         let nodes = traverse_intervals(args);
-        if let Some(o) = &obs {
+        if let Some(o) = ctx.obs() {
             o.metrics.counter(NODES_METRIC).add(ctx.here().0, nodes);
         }
         let mut reply = Vec::with_capacity(8);
         put_u64(&mut reply, nodes);
         ctx.at_async_cmd(PlaceId(0), H_RESULT, reply);
-    });
-    rt.register_handler(H_RESULT, move |_ctx, args| {
+    })
+    .handler(H_RESULT, move |_ctx, args| {
         let mut cur = Cursor::new(args);
         let nodes = cur.u64().expect("node count");
         remote_nodes.fetch_add(nodes, Ordering::Relaxed);
-    });
+    })
 }
 
 fn usage(err: &str) -> ! {
@@ -239,8 +241,8 @@ fn rank1(_depth: u32, version: Option<u16>, out: ObsOut) {
             std::process::exit(1);
         }
     };
-    let rt = Runtime::with_transport(config(1, &out), transport);
-    register_handlers(&rt, Arc::new(AtomicU64::new(0)));
+    let cfg = with_handlers(config(1, &out), Arc::new(AtomicU64::new(0)));
+    let rt = Runtime::with_transport(cfg, transport);
     rt.serve(); // returns when rank 0 broadcasts shutdown
 }
 
@@ -258,9 +260,11 @@ fn rank0(peer: String, depth: u32, version: Option<u16>, out: ObsOut) {
             std::process::exit(1);
         }
     };
-    let rt = Runtime::with_transport(config(0, &out), transport);
     let remote_nodes = Arc::new(AtomicU64::new(0));
-    register_handlers(&rt, remote_nodes.clone());
+    let rt = Runtime::with_transport(
+        with_handlers(config(0, &out), remote_nodes.clone()),
+        transport,
+    );
 
     let tree = GeoTree::paper(depth);
     let local_nodes = rt.run(move |ctx| {

@@ -39,7 +39,7 @@ pub struct ArenaCounts {
     pub misses: u64,
     /// Boxes returned to the freelist.
     pub recycled: u64,
-    /// Boxes dropped on return (arena disabled or freelist full).
+    /// Boxes dropped on return (freelist full).
     pub discarded: u64,
 }
 
@@ -73,7 +73,6 @@ pub struct EnvelopeArena {
     #[allow(clippy::vec_box)]
     free: Vec<Box<BatchPayload>>,
     retain: usize,
-    enabled: bool,
     counts: ArenaCounts,
     hooks: Option<ArenaHooks>,
     /// Metrics shard (the owning place) for the obs mirror.
@@ -81,32 +80,16 @@ pub struct EnvelopeArena {
 }
 
 impl EnvelopeArena {
-    /// An enabled arena owned by place `shard`, retaining up to
+    /// An arena owned by place `shard`, retaining up to
     /// [`DEFAULT_ARENA_RETAIN`] boxes.
     pub fn new(shard: u32) -> Self {
         EnvelopeArena {
             free: Vec::new(),
             retain: DEFAULT_ARENA_RETAIN,
-            enabled: true,
             counts: ArenaCounts::default(),
             hooks: None,
             shard,
         }
-    }
-
-    /// Enable or disable recycling (`arena_disable` ablation knob). Disabled,
-    /// every `take` allocates and every `recycle` discards — the pre-arena
-    /// behaviour, kept runnable so the ablation stays honest.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-        if !enabled {
-            self.free.clear();
-        }
-    }
-
-    /// Is recycling active?
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Override the freelist depth cap.
@@ -160,10 +143,10 @@ impl EnvelopeArena {
 
     /// Return a drained box for reuse. Clears the envelopes (dropping any
     /// the caller left behind) but keeps the capacity; drops the box instead
-    /// when recycling is disabled or the freelist is at its cap.
+    /// when the freelist is at its cap.
     pub fn recycle(&mut self, mut payload: Box<BatchPayload>) {
         payload.envs.clear();
-        if self.enabled && self.free.len() < self.retain {
+        if self.free.len() < self.retain {
             self.counts.recycled += 1;
             self.free.push(payload);
         } else {
@@ -202,20 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_arena_always_allocates_and_discards() {
-        let mut a = EnvelopeArena::new(0);
-        a.set_enabled(false);
-        let b = a.take();
-        a.recycle(b);
-        assert_eq!(a.counts().discarded, 1);
-        assert_eq!(a.free_len(), 0);
-        let _ = a.take();
-        assert_eq!(a.counts().misses, 2);
-        assert_eq!(a.counts().hits, 0);
-        assert_eq!(a.counts().hit_rate(), 0.0);
-    }
-
-    #[test]
     fn retain_caps_the_freelist() {
         let mut a = EnvelopeArena::new(0);
         a.set_retain(2);
@@ -226,15 +195,5 @@ mod tests {
         assert_eq!(a.free_len(), 2);
         assert_eq!(a.counts().recycled, 2);
         assert_eq!(a.counts().discarded, 2);
-    }
-
-    #[test]
-    fn disabling_clears_parked_boxes() {
-        let mut a = EnvelopeArena::new(0);
-        let b = a.take();
-        a.recycle(b);
-        assert_eq!(a.free_len(), 1);
-        a.set_enabled(false);
-        assert_eq!(a.free_len(), 0);
     }
 }

@@ -44,41 +44,28 @@
 //! split matters for tuning: a workload whose flushes are almost all
 //! explicit gains nothing from larger buffers, while one dominated by
 //! `ThresholdMsgs` drains may benefit from raising `max_msgs`.
-
 //!
 //! # Failure handling
 //!
-//! Sends can fail (see [`TransportError`]). Transient rejections — modeled
-//! injection-FIFO backpressure — are retried here with exponential backoff,
-//! bounded by the coalescer's `send_timeout`; the paper's transport does the
-//! same inside PAMI. Terminal failures (dead destination) and exhausted
-//! retry surface to the caller as a [`SendError`], with the affected
-//! envelope counts, so the scheduler can account for the loss and the
-//! protocol layers above can degrade instead of blocking.
+//! A transport send lands or fails for good: its one failure is a dead
+//! destination. The coalescer hands every drained buffer to
+//! [`Transport::send`] once and surfaces a failure to the caller as a
+//! [`SendError`] with the destroyed envelope count, so the scheduler can
+//! account for the loss and the protocol layers above can degrade instead
+//! of blocking.
 
 use crate::arena::{ArenaCounts, EnvelopeArena};
 use crate::hash::IntMap;
 use crate::message::{BatchPayload, Envelope, MsgClass};
 use crate::place::PlaceId;
-use crate::transport::{SendError, Transport, TransportError};
+use crate::transport::{SendError, Transport};
 use obs::metrics::{Counter, MetricsRegistry};
-use std::time::{Duration, Instant};
 
 /// Default flush threshold: messages buffered per destination.
 pub const DEFAULT_MAX_MSGS: usize = 64;
 
 /// Default flush threshold: modeled bytes buffered per destination.
 pub const DEFAULT_MAX_BYTES: usize = 16 * 1024;
-
-/// Default bound on retrying a transiently rejected send before giving up
-/// with [`TransportError::Timeout`].
-pub const DEFAULT_SEND_TIMEOUT: Duration = Duration::from_millis(5);
-
-/// First backoff sleep after a transient rejection; doubles per retry.
-const RETRY_BACKOFF_BASE: Duration = Duration::from_micros(5);
-
-/// Backoff ceiling.
-const RETRY_BACKOFF_CAP: Duration = Duration::from_micros(200);
 
 /// One destination's aggregation buffer. The envelopes live directly inside
 /// a boxed [`BatchPayload`], so a flush *swaps* the box out (replacing it
@@ -160,8 +147,6 @@ pub struct Coalescer {
     counts: FlushCounts,
     /// Shared observability counters (mirrored on every drain when wired).
     hooks: Option<FlushHooks>,
-    /// Bound on retrying transiently rejected sends.
-    send_timeout: Duration,
     /// Freelist of batch boxes (flushes take from it, the receive path
     /// recycles into it via [`Coalescer::recycle_batch`]).
     arena: EnvelopeArena,
@@ -192,26 +177,8 @@ impl Coalescer {
             dirty: Vec::new(),
             counts: FlushCounts::default(),
             hooks: None,
-            send_timeout: DEFAULT_SEND_TIMEOUT,
             arena: EnvelopeArena::new(from.0),
         }
-    }
-
-    /// Disable batch-box recycling (builder style) — the `arena_disable`
-    /// ablation knob. Flushes then allocate a fresh box each time, exactly
-    /// the pre-arena behaviour.
-    pub fn with_arena_disabled(mut self) -> Self {
-        self.arena.set_enabled(false);
-        self
-    }
-
-    /// Override the bound on retrying transiently rejected sends (builder
-    /// style). Retry sleeps exponentially from microseconds up; once
-    /// `timeout` has elapsed the send fails with
-    /// [`TransportError::Timeout`].
-    pub fn with_send_timeout(mut self, timeout: Duration) -> Self {
-        self.send_timeout = timeout;
-        self
     }
 
     /// Mirror every drain into the shared metrics registry (builder style):
@@ -266,7 +233,7 @@ impl Coalescer {
     pub fn send(&mut self, transport: &dyn Transport, env: Envelope) -> Result<(), SendError> {
         debug_assert_eq!(env.from, self.from, "coalescer owned by another place");
         if !self.enabled {
-            return send_with_retry(transport, env, self.send_timeout);
+            return transport.send(env);
         }
         let dest = env.to.index();
         let buf = self.bufs.entry(dest).or_insert_with(Buf::new);
@@ -337,10 +304,7 @@ impl Coalescer {
             self.record_drain(FlushReason::Explicit);
             if let Err(e) = self.emit(transport, PlaceId(dest as u32), payload) {
                 match &mut first {
-                    Some(f) => {
-                        f.dropped += e.dropped;
-                        f.retry.extend(e.retry);
-                    }
+                    Some(f) => f.dropped += e.dropped,
                     None => first = Some(e),
                 }
             }
@@ -367,7 +331,7 @@ impl Coalescer {
         if payload.envs.len() == 1 {
             let env = payload.envs.pop().expect("len checked");
             self.arena.recycle(payload);
-            return send_with_retry(transport, env, self.send_timeout);
+            return transport.send(env);
         }
         // Every message in a buffer shares (from, to) by construction, so
         // the logical-stats ledger collapses to per-class (count, bytes)
@@ -386,11 +350,7 @@ impl Coalescer {
         for (i, &(count, bytes)) in per_class.iter().enumerate() {
             stats.record_send_many(self.from.0, dest.0, MsgClass::ALL[i], count, bytes);
         }
-        let sent = send_with_retry(
-            transport,
-            Envelope::batch_boxed(self.from, dest, payload),
-            self.send_timeout,
-        );
+        let sent = transport.send(Envelope::batch_boxed(self.from, dest, payload));
         if sent.is_err() {
             for (i, &(count, bytes)) in per_class.iter().enumerate() {
                 stats.unrecord_send_many(self.from.0, dest.0, MsgClass::ALL[i], count, bytes);
@@ -437,42 +397,6 @@ impl Coalescer {
     /// True when nothing is buffered.
     pub fn is_empty(&self) -> bool {
         self.dirty.is_empty()
-    }
-}
-
-/// Submit one envelope, retrying transient rejections with exponential
-/// backoff until `send_timeout` elapses. Terminal errors pass through;
-/// exhausted retry fails with [`TransportError::Timeout`] and destroys the
-/// envelope.
-fn send_with_retry(
-    transport: &dyn Transport,
-    env: Envelope,
-    send_timeout: Duration,
-) -> Result<(), SendError> {
-    let mut env = env;
-    let mut backoff = RETRY_BACKOFF_BASE;
-    let mut deadline: Option<Instant> = None;
-    loop {
-        match transport.send(env) {
-            Ok(()) => return Ok(()),
-            Err(mut e) => {
-                if e.retry.is_empty() {
-                    return Err(e); // terminal: nothing to resubmit
-                }
-                let now = Instant::now();
-                if now >= *deadline.get_or_insert(now + send_timeout) {
-                    return Err(SendError {
-                        error: TransportError::Timeout { place: e.place() },
-                        dropped: e.dropped + e.retry.len(),
-                        retry: Vec::new(),
-                    });
-                }
-                debug_assert_eq!(e.retry.len(), 1, "scalar send returns one envelope");
-                env = e.retry.pop().expect("retryable send returns the envelope");
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(RETRY_BACKOFF_CAP);
-            }
-        }
     }
 }
 
@@ -729,63 +653,11 @@ mod tests {
         t.kill_place(PlaceId(1));
         let err = c.flush(&t).unwrap_err();
         assert!(c.is_empty());
-        assert_eq!(err.place(), PlaceId(1));
-        assert_eq!(err.dropped, 1); // one batch envelope destroyed
-        assert!(err.retry.is_empty());
-        // The live destination's buffer still went out, and the dead batch's
-        // inner messages never entered the logical ledgers.
+        assert_eq!(err, SendError::dead(PlaceId(1), 1)); // one batch destroyed
+                                                         // The live destination's buffer still went out, and the dead batch's
+                                                         // inner messages never entered the logical ledgers.
         assert_eq!(drain_tags(&t, 2), vec![10, 11, 12, 13]);
         assert_eq!(t.stats().total_messages(), 4);
-    }
-
-    #[test]
-    fn transient_rejection_retried_until_accepted() {
-        use crate::fault::{ClassFaults, FaultPlan, FaultTransport};
-        use std::sync::Arc;
-        let t = FaultTransport::new(
-            Arc::new(LocalTransport::new(2)),
-            FaultPlan::new(21).all_classes(ClassFaults::rejecting(0.7)),
-        );
-        let mut c = Coalescer::new(PlaceId(0), 2, 4, 1 << 20, true)
-            .with_send_timeout(std::time::Duration::from_secs(2));
-        for i in 0..40u64 {
-            c.send(&t, env(1, i)).unwrap();
-        }
-        c.flush(&t).unwrap();
-        assert!(
-            t.fault_counts().rejected > 0,
-            "p=0.7 over the flushes should reject at least once"
-        );
-        let mut tags = Vec::new();
-        while let Some(e) = t.try_recv(PlaceId(1)) {
-            match e.unbatch() {
-                Ok(inner) => {
-                    for e in inner {
-                        tags.push(*e.payload.downcast::<u64>().unwrap());
-                    }
-                }
-                Err(e) => tags.push(*e.payload.downcast::<u64>().unwrap()),
-            }
-        }
-        assert_eq!(tags, (0..40).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn exhausted_retry_times_out() {
-        use crate::fault::{ClassFaults, FaultPlan, FaultTransport};
-        use std::sync::Arc;
-        let t = FaultTransport::new(
-            Arc::new(LocalTransport::new(2)),
-            FaultPlan::new(3).all_classes(ClassFaults::rejecting(1.0)),
-        );
-        let mut c = Coalescer::new(PlaceId(0), 2, 64, 1 << 20, false)
-            .with_send_timeout(std::time::Duration::from_millis(1));
-        let err = c.send(&t, env(1, 0)).unwrap_err();
-        assert_eq!(
-            err.error,
-            crate::transport::TransportError::Timeout { place: PlaceId(1) }
-        );
-        assert_eq!(err.dropped, 1);
     }
 
     #[test]

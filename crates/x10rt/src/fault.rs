@@ -36,10 +36,9 @@
 //! * **truncate** — the envelope's payload is destroyed in flight; the
 //!   mangled envelope still transits (and is charged) but is discarded at
 //!   the receive edge, like a frame that fails its checksum.
-//! * **reject** — the transport refuses the send with a retryable
-//!   [`TransportError::Rejected`], modeling injection-FIFO backpressure.
-//!   The caller gets the envelope back and is expected to retry; the
-//!   decision index advances per attempt, so retries eventually pass.
+//!
+//! No fault refuses a send: as on every back-end, a send fails only when
+//! its destination (or, here, its sender) is dead, and then for good.
 //!
 //! On top of the probabilistic faults, a plan scripts discrete events on the
 //! decorator's *logical clock* (one tick per send or receive operation):
@@ -56,12 +55,12 @@
 use crate::message::{Envelope, MsgClass};
 use crate::place::PlaceId;
 use crate::stats::NetStats;
-use crate::transport::{SendError, Transport, TransportError, Waker};
+use crate::transport::{SendError, Transport, Waker};
 use obs::metrics::{Counter, MetricsRegistry};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Per-class fault probabilities, each in `[0.0, 1.0]`. All zero by default.
 #[derive(Copy, Clone, Debug, Default, PartialEq)]
@@ -74,8 +73,6 @@ pub struct ClassFaults {
     pub duplicate: f64,
     /// Probability the payload is destroyed in flight.
     pub truncate: f64,
-    /// Probability the send is transiently refused (retryable).
-    pub reject: f64,
 }
 
 impl ClassFaults {
@@ -111,20 +108,8 @@ impl ClassFaults {
         }
     }
 
-    /// Faults that only reject with probability `p`.
-    pub fn rejecting(p: f64) -> Self {
-        ClassFaults {
-            reject: p,
-            ..Default::default()
-        }
-    }
-
     fn is_zero(&self) -> bool {
-        self.drop == 0.0
-            && self.delay == 0.0
-            && self.duplicate == 0.0
-            && self.truncate == 0.0
-            && self.reject == 0.0
+        self.drop == 0.0 && self.delay == 0.0 && self.duplicate == 0.0 && self.truncate == 0.0
     }
 }
 
@@ -227,8 +212,6 @@ pub struct FaultCounts {
     pub duplicated: u64,
     /// Payloads destroyed in flight.
     pub truncated: u64,
-    /// Sends transiently refused.
-    pub rejected: u64,
     /// Places killed by scripted events or [`Transport::kill_place`].
     pub killed: u64,
     /// Marker envelopes (duplicates, truncations) filtered at the receive
@@ -266,7 +249,6 @@ struct FaultTallies {
     delayed: AtomicU64,
     duplicated: AtomicU64,
     truncated: AtomicU64,
-    rejected: AtomicU64,
     killed: AtomicU64,
     filtered: AtomicU64,
     lost_by_class: [AtomicU64; MsgClass::ALL.len()],
@@ -278,7 +260,6 @@ struct FaultHooks {
     delayed: Counter,
     duplicated: Counter,
     truncated: Counter,
-    rejected: Counter,
     killed: Counter,
 }
 
@@ -324,7 +305,8 @@ pub struct FaultTransport {
     /// Lock-free fast path: how many envelopes are currently held.
     held_count: AtomicUsize,
     tallies: FaultTallies,
-    hooks: Option<FaultHooks>,
+    /// Metric mirrors, set once by [`Transport::wire_obs`].
+    hooks: OnceLock<FaultHooks>,
 }
 
 impl FaultTransport {
@@ -342,23 +324,9 @@ impl FaultTransport {
             held: Mutex::new(BTreeMap::new()),
             held_count: AtomicUsize::new(0),
             tallies: FaultTallies::default(),
-            hooks: None,
+            hooks: OnceLock::new(),
             plan,
         }
-    }
-
-    /// Mirror every injected fault into the shared metrics registry
-    /// (builder style), sharded by sending place.
-    pub fn with_obs(mut self, metrics: &MetricsRegistry) -> Self {
-        self.hooks = Some(FaultHooks {
-            dropped: metrics.counter(obs::names::FAULT_DROPPED),
-            delayed: metrics.counter(obs::names::FAULT_DELAYED),
-            duplicated: metrics.counter(obs::names::FAULT_DUPLICATED),
-            truncated: metrics.counter(obs::names::FAULT_TRUNCATED),
-            rejected: metrics.counter(obs::names::FAULT_REJECTED),
-            killed: metrics.counter(obs::names::FAULT_KILLED),
-        });
-        self
     }
 
     /// The plan governing this decorator.
@@ -377,7 +345,6 @@ impl FaultTransport {
             delayed: self.tallies.delayed.load(Ordering::Relaxed),
             duplicated: self.tallies.duplicated.load(Ordering::Relaxed),
             truncated: self.tallies.truncated.load(Ordering::Relaxed),
-            rejected: self.tallies.rejected.load(Ordering::Relaxed),
             killed: self.tallies.killed.load(Ordering::Relaxed),
             filtered: self.tallies.filtered.load(Ordering::Relaxed),
             lost_by_class,
@@ -480,7 +447,7 @@ impl FaultTransport {
             self.held_count.store(remaining, Ordering::Relaxed);
         }
         self.tallies.killed.fetch_add(1, Ordering::Relaxed);
-        if let Some(h) = &self.hooks {
+        if let Some(h) = self.hooks.get() {
             h.killed.inc(place.0);
         }
     }
@@ -522,7 +489,7 @@ impl FaultTransport {
 
     fn count(&self, tally: &AtomicU64, hook: impl Fn(&FaultHooks) -> &Counter, shard: u32) {
         tally.fetch_add(1, Ordering::Relaxed);
-        if let Some(h) = &self.hooks {
+        if let Some(h) = self.hooks.get() {
             hook(h).inc(shard);
         }
     }
@@ -534,7 +501,6 @@ const SALT_DELAY: u64 = 0xDE;
 const SALT_DELAY_LEN: u64 = 0xDF;
 const SALT_DUP: u64 = 0xD2;
 const SALT_TRUNC: u64 = 0x7C;
-const SALT_REJECT: u64 = 0xE7;
 
 /// SplitMix64 over the packed decision inputs.
 fn decision_bits(seed: u64, from: u32, to: u32, class: MsgClass, seq: u64, salt: u64) -> u64 {
@@ -569,14 +535,6 @@ impl Transport for FaultTransport {
         let seq = self.pair_seq[env.from.index() * self.dead.len() + env.to.index()]
             .fetch_add(1, Ordering::Relaxed);
 
-        if faults.reject > 0.0 && self.draw(from, to, class, seq, SALT_REJECT) < faults.reject {
-            self.count(&self.tallies.rejected, |h| &h.rejected, from);
-            return Err(SendError {
-                error: TransportError::Rejected { place: env.to },
-                retry: vec![env],
-                dropped: 0,
-            });
-        }
         if faults.drop > 0.0 && self.draw(from, to, class, seq, SALT_DROP) < faults.drop {
             // The NIC accepted it; the wire lost it. Success, silently.
             self.count(&self.tallies.dropped, |h| &h.dropped, from);
@@ -713,6 +671,19 @@ impl Transport for FaultTransport {
 
     fn lane_footprint(&self, from: PlaceId) -> (usize, usize) {
         self.inner.lane_footprint(from)
+    }
+
+    /// Mirror every injected fault into `metrics` (sharded by sending
+    /// place), and wire the inner transport too.
+    fn wire_obs(&self, metrics: &MetricsRegistry) {
+        let _ = self.hooks.set(FaultHooks {
+            dropped: metrics.counter(obs::names::FAULT_DROPPED),
+            delayed: metrics.counter(obs::names::FAULT_DELAYED),
+            duplicated: metrics.counter(obs::names::FAULT_DUPLICATED),
+            truncated: metrics.counter(obs::names::FAULT_TRUNCATED),
+            killed: metrics.counter(obs::names::FAULT_KILLED),
+        });
+        self.inner.wire_obs(metrics);
     }
 
     fn kill_place(&self, place: PlaceId) {
@@ -866,29 +837,6 @@ mod tests {
     }
 
     #[test]
-    fn reject_returns_envelope_and_retry_succeeds() {
-        let t = wrap(
-            2,
-            FaultPlan::new(1).all_classes(ClassFaults::rejecting(0.9)),
-        );
-        let mut pending = vec![env(0, 1, 7)];
-        let mut attempts = 0;
-        while let Some(e) = pending.pop() {
-            attempts += 1;
-            assert!(attempts < 1000, "rejection must be transient");
-            match t.send(e) {
-                Ok(()) => break,
-                Err(err) => {
-                    assert_eq!(err.error, TransportError::Rejected { place: PlaceId(1) });
-                    pending.extend(err.retry);
-                }
-            }
-        }
-        assert!(attempts > 1, "p=0.9 should reject the first attempt");
-        assert_eq!(drain(&t, 1, 1, 10), vec![7]);
-    }
-
-    #[test]
     fn scripted_kill_fires_on_logical_clock() {
         let plan = FaultPlan::new(9).kill_place(PlaceId(1), 10);
         let t = wrap(3, plan);
@@ -899,7 +847,7 @@ mod tests {
         // The tenth operation crosses the scripted step and fires the kill
         // before the envelope is submitted: it dies with the place.
         let err = t.send(env(0, 1, 9)).unwrap_err();
-        assert_eq!(err.error, TransportError::PlaceDead { place: PlaceId(1) });
+        assert_eq!(err, SendError::dead(PlaceId(1), 1));
         assert!(t.is_dead(PlaceId(1)));
         assert_eq!(t.fault_counts().killed, 1);
         // The mailbox black-holed its backlog.

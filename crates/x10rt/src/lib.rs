@@ -69,4 +69,4 @@ pub use ring::{SpscRing, DEFAULT_RING_CAPACITY};
 pub use segment::{SegId, Segment, SegmentTable};
 pub use stats::NetStats;
 pub use tcp::{ProcSpec, TcpConfig, TcpError, TcpTransport};
-pub use transport::{LocalTransport, SendError, Transport, TransportError};
+pub use transport::{LocalTransport, SendError, Transport};

@@ -54,6 +54,7 @@ use crate::message::{Envelope, Payload};
 use crate::place::PlaceId;
 use crate::stats::NetStats;
 use crate::transport::{LocalTransport, SendError, Transport, Waker};
+use obs::metrics::MetricsRegistry;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -806,6 +807,10 @@ impl Transport for TcpTransport {
 
     fn lane_footprint(&self, from: PlaceId) -> (usize, usize) {
         self.core.inner.lane_footprint(from)
+    }
+
+    fn wire_obs(&self, metrics: &MetricsRegistry) {
+        self.core.inner.wire_obs(metrics)
     }
 
     fn kill_place(&self, place: PlaceId) {

@@ -84,104 +84,41 @@ use obs::metrics::{Counter, MetricsRegistry};
 use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A callback invoked when a message arrives for a place, used to unpark its
 /// worker thread(s).
 pub type Waker = Arc<dyn Fn() + Send + Sync>;
 
-/// Why a send could not be completed.
-///
-/// Real back-ends fail in exactly two shapes: *terminally* (the peer is gone
-/// — PAMI surfaces this as a destination error) and *transiently* (the
-/// injection FIFO is full and the NIC pushes back). The upper layers treat
-/// them very differently: transient rejections are retried with backoff (see
-/// [`crate::coalesce::Coalescer`]), terminal failures are surfaced so the
-/// protocol layer can degrade (a `finish` reports a dead place instead of
-/// hanging, GLB routes around the victim).
+/// A failed send: a place at one end of it is dead — the destination's
+/// mailbox was closed or, under fault injection, the sender was killed —
+/// so the envelope(s) were destroyed. Terminal: a send either lands or
+/// fails for good, and retrying can never succeed. Real back-ends surface
+/// this as a destination error (PAMI); the upper layers degrade on it (a
+/// `finish` reports a dead place instead of hanging, GLB routes around the
+/// victim).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum TransportError {
-    /// The destination place is dead (its mailbox was closed). Terminal:
-    /// retrying can never succeed.
-    PlaceDead {
-        /// The dead destination.
-        place: PlaceId,
-    },
-    /// The transport transiently refused the message (modeled injection-FIFO
-    /// backpressure). Retryable.
-    Rejected {
-        /// The refusing destination.
-        place: PlaceId,
-    },
-    /// Bounded retry gave up without the message being accepted.
-    Timeout {
-        /// The destination that kept refusing.
-        place: PlaceId,
-    },
-}
-
-impl std::fmt::Display for TransportError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TransportError::PlaceDead { place } => write!(f, "destination {place} is dead"),
-            TransportError::Rejected { place } => {
-                write!(f, "send to {place} transiently rejected")
-            }
-            TransportError::Timeout { place } => {
-                write!(f, "send to {place} timed out after bounded retry")
-            }
-        }
-    }
-}
-
-impl TransportError {
-    /// The destination place the failure concerns.
-    pub fn place(&self) -> PlaceId {
-        match *self {
-            TransportError::PlaceDead { place }
-            | TransportError::Rejected { place }
-            | TransportError::Timeout { place } => place,
-        }
-    }
-}
-
-impl std::error::Error for TransportError {}
-
-/// A failed send: the error plus what happened to the envelope(s).
-///
-/// Envelopes in `retry` were *not* consumed and may be resubmitted (only
-/// transient [`TransportError::Rejected`] failures return them); `dropped`
-/// counts envelopes destroyed outright (sends to a dead place black-hole).
-#[derive(Debug)]
 pub struct SendError {
-    /// The first error encountered.
-    pub error: TransportError,
-    /// Envelopes eligible for retry (empty for terminal failures).
-    pub retry: Vec<Envelope>,
-    /// Envelopes destroyed (e.g. addressed to a dead place).
+    /// The dead place.
+    pub place: PlaceId,
+    /// Envelopes destroyed.
     pub dropped: usize,
 }
 
 impl SendError {
-    /// A terminal dead-place failure that destroyed `dropped` envelopes.
+    /// `dropped` envelopes destroyed because `place` is dead.
     pub fn dead(place: PlaceId, dropped: usize) -> Self {
-        SendError {
-            error: TransportError::PlaceDead { place },
-            retry: Vec::new(),
-            dropped,
-        }
-    }
-
-    /// Total envelopes this failure affected (destroyed or returned).
-    pub fn affected(&self) -> usize {
-        self.dropped + self.retry.len()
-    }
-
-    /// The destination place the failure concerns.
-    pub fn place(&self) -> PlaceId {
-        self.error.place()
+        SendError { place, dropped }
     }
 }
+
+impl std::fmt::Display for SendError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "place {} is dead", self.place)
+    }
+}
+
+impl std::error::Error for SendError {}
 
 /// Point-to-point transport between places.
 ///
@@ -190,60 +127,9 @@ impl SendError {
 /// network reorders freely across routes — the paper's default finish
 /// protocol is designed for exactly this).
 pub trait Transport: Send + Sync {
-    /// Enqueue a message for delivery. Never blocks. A send to a dead place
-    /// fails with [`TransportError::PlaceDead`]; a transiently refused
-    /// message comes back in [`SendError::retry`] for resubmission.
+    /// Enqueue a message for delivery. Never blocks. The only failure is a
+    /// dead destination (see [`SendError`]).
     fn send(&self, env: Envelope) -> Result<(), SendError>;
-
-    /// Enqueue several messages for delivery, preserving their order per
-    /// (sender, destination) pair. The default loops [`Transport::send`];
-    /// back-ends override it to amortize per-message submission costs.
-    ///
-    /// On failure the whole batch is still attempted (skipping a failed
-    /// envelope cannot break per-pair FIFO for the ones that follow it only
-    /// when the failure is terminal for that destination; transient
-    /// rejections therefore return the refused envelope *and* every later
-    /// same-destination envelope in `retry`, in order). The default
-    /// implementation keeps this property by funneling each envelope through
-    /// [`Transport::send`] and routing later same-destination envelopes
-    /// straight to `retry` once one was refused.
-    fn send_batch(&self, envs: Vec<Envelope>) -> Result<(), SendError> {
-        let mut first: Option<TransportError> = None;
-        let mut retry: Vec<Envelope> = Vec::new();
-        let mut dropped = 0usize;
-        // Destinations with a transiently refused envelope: later envelopes
-        // to the same destination must queue behind it, not overtake it.
-        let mut refused: Vec<PlaceId> = Vec::new();
-        for env in envs {
-            if refused.contains(&env.to) {
-                retry.push(env);
-                continue;
-            }
-            match self.send(env) {
-                Ok(()) => {}
-                Err(e) => {
-                    if first.is_none() {
-                        first = Some(e.error);
-                    }
-                    if let TransportError::Rejected { place } = e.error {
-                        if !refused.contains(&place) {
-                            refused.push(place);
-                        }
-                    }
-                    retry.extend(e.retry);
-                    dropped += e.dropped;
-                }
-            }
-        }
-        match first {
-            None => Ok(()),
-            Some(error) => Err(SendError {
-                error,
-                retry,
-                dropped,
-            }),
-        }
-    }
 
     /// Poll for the next message addressed to `place`. Non-blocking.
     fn try_recv(&self, place: PlaceId) -> Option<Envelope>;
@@ -287,10 +173,16 @@ pub trait Transport: Send + Sync {
         (0, 0)
     }
 
+    /// Mirror this transport's own counters into `metrics`. The runtime
+    /// calls it once, before any worker runs, on whatever transport it was
+    /// built over; decorators and wrappers forward it to the transport they
+    /// hold. The default has nothing to mirror.
+    fn wire_obs(&self, _metrics: &MetricsRegistry) {}
+
     /// Kill `place`: its mailbox black-holes (pending and future traffic is
-    /// destroyed) and subsequent sends to it fail with
-    /// [`TransportError::PlaceDead`]. Irreversible. The default is a no-op
-    /// for back-ends without failure support.
+    /// destroyed) and subsequent sends to it fail with [`SendError`].
+    /// Irreversible. The default is a no-op for back-ends without failure
+    /// support.
     fn kill_place(&self, _place: PlaceId) {}
 
     /// Has `place` been killed?
@@ -325,7 +217,7 @@ struct RecvState {
     /// traffic and has not yet drained to empty.
     notified: AtomicBool,
     /// Set when the place is killed: the lanes are purged, receive paths
-    /// return nothing, and sends fail with [`TransportError::PlaceDead`].
+    /// return nothing, and sends fail with [`SendError`].
     closed: AtomicBool,
     /// Consumer spin guard: serializes sweeps (and the kill-time purge) so
     /// each destination's lanes see one consumer.
@@ -351,11 +243,11 @@ pub struct LocalTransport {
     wakers: RwLock<Vec<Option<Waker>>>,
     stats: NetStats,
     /// Observability mirror of the ring-growth counter (sharded by sender),
-    /// resolved once at construction.
-    growth_obs: Option<Counter>,
+    /// set once by [`Transport::wire_obs`].
+    growth_obs: OnceLock<Counter>,
     /// Observability mirror of [`Self::lanes_allocated`] (sharded by
-    /// sender).
-    lanes_obs: Option<Counter>,
+    /// sender), set with `growth_obs`.
+    lanes_obs: OnceLock<Counter>,
 }
 
 impl LocalTransport {
@@ -386,24 +278,9 @@ impl LocalTransport {
             recv,
             wakers: RwLock::new(vec![None; places]),
             stats: NetStats::new(places),
-            growth_obs: None,
-            lanes_obs: None,
+            growth_obs: OnceLock::new(),
+            lanes_obs: OnceLock::new(),
         }
-    }
-
-    /// Mirror ring growths and lane materializations into the shared
-    /// metrics registry (builder style): resolves the counters once so the
-    /// hot paths stay one relaxed increment.
-    pub fn with_obs(mut self, metrics: &MetricsRegistry) -> Self {
-        self.growth_obs = Some(metrics.counter(obs::names::MAILBOX_RING_OVERFLOW));
-        let lanes = metrics.counter(obs::names::MAILBOX_LANES_ALLOCATED);
-        // Catch up on lanes created before this call.
-        let already = self.lanes_allocated();
-        if already > 0 {
-            lanes.add(0, already as u64);
-        }
-        self.lanes_obs = Some(lanes);
-        self
     }
 
     /// How many (sender, receiver) lanes are backed by storage: one per
@@ -424,7 +301,7 @@ impl LocalTransport {
         }
         let mut row = row.write();
         let lane = row.entry(to).or_insert_with(|| {
-            if let Some(c) = &self.lanes_obs {
+            if let Some(c) = self.lanes_obs.get() {
                 c.inc(from as u32);
             }
             Arc::new(Lane {
@@ -456,7 +333,7 @@ impl LocalTransport {
             let Ok(grew) = lane.ring.push(env);
             if grew {
                 self.stats.record_ring_overflow(from);
-                if let Some(c) = &self.growth_obs {
+                if let Some(c) = self.growth_obs.get() {
                     c.inc(from);
                 }
             }
@@ -588,44 +465,6 @@ impl Transport for LocalTransport {
         Ok(())
     }
 
-    fn send_batch(&self, envs: Vec<Envelope>) -> Result<(), SendError> {
-        // Enqueue each same-destination run and fire at most one (debounced)
-        // wake per run. Processing runs in order preserves per-pair FIFO.
-        // Runs addressed to a dead place are destroyed (black hole) and
-        // reported via the returned error.
-        let mut err: Option<SendError> = None;
-        let mut iter = envs.into_iter().peekable();
-        while let Some(env) = iter.next() {
-            debug_assert!(env.to.index() < self.places, "bad destination");
-            let to = env.to.index();
-            if self.recv[to].closed.load(Ordering::Acquire) {
-                let mut destroyed = 1;
-                while iter.peek().is_some_and(|next| next.to.index() == to) {
-                    iter.next();
-                    destroyed += 1;
-                }
-                match &mut err {
-                    Some(e) => e.dropped += destroyed,
-                    None => err = Some(SendError::dead(env.to, destroyed)),
-                }
-                continue;
-            }
-            self.record(&env);
-            let mut queued = self.push_lane(env);
-            while let Some(next) = iter.next_if(|next| next.to.index() == to) {
-                self.record(&next);
-                queued |= self.push_lane(next);
-            }
-            if queued {
-                self.wake(to);
-            }
-        }
-        match err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    }
-
     fn try_recv(&self, place: PlaceId) -> Option<Envelope> {
         let mut out = Vec::with_capacity(1);
         self.recv(place.index(), 1, &mut out, true);
@@ -660,6 +499,25 @@ impl Transport for LocalTransport {
         let row = self.lanes[from.index()].read();
         let bytes = row.values().map(|lane| lane.ring.slot_bytes()).sum();
         (row.len(), bytes)
+    }
+
+    /// Mirror ring growths and lane materializations, resolving the
+    /// counters once so the hot paths stay one relaxed increment. Lanes
+    /// created before the call are caught up: every row is write-locked
+    /// while the counter is installed, so a lane inserted concurrently is
+    /// counted either here or by its inserter, never both.
+    fn wire_obs(&self, metrics: &MetricsRegistry) {
+        let _ = self
+            .growth_obs
+            .set(metrics.counter(obs::names::MAILBOX_RING_OVERFLOW));
+        let rows: Vec<_> = self.lanes.iter().map(|row| row.write()).collect();
+        let lanes = metrics.counter(obs::names::MAILBOX_LANES_ALLOCATED);
+        if self.lanes_obs.set(lanes.clone()).is_ok() {
+            let already: usize = rows.iter().map(|row| row.len()).sum();
+            if already > 0 {
+                lanes.add(0, already as u64);
+            }
+        }
     }
 
     fn kill_place(&self, place: PlaceId) {
@@ -748,7 +606,8 @@ mod tests {
         let mut out = Vec::new();
         for burst in 0..4 * DEFAULT_RING_CAPACITY as u64 {
             for i in 0..burst % (DEFAULT_RING_CAPACITY as u64 + 1) {
-                t.send_batch(vec![env(0, 1, i), env(0, 2, i)]).unwrap();
+                t.send(env(0, 1, i)).unwrap();
+                t.send(env(0, 2, i)).unwrap();
             }
             t.try_recv_batch(PlaceId(1), usize::MAX, &mut out);
             t.try_recv_batch(PlaceId(2), usize::MAX, &mut out);
@@ -820,10 +679,11 @@ mod tests {
     }
 
     #[test]
-    fn send_batch_preserves_order_and_counts() {
+    fn interleaved_sends_preserve_order_and_counts() {
         let t = LocalTransport::new(3);
-        let batch: Vec<Envelope> = (0..10u64).map(|i| env(0, 1 + (i % 2) as u32, i)).collect();
-        t.send_batch(batch).unwrap();
+        for i in 0..10u64 {
+            t.send(env(0, 1 + (i % 2) as u32, i)).unwrap();
+        }
         // Per-destination order is send order.
         for want in [0u64, 2, 4, 6, 8] {
             let got = t.try_recv(PlaceId(1)).unwrap();
@@ -877,34 +737,13 @@ mod tests {
         assert_eq!(t.queue_len(PlaceId(1)), 0);
         assert!(t.try_recv(PlaceId(1)).is_none());
         let err = t.send(env(0, 1, 1)).unwrap_err();
-        assert_eq!(err.error, TransportError::PlaceDead { place: PlaceId(1) });
-        assert!(err.retry.is_empty());
-        assert_eq!(err.dropped, 1);
+        assert_eq!(err, SendError::dead(PlaceId(1), 1));
         assert!(t.is_dead(PlaceId(1)));
         assert!(!t.is_dead(PlaceId(2)));
         assert_eq!(t.dead_places(), vec![PlaceId(1)]);
         // Other places are unaffected.
         t.send(env(0, 2, 9)).unwrap();
         assert!(t.try_recv(PlaceId(2)).is_some());
-    }
-
-    #[test]
-    fn send_batch_skips_dead_runs_and_reports() {
-        let t = LocalTransport::new(3);
-        t.kill_place(PlaceId(1));
-        let batch: Vec<Envelope> = (0..6u64).map(|i| env(0, 1 + (i % 2) as u32, i)).collect();
-        let err = t.send_batch(batch).unwrap_err();
-        assert_eq!(err.error, TransportError::PlaceDead { place: PlaceId(1) });
-        assert_eq!(err.dropped, 3);
-        assert!(err.retry.is_empty());
-        // The live destination still got its run, in order.
-        for want in [1u64, 3, 5] {
-            let got = t.try_recv(PlaceId(2)).unwrap();
-            assert_eq!(*got.payload.downcast::<u64>().unwrap(), want);
-        }
-        // Destroyed envelopes are not recorded in the ledgers.
-        assert_eq!(t.stats().total_messages(), 3);
-        assert_eq!(t.stats().total_envelopes(), 3);
     }
 
     #[test]

@@ -108,9 +108,9 @@ proptest! {
         }
     }
 
-    /// Interleaving scalar `send` and bulk `send_batch` submissions from
-    /// each sender preserves per-pair FIFO and loses nothing, however the
-    /// receiver chunks its `try_recv_batch` drains.
+    /// Interleaving scalar envelopes and `Batch` envelopes on each pair
+    /// preserves per-pair FIFO and loses nothing, however the receiver
+    /// chunks its `try_recv_batch` drains.
     #[test]
     fn mixed_scalar_and_batch_fifo(
         sends in prop::collection::vec((0u32..4, 0u32..4, any::<bool>()), 1..200),
@@ -118,29 +118,40 @@ proptest! {
     ) {
         let t = LocalTransport::new(4);
         let mut seq = [[0u64; 4]; 4];
-        // Each sender accumulates messages and, on a `cut`, submits the run
-        // via send_batch (or scalar send when the run is a single message).
-        let mut pending: Vec<Vec<Envelope>> = (0..4).map(|_| Vec::new()).collect();
+        // Each pair accumulates messages and, on a `cut`, submits its run
+        // as one `Batch` envelope (or a scalar one when the run is a single
+        // message).
+        let mut pending: Vec<Vec<Envelope>> = (0..16).map(|_| Vec::new()).collect();
+        let (mut scalars, mut batches) = (0u64, 0u64);
+        let mut submit = |run: Vec<Envelope>| {
+            let Some(first) = run.first() else { return };
+            let (from, to) = (first.from, first.to);
+            if run.len() == 1 {
+                scalars += 1;
+                t.send(run.into_iter().next().unwrap()).unwrap();
+            } else {
+                batches += 1;
+                t.send(Envelope::batch(from, to, run)).unwrap();
+            }
+        };
         for &(from, to, cut) in &sends {
             let s = seq[from as usize][to as usize];
             seq[from as usize][to as usize] += 1;
-            pending[from as usize].push(env(from, to, tag_of(from, to, s)));
+            let pair = (from * 4 + to) as usize;
+            pending[pair].push(env(from, to, tag_of(from, to, s)));
             if cut {
-                let run = std::mem::take(&mut pending[from as usize]);
-                if run.len() == 1 {
-                    t.send(run.into_iter().next().unwrap()).unwrap();
-                } else {
-                    t.send_batch(run).unwrap();
-                }
+                submit(std::mem::take(&mut pending[pair]));
             }
         }
         for run in pending {
-            t.send_batch(run).unwrap();
+            submit(run);
         }
         check_fifo_and_conservation(&t, 4, chunk, &seq, sends.len())?;
-        // send_batch submits scalar envelopes: physical == logical here.
-        prop_assert_eq!(t.stats().total_messages(), sends.len() as u64);
-        prop_assert_eq!(t.stats().total_envelopes(), sends.len() as u64);
+        // The transport counts a scalar envelope as one message and a batch
+        // as one physical envelope (its inner messages are the coalescer's
+        // to count).
+        prop_assert_eq!(t.stats().total_messages(), scalars);
+        prop_assert_eq!(t.stats().total_envelopes(), scalars + batches);
     }
 
     /// Routing everything through per-sender coalescers — with arbitrary
