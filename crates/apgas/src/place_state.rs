@@ -20,7 +20,7 @@ use x10rt::{IntMap, PlaceId};
 /// attachment) and its causal identity.
 pub struct Activity {
     /// The body to run and how `finish` tracks it.
-    pub task: Box<Task>,
+    pub task: Task,
     /// The causal identity of the message chain this activity belongs to
     /// (`None` when causal tracing is off or the chain has no recorded
     /// cause). Wire-arrived activities carry their spawn message's id;

@@ -1,4 +1,4 @@
-//! [`Task`] — one heap cell per activity, from spawn to completion.
+//! [`Task`] — one activity by value, from spawn to completion.
 //!
 //! An activity used to cost two heap allocations: a boxed closure
 //! (`Box<dyn FnOnce>`) plus a boxed spawn message to carry it and its
@@ -6,16 +6,18 @@
 //! the receiver freed both, on another executor thread — so on a storm of
 //! tiny `at_async` updates the allocator was the largest single cost.
 //!
-//! A `Task` is the closure and its [`Attach`] in one cell. Closures of up to
-//! [`INLINE_BYTES`] (and no stricter alignment than a `u64`) are stored
-//! inline; larger or over-aligned ones are boxed inside the cell. The same
-//! `Box<Task>` is the spawn's wire payload under `CodecMode::Inline`, the
-//! inline part of its `WireMsg` under `CodecMode::Bytes`, and the body of the
-//! queued `Activity` at the receiver, which frees it after the body runs.
-//! Keeping emptied cells on a per-worker freelist for the next spawn was
-//! measured and left out (EXPERIMENTS.md, "One cell per activity"):
-//! merging the two allocations into one is the gain, and reusing the one
-//! left won less than the run-to-run spread.
+//! A `Task` is the closure and its [`Attach`] in one fixed-size cell.
+//! Closures of up to [`INLINE_BYTES`] (and no stricter alignment than a
+//! `u64`) are stored inline; larger or over-aligned ones are boxed inside
+//! the cell. The cell itself is a plain value: a local spawn moves it into
+//! the run queue (`Activity::task`), and a remote spawn under
+//! `CodecMode::Inline` hands it to the coalescer, which carries it by value
+//! in an inline slot of the batch it rides in (`x10rt::InlineSlot`); the
+//! receiver moves it from the slot into its run queue. So a batched spawn
+//! allocates nothing. The cell gets a box of its own only when it travels
+//! alone: a spawn flushed by itself, and the inline part of its `WireMsg`
+//! under `CodecMode::Bytes`. Keeping emptied boxes on a per-worker freelist
+//! was measured and left out (EXPERIMENTS.md, "One cell per activity").
 //!
 //! All of the crate's type-erasure `unsafe` lives in this module. The
 //! invariant every block relies on: `vtable` is `Some(v)` exactly when
@@ -132,12 +134,12 @@ pub struct Task {
 
 impl Task {
     /// A cell holding `f`, attached `Uncounted`.
-    pub(crate) fn new<F: FnOnce(&Ctx) + Send + 'static>(f: F) -> Box<Task> {
-        let mut t = Box::new(Task {
+    pub(crate) fn new<F: FnOnce(&Ctx) + Send + 'static>(f: F) -> Task {
+        let mut t = Task {
             attach: Attach::Uncounted,
             vtable: None,
             slot: Slot([MaybeUninit::uninit(); INLINE_BYTES]),
-        });
+        };
         let p = t.slot.0.as_mut_ptr().cast::<u8>();
         if fits_inline::<F>() {
             // SAFETY: `F` fits the slot in size and alignment, and the new

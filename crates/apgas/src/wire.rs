@@ -1,15 +1,19 @@
 //! The APGAS protocol messages and their serialized encodings
 //! (`PROTOCOL.md` §4).
 //!
-//! Each runtime handler id has one message type: `Box<Task>` (`H_SPAWN`),
+//! Each runtime handler id has one message type: `Task` (`H_SPAWN`),
 //! [`FinishMsg`] (`H_FINISH`), [`TeamWire`] (`H_TEAM`), [`ClockMsg`]
 //! (`H_CLOCK`) and [`ObsMsg`] (`H_OBS`). A message travels in one of two
-//! forms: its typed box under [`CodecMode::Inline`], or a [`WireMsg`] — the
+//! forms: typed under [`CodecMode::Inline`], or a [`WireMsg`] — the
 //! handler id plus argument bytes, encoded by the functions here — under
-//! [`CodecMode::Bytes`]. Every send makes that choice in one place, and the
-//! receiving worker dispatches both forms by handler id: a `WireMsg` names
-//! its handler, a typed box is named by its type (both looked up in this
-//! module), and the handler decodes only what arrived encoded.
+//! [`CodecMode::Bytes`]. Every boxed send makes that choice in
+//! `to_payload`, and the receiving worker dispatches both forms by
+//! handler id: a `WireMsg` names its handler, a typed box is named by its
+//! type (both looked up in this module), and the handler decodes only what
+//! arrived encoded. The one typed message that is not always boxed is a
+//! spawn's `Task` cell: the worker's spawn path hands it to the coalescer
+//! by value, and it rides inline in its batch (`x10rt::InlineSlot`)
+//! unless it leaves alone.
 //!
 //! Every encoding is little-endian and self-contained: no lengths or types
 //! are inferred from context, so truncated or corrupt bytes surface as typed
@@ -34,7 +38,7 @@ use x10rt::{CodecMode, Payload, PlaceId};
 // ---------------------------------------------------------------------------
 
 /// A runtime message: the handler id it dispatches under and its codec.
-/// Its typed form is a payload of one box (a spawn's cell already is one).
+/// Its typed form is a payload of one box.
 pub(crate) trait Wire: Sized + Send + 'static {
     /// The handler this message dispatches under.
     const HANDLER: HandlerId;
@@ -88,32 +92,26 @@ pub(crate) fn from_payload<M: Wire>(p: Payload) -> Result<M, DecodeError> {
     }
 }
 
-impl Wire for Box<Task> {
+impl Wire for Task {
     const HANDLER: HandlerId = H_SPAWN;
     fn encode(self) -> WireMsg {
-        WireMsg::with_inline(H_SPAWN, encode_spawn_closure(&self.attach), self)
+        WireMsg::with_inline(H_SPAWN, encode_spawn_closure(&self.attach), Box::new(self))
     }
     fn decode(w: WireMsg) -> Result<Self, DecodeError> {
         let (attach, body) = decode_spawn(&w.args)?;
         let mut task = match body {
-            SpawnWireBody::Closure => {
-                w.inline
-                    .and_then(|p| p.downcast().ok())
-                    .ok_or(DecodeError::BadTag {
-                        what: "closure spawn without its inline cell",
-                        tag: SPAWN_BODY_CLOSURE,
-                    })?
-            }
+            SpawnWireBody::Closure => w
+                .inline
+                .and_then(|p| p.downcast().ok())
+                .map(|t: Box<Task>| *t)
+                .ok_or(DecodeError::BadTag {
+                    what: "closure spawn without its inline cell",
+                    tag: SPAWN_BODY_CLOSURE,
+                })?,
             SpawnWireBody::Cmd { handler, args } => SpawnBody::Cmd { handler, args }.into_task(),
         };
         task.attach = attach;
         Ok(task)
-    }
-    fn boxed(self) -> Payload {
-        self
-    }
-    fn unboxed(p: Payload) -> Result<Self, Payload> {
-        p.downcast()
     }
 }
 

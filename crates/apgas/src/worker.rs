@@ -35,19 +35,20 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use x10rt::codec::{self, HandlerId, WireMsg};
-use x10rt::{Coalescer, Envelope, IntMap, MsgClass, PlaceId};
+use x10rt::{Coalescer, CodecMode, Envelope, InlineSlot, IntMap, MsgClass, PlaceId};
 
 /// What a spawn ships as the activity body: an in-process closure, or a
 /// registered command (handler id + serialized argument bytes — the fully
 /// serializable form every cross-process spawn needs). Both arrive under
 /// `H_SPAWN` and run through the same handler.
 pub enum SpawnBody {
-    /// A closure in its activity cell (shipped by pointer; never crosses a
-    /// process boundary). Under [`x10rt::CodecMode::Inline`] the cell,
-    /// attach included, is the envelope payload; under `Bytes` it is
-    /// the [`WireMsg`]'s inline part and the attach also travels as bytes
-    /// (over the TCP self-loop the cell waits in the stash).
-    Closure(Box<Task>),
+    /// A closure in its activity cell (never crosses a process boundary).
+    /// Under [`x10rt::CodecMode::Inline`] the cell, attach included, rides
+    /// by value in its batch's inline slot, or is the envelope payload when
+    /// flushed alone; under `Bytes` it is the [`WireMsg`]'s inline part and
+    /// the attach also travels as bytes (over the TCP self-loop the cell
+    /// waits in the stash).
+    Closure(Task),
     /// A registered command: run the handler with the argument bytes. It
     /// ships as a [`WireMsg`] in both codec modes.
     Cmd {
@@ -63,7 +64,7 @@ impl SpawnBody {
     /// handler in the runtime's configuration, installed before any worker
     /// ran; an unknown id panics inside the activity, surfacing through the
     /// governing finish as a typed message naming the id.
-    pub(crate) fn into_task(self) -> Box<Task> {
+    pub(crate) fn into_task(self) -> Task {
         match self {
             SpawnBody::Closure(t) => t,
             SpawnBody::Cmd { handler, args } => Task::new(move |ctx: &Ctx| {
@@ -420,7 +421,15 @@ impl Worker {
     /// send event linking it to the current cause is recorded; when off,
     /// the envelope passes through untouched.
     pub(crate) fn send_env_rooted(&self, env: Envelope, root: Option<u64>) {
-        let env = match (self.causal_buf(), self.obs()) {
+        let env = self.stamp(env, root);
+        if let Err(e) = self.coalescer.borrow_mut().send(&*self.g.transport, env) {
+            self.note_send_failure(&e);
+        }
+    }
+
+    /// The causal stamp of [`Worker::send_env_rooted`].
+    fn stamp(&self, env: Envelope, root: Option<u64>) -> Envelope {
+        match (self.causal_buf(), self.obs()) {
             (Some(cb), Some(o)) if env.causal.is_none() => {
                 let cur = self.current_cause.get();
                 let root = root.or_else(|| cur.map(|c| c.root)).unwrap_or(0);
@@ -436,9 +445,6 @@ impl Worker {
                 env
             }
             _ => env,
-        };
-        if let Err(e) = self.coalescer.borrow_mut().send(&*self.g.transport, env) {
-            self.note_send_failure(&e);
         }
     }
 
@@ -632,7 +638,7 @@ impl Worker {
 
     /// Queue a locally spawned activity under `attach`; it inherits this
     /// worker's current cause.
-    pub(crate) fn push_task(&self, mut task: Box<Task>, attach: Attach) {
+    pub(crate) fn push_task(&self, mut task: Task, attach: Attach) {
         task.attach = attach;
         self.push_activity(Activity {
             task,
@@ -660,20 +666,21 @@ impl Worker {
         let mut n = 0;
         for env in scratch.drain(..) {
             // A batch envelope expands into its logical messages, dispatched
-            // in their original send order; the emptied batch box then goes
-            // back to the coalescer's arena (after the dispatch loop —
-            // handlers may borrow the coalescer to send).
+            // in their original send order (a spawn cell moving out of its
+            // inline slot); the emptied batch box then goes back to the
+            // coalescer's arena (after the dispatch loop — handlers may
+            // borrow the coalescer to send).
             match env.unbatch_boxed() {
                 Ok(mut batch) => {
                     n += batch.envs.len();
-                    for env in batch.envs.drain(..) {
-                        self.handle_envelope(env);
+                    for (env, val) in batch.drain() {
+                        self.handle_envelope(env, val);
                     }
                     self.coalescer.borrow_mut().recycle_batch(batch);
                 }
                 Err(env) => {
                     n += 1;
-                    self.handle_envelope(env);
+                    self.handle_envelope(env, None);
                 }
             }
         }
@@ -689,10 +696,11 @@ impl Worker {
 
     /// Dispatch one incoming message by its handler id, whichever form it
     /// arrived in (`wire::handler_of`): each runtime handler is written
-    /// once, for both codec modes. A message that fails to decode means a
+    /// once, for both codec modes. A value that rode inline in its batch
+    /// (`val`) is a spawn cell. A message that fails to decode means a
     /// peer violated the protocol; it panics with the typed decode error
     /// rather than limping on with garbage.
-    fn handle_envelope(&self, env: Envelope) {
+    fn handle_envelope(&self, env: Envelope, val: Option<InlineSlot>) {
         // Receive stamp: dispatch time at this worker. Recorded before the
         // dispatch so the transport component of the causal edge ends here
         // and the handling below is attributed as execution.
@@ -709,6 +717,15 @@ impl Worker {
         fn take<M: Wire>(from: PlaceId, p: x10rt::Payload) -> M {
             wire::from_payload(p)
                 .unwrap_or_else(|e| panic!("malformed {} message from {from}: {e}", M::HANDLER))
+        }
+        if let Some(val) = val {
+            let task = val.take::<Task>().unwrap_or_else(|_| {
+                panic!(
+                    "inline value of a {}-class message from {from} is not a spawn cell",
+                    class.label()
+                )
+            });
+            return self.receive_spawn(from, causal, task);
         }
         match wire::handler_of(&payload) {
             Some(codec::H_SPAWN) => self.receive_spawn(from, causal, take(from, payload)),
@@ -749,7 +766,7 @@ impl Worker {
     /// The activity carries the message's causal id; its execution span is
     /// recorded when a worker actually runs it, which is what splits
     /// queue-wait from execution.
-    fn receive_spawn(&self, from: PlaceId, causal: Option<CausalId>, task: Box<Task>) {
+    fn receive_spawn(&self, from: PlaceId, causal: Option<CausalId>, task: Task) {
         if let Some(h) = &self.hooks {
             h.spawn_recv.inc(self.here.0);
             h.ring.instant("spawn", "recv", from.0 as u64);
@@ -1213,6 +1230,21 @@ impl Worker {
         };
         let body_bytes = body.modeled_bytes();
         let payload: x10rt::Payload = match body {
+            // The typed cell travels by value: it rides inline in the
+            // batch that carries it, and is boxed only if it leaves alone.
+            SpawnBody::Closure(mut task) if self.g.cfg.codec == CodecMode::Inline => {
+                task.attach = attach;
+                let env = Envelope::inlined(self.here, dst, class, body_bytes);
+                let env = self.stamp(env, root);
+                let sent = self
+                    .coalescer
+                    .borrow_mut()
+                    .send_inline(&*self.g.transport, env, task);
+                if let Err(e) = sent {
+                    self.note_send_failure(&e);
+                }
+                return;
+            }
             SpawnBody::Closure(mut task) => {
                 task.attach = attach;
                 wire::to_payload(self.g.cfg.codec, task)

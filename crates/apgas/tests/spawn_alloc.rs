@@ -3,8 +3,10 @@
 //! A remote `at_async` used to allocate twice (a boxed closure plus a boxed
 //! spawn message), on the sender's thread, with the receiver freeing both.
 //! An activity cell (`apgas::task`) carries the closure and its finish
-//! attachment together, so once the transport's batch buffers are warm a
-//! remote spawn allocates exactly its one cell.
+//! attachment together, and travels by value in the batch that carries it,
+//! so once the transport's batch buffers are warm a batched remote spawn
+//! allocates nothing. A spawn flushed alone is boxed, and allocates its
+//! one cell.
 //!
 //! The counting allocator sees every thread of this binary, so the whole
 //! check runs in one `#[test]` and nothing else allocates concurrently.
@@ -80,8 +82,31 @@ fn round(rt: &Runtime, sinks: &Arc<Vec<AtomicU64>>) -> u64 {
     ALLOCS.load(Ordering::SeqCst) - before
 }
 
-/// Allocations per spawn of a cold round and of the warmed round after it.
-fn measure() -> (f64, f64) {
+/// Singleton round: place 0 runs `LONE` local activities, each sending one
+/// `at_async` to place 1. Workers flush after every activity, so each spawn
+/// leaves in a flush of its own. Returns the allocations per remote spawn.
+fn lone_round(rt: &Runtime, sink: &Arc<AtomicU64>) -> f64 {
+    const LONE: u64 = 256;
+    let sink = sink.clone();
+    let before = ALLOCS.load(Ordering::SeqCst);
+    rt.run(move |ctx| {
+        ctx.finish(|c| {
+            for i in 0..LONE {
+                let sink = sink.clone();
+                c.spawn(move |c| {
+                    c.at_async(apgas::PlaceId(1), move |_| {
+                        sink.fetch_xor(i, Ordering::Relaxed);
+                    });
+                });
+            }
+        });
+    });
+    (ALLOCS.load(Ordering::SeqCst) - before) as f64 / LONE as f64
+}
+
+/// Allocations per spawn of a cold round, of the warmed round after it,
+/// and of a warmed singleton round.
+fn measure() -> (f64, f64, f64) {
     let rt = Runtime::new(Config::new(PLACES).executor_threads(1));
     let sinks: Arc<Vec<AtomicU64>> = Arc::new((0..PLACES).map(|_| AtomicU64::new(0)).collect());
     let cold = round(&rt, &sinks);
@@ -90,19 +115,35 @@ fn measure() -> (f64, f64) {
     for s in sinks.iter() {
         assert_eq!(s.load(Ordering::SeqCst), 0, "an update was lost or doubled");
     }
+    let sink = Arc::new(AtomicU64::new(0));
+    lone_round(&rt, &sink);
+    let lone = lone_round(&rt, &sink);
+    assert_eq!(
+        sink.load(Ordering::SeqCst),
+        0,
+        "a lone update was lost or doubled"
+    );
     drop(rt);
-    (cold as f64 / SPAWNS as f64, warm as f64 / SPAWNS as f64)
+    (
+        cold as f64 / SPAWNS as f64,
+        warm as f64 / SPAWNS as f64,
+        lone,
+    )
 }
 
 #[test]
-fn warmed_remote_spawn_allocates_one_cell() {
-    let (cold, warm) = measure();
-    println!("{cold:.3} allocations/spawn cold, {warm:.3} warm");
-    // Every spawn allocates its cell, so a counter that reads less than
-    // that is not seeing this binary's allocations.
-    assert!(warm >= 0.9, "warmed round: {warm:.3} allocations per spawn");
+fn batched_remote_spawn_allocates_nothing_lone_spawn_one_cell() {
+    let (cold, warm, lone) = measure();
+    println!("{cold:.3} allocations/spawn cold, {warm:.3} warm, {lone:.3} lone");
     assert!(
-        warm <= 1.1,
-        "warmed round: {warm:.3} allocations per spawn (bound 1.1: the cell only)"
+        warm <= 0.1,
+        "warmed round: {warm:.3} allocations per spawn (bound 0.1)"
+    );
+    // A spawn flushed alone is boxed at its flush: its one cell. A counter
+    // that reads less than that is not seeing this binary's allocations.
+    assert!(lone >= 0.9, "lone spawns: {lone:.3} allocations per spawn");
+    assert!(
+        lone <= 1.1,
+        "lone spawns: {lone:.3} allocations per spawn (bound 1.1: the cell only)"
     );
 }

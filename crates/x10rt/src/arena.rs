@@ -5,13 +5,15 @@
 //! two allocator round trips per batch, right on the message hot path.
 //! [`EnvelopeArena`] closes the loop: drained batch boxes come back via
 //! [`EnvelopeArena::recycle`] with their `Vec` capacity intact, and the next
-//! flush takes one off the freelist instead of allocating. In steady state —
-//! once buffers have grown to the workload's batch size — batching costs
-//! **no heap allocation per message**: envelopes live inline in recycled
-//! buffers, and the flush swap (see [`Coalescer::flush`](crate::Coalescer))
-//! moves a pointer instead of copying messages. The payload an envelope
-//! points to is its sender's to allocate: one activity cell per remote
-//! spawn in `apgas`.
+//! destination buffer that receives its first message takes one off the
+//! freelist instead of allocating. In steady state — once buffers have
+//! grown to the workload's batch size — batching costs **no heap
+//! allocation per message**: envelopes, and the values that ride inline
+//! beside them (an `apgas` activity cell per remote spawn; see
+//! [`crate::message`]), live in recycled buffers, and a flush (see
+//! [`Coalescer::flush`](crate::Coalescer)) moves a pointer instead of
+//! copying messages. Only a payload that does not ride inline is its
+//! sender's to allocate.
 //!
 //! The arena is deliberately *not* a shared pool: each worker owns one
 //! (inside its coalescer), so `take`/`recycle` are plain vector ops with no
@@ -26,9 +28,11 @@ use crate::message::BatchPayload;
 use obs::metrics::{Counter, MetricsRegistry};
 
 /// Freelist depth cap: boxes recycled beyond this are dropped instead of
-/// retained, bounding idle memory at roughly `retain × batch-size` envelopes
-/// per worker.
-pub const DEFAULT_ARENA_RETAIN: usize = 64;
+/// retained, bounding idle memory at roughly `retain × batch-size`
+/// envelopes and inline slots per worker. A destination buffer holds a box
+/// only while it holds messages, so the freelist is all the idle memory
+/// there is.
+pub const DEFAULT_ARENA_RETAIN: usize = 32;
 
 /// Local tally of arena traffic (per worker; see [`EnvelopeArena::counts`]).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -124,7 +128,10 @@ impl EnvelopeArena {
     pub fn take(&mut self) -> Box<BatchPayload> {
         match self.free.pop() {
             Some(b) => {
-                debug_assert!(b.envs.is_empty(), "recycled box not cleared");
+                debug_assert!(
+                    b.envs.is_empty() && b.inline_len() == 0,
+                    "recycled box not cleared"
+                );
                 self.counts.hits += 1;
                 if let Some(h) = &self.hooks {
                     h.hits.inc(self.shard);
@@ -136,7 +143,7 @@ impl EnvelopeArena {
                 if let Some(h) = &self.hooks {
                     h.misses.inc(self.shard);
                 }
-                Box::new(BatchPayload { envs: Vec::new() })
+                Box::default()
             }
         }
     }
@@ -145,7 +152,7 @@ impl EnvelopeArena {
     /// the caller left behind) but keeps the capacity; drops the box instead
     /// when the freelist is at its cap.
     pub fn recycle(&mut self, mut payload: Box<BatchPayload>) {
-        payload.envs.clear();
+        payload.clear();
         if self.free.len() < self.retain {
             self.counts.recycled += 1;
             self.free.push(payload);

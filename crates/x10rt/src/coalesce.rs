@@ -56,10 +56,11 @@
 
 use crate::arena::{ArenaCounts, EnvelopeArena};
 use crate::hash::IntMap;
-use crate::message::{BatchPayload, Envelope, MsgClass};
+use crate::message::{BatchPayload, Envelope, InlineSlot, Inlined, MsgClass};
 use crate::place::PlaceId;
 use crate::transport::{SendError, Transport};
 use obs::metrics::{Counter, MetricsRegistry};
+use std::any::Any;
 
 /// Default flush threshold: messages buffered per destination.
 pub const DEFAULT_MAX_MSGS: usize = 64;
@@ -67,22 +68,16 @@ pub const DEFAULT_MAX_MSGS: usize = 64;
 /// Default flush threshold: modeled bytes buffered per destination.
 pub const DEFAULT_MAX_BYTES: usize = 16 * 1024;
 
-/// One destination's aggregation buffer. The envelopes live directly inside
-/// a boxed [`BatchPayload`], so a flush *swaps* the box out (replacing it
-/// with a recycled one from the arena) and ships it as the batch envelope's
-/// payload — no per-message copy, no per-flush allocation in steady state.
+/// One destination's aggregation buffer. The envelopes (and their inline
+/// values) live directly inside a boxed [`BatchPayload`] taken from the
+/// arena when the first message arrives, so a flush moves the box out as
+/// the batch envelope's payload — no per-message copy, no per-flush
+/// allocation in steady state — and an idle destination holds no box.
+#[derive(Default)]
 struct Buf {
-    payload: Box<BatchPayload>,
+    /// `Some` exactly while the buffer holds messages.
+    payload: Option<Box<BatchPayload>>,
     bytes: usize,
-}
-
-impl Buf {
-    fn new() -> Self {
-        Buf {
-            payload: Box::new(BatchPayload { envs: Vec::new() }),
-            bytes: 0,
-        }
-    }
 }
 
 /// Why a destination buffer was drained.
@@ -138,8 +133,8 @@ pub struct Coalescer {
     max_bytes: usize,
     enabled: bool,
     /// Destination index → its buffer. A flushed buffer stays in the map
-    /// (emptied, its box refilled from the arena) so steady-state traffic
-    /// never re-hashes or re-allocates.
+    /// (emptied, its box gone with the batch) so steady-state traffic never
+    /// re-hashes or re-allocates.
     bufs: IntMap<usize, Buf>,
     /// Destinations with a non-empty buffer (so flush skips the rest).
     dirty: Vec<usize>,
@@ -235,20 +230,69 @@ impl Coalescer {
         if !self.enabled {
             return transport.send(env);
         }
-        let dest = env.to.index();
-        let buf = self.bufs.entry(dest).or_insert_with(Buf::new);
-        if buf.payload.envs.is_empty() {
-            self.dirty.push(dest);
+        self.buffer(transport, env, None)
+    }
+
+    /// [`Coalescer::send`] of a message whose payload is `value`, built by
+    /// [`Envelope::inlined`]: while buffered, and in the batch that carries
+    /// it, the value rides by value in an [`InlineSlot`], so the message
+    /// costs no allocation of its own. It is boxed into the envelope's
+    /// payload instead when it leaves alone (aggregation disabled, or a
+    /// flush that finds it the only message buffered) or does not fit a
+    /// slot.
+    pub fn send_inline<T: Any + Send>(
+        &mut self,
+        transport: &dyn Transport,
+        env: Envelope,
+        value: T,
+    ) -> Result<(), SendError> {
+        debug_assert_eq!(env.from, self.from, "coalescer owned by another place");
+        debug_assert!(env.payload.is::<Inlined>(), "not an inlined envelope");
+        let boxed = |env: Envelope, value: T| Envelope {
+            payload: Box::new(value),
+            ..env
+        };
+        if !self.enabled {
+            return transport.send(boxed(env, value));
         }
+        match InlineSlot::new(value) {
+            Ok(slot) => self.buffer(transport, env, Some(slot)),
+            Err(value) => self.buffer(transport, boxed(env, value), None),
+        }
+    }
+
+    /// The one buffer-and-threshold path of [`Coalescer::send`] and
+    /// [`Coalescer::send_inline`]: append `env` (and its inline value) to
+    /// its destination's buffer, then drain the buffer if it tripped a
+    /// threshold.
+    fn buffer(
+        &mut self,
+        transport: &dyn Transport,
+        env: Envelope,
+        val: Option<InlineSlot>,
+    ) -> Result<(), SendError> {
+        let dest = env.to.index();
+        let buf = self.bufs.entry(dest).or_default();
+        let payload = buf.payload.get_or_insert_with(|| {
+            self.dirty.push(dest);
+            self.arena.take()
+        });
         buf.bytes += env.bytes;
-        buf.payload.envs.push(env);
-        if buf.payload.envs.len() >= self.max_msgs {
+        payload.push(env, val);
+        if payload.envs.len() >= self.max_msgs {
             self.flush_dest_reason(transport, dest, FlushReason::ThresholdMsgs)
         } else if buf.bytes >= self.max_bytes {
             self.flush_dest_reason(transport, dest, FlushReason::ThresholdBytes)
         } else {
             Ok(())
         }
+    }
+
+    /// Take `dest`'s buffered messages out, leaving its buffer empty.
+    fn take_buf(&mut self, dest: usize) -> Option<Box<BatchPayload>> {
+        let buf = self.bufs.get_mut(&dest)?;
+        buf.bytes = 0;
+        buf.payload.take()
     }
 
     /// Drain one destination's buffer onto the transport (an explicit flush
@@ -263,17 +307,9 @@ impl Coalescer {
         dest: usize,
         reason: FlushReason,
     ) -> Result<(), SendError> {
-        match self.bufs.get(&dest) {
-            None => return Ok(()),
-            Some(b) if b.payload.envs.is_empty() => return Ok(()),
-            Some(_) => {}
-        }
-        // Swap the buffer box out (refilling from the arena) instead of
-        // copying its envelopes — the box itself becomes the batch payload.
-        let fresh = self.arena.take();
-        let buf = self.bufs.get_mut(&dest).expect("checked above");
-        let payload = std::mem::replace(&mut buf.payload, fresh);
-        buf.bytes = 0;
+        let Some(payload) = self.take_buf(dest) else {
+            return Ok(());
+        };
         if let Some(pos) = self.dirty.iter().position(|&d| d == dest) {
             self.dirty.swap_remove(pos);
         }
@@ -292,15 +328,9 @@ impl Coalescer {
     pub fn flush(&mut self, transport: &dyn Transport) -> Result<(), SendError> {
         let mut first: Option<SendError> = None;
         while let Some(dest) = self.dirty.pop() {
-            match self.bufs.get(&dest) {
-                None => continue,
-                Some(b) if b.payload.envs.is_empty() => continue,
-                Some(_) => {}
-            }
-            let fresh = self.arena.take();
-            let buf = self.bufs.get_mut(&dest).expect("checked above");
-            let payload = std::mem::replace(&mut buf.payload, fresh);
-            buf.bytes = 0;
+            let Some(payload) = self.take_buf(dest) else {
+                continue;
+            };
             self.record_drain(FlushReason::Explicit);
             if let Err(e) = self.emit(transport, PlaceId(dest as u32), payload) {
                 match &mut first {
@@ -316,7 +346,8 @@ impl Coalescer {
     }
 
     /// Hand a drained buffer to the transport: a single message goes out as
-    /// itself (the transport records it, the emptied box is recycled);
+    /// itself, its inline value boxed (the transport records it, the
+    /// emptied box is recycled);
     /// several ship as one batch envelope built *around* the buffer box,
     /// with the logical counts recorded here before the send and taken back
     /// if it fails (so messages lost to a dead destination never stay in
@@ -329,7 +360,7 @@ impl Coalescer {
     ) -> Result<(), SendError> {
         debug_assert!(!payload.envs.is_empty());
         if payload.envs.len() == 1 {
-            let env = payload.envs.pop().expect("len checked");
+            let env = payload.pop_boxed().expect("len checked");
             self.arena.recycle(payload);
             return transport.send(env);
         }
@@ -375,7 +406,8 @@ impl Coalescer {
     pub fn pending(&self) -> usize {
         self.dirty
             .iter()
-            .map(|&d| self.bufs.get(&d).map_or(0, |b| b.payload.envs.len()))
+            .filter_map(|d| self.bufs.get(d)?.payload.as_ref())
+            .map(|p| p.envs.len())
             .sum()
     }
 
@@ -694,5 +726,130 @@ mod tests {
         c.flush(&t).unwrap();
         assert_eq!(drain_tags(&t, 1), vec![0, 2, 4, 6, 8, 10, 12, 14, 16]);
         assert_eq!(drain_tags(&t, 2), vec![1, 3, 5, 7, 9, 11, 13, 15]);
+    }
+    use crate::message::tests::{count, drops, Tally};
+    use crate::message::Inlined;
+
+    /// An inlined envelope from place 0 to `to`.
+    fn inl(to: u32) -> Envelope {
+        Envelope::inlined(PlaceId(0), PlaceId(to), MsgClass::Task, 8)
+    }
+
+    #[test]
+    fn batched_values_ride_inline_and_arrive_in_order() {
+        let t = LocalTransport::new(2);
+        let n = drops();
+        let mut c = Coalescer::new(PlaceId(0), 2, 64, 1 << 20, true);
+        for i in 0..3u64 {
+            c.send_inline(&t, inl(1), Tally(n.clone(), i)).unwrap();
+            c.send(&t, env(1, 100 + i)).unwrap();
+        }
+        c.flush(&t).unwrap();
+        let mut batch = t.try_recv(PlaceId(1)).unwrap().unbatch_boxed().unwrap();
+        assert_eq!((batch.envs.len(), batch.inline_len()), (6, 3));
+        let mut got = Vec::new();
+        for (env, val) in batch.drain() {
+            match val {
+                Some(v) => got.push(v.take::<Tally>().unwrap().1),
+                None => got.push(*env.payload.downcast::<u64>().unwrap()),
+            }
+        }
+        assert_eq!(got, vec![0, 100, 1, 101, 2, 102]);
+        assert_eq!(count(&n), 3);
+        // Logical counts are those of six plain sends.
+        assert_eq!(t.stats().total_messages(), 6);
+        assert_eq!(t.stats().total_envelopes(), 1);
+    }
+
+    #[test]
+    fn lone_value_is_boxed_at_emit() {
+        let t = LocalTransport::new(2);
+        let n = drops();
+        let mut c = Coalescer::new(PlaceId(0), 2, 64, 1 << 20, true);
+        c.send_inline(&t, inl(1), Tally(n.clone(), 4)).unwrap();
+        c.flush(&t).unwrap();
+        let got = t.try_recv(PlaceId(1)).unwrap();
+        assert_eq!(got.class, MsgClass::Task, "not wrapped in a batch");
+        assert_eq!(got.bytes, 8 + HEADER_BYTES);
+        assert_eq!(got.payload.downcast::<Tally>().unwrap().1, 4);
+        assert_eq!(count(&n), 1);
+        // The buffer box went back to the arena with nothing left in it.
+        c.send_inline(&t, inl(1), Tally(n.clone(), 5)).unwrap();
+        c.send_inline(&t, inl(1), Tally(n.clone(), 6)).unwrap();
+        c.flush(&t).unwrap();
+        let tags: Vec<u64> = t
+            .try_recv(PlaceId(1))
+            .unwrap()
+            .unbatch()
+            .unwrap()
+            .into_iter()
+            .map(|e| e.payload.downcast::<Tally>().unwrap().1)
+            .collect();
+        assert_eq!(tags, vec![5, 6]);
+        assert_eq!(count(&n), 3);
+    }
+
+    #[test]
+    fn oversize_or_disabled_values_travel_boxed() {
+        let t = LocalTransport::new(2);
+        let mut c = Coalescer::new(PlaceId(0), 2, 64, 1 << 20, true);
+        let big = [9u64; 16];
+        c.send_inline(&t, inl(1), big).unwrap();
+        c.send_inline(&t, inl(1), big).unwrap();
+        c.flush(&t).unwrap();
+        let batch = t.try_recv(PlaceId(1)).unwrap().unbatch_boxed().unwrap();
+        assert_eq!((batch.envs.len(), batch.inline_len()), (2, 0));
+        for e in &batch.envs {
+            assert_eq!(e.payload.downcast_ref::<[u64; 16]>(), Some(&big));
+        }
+        let mut c = Coalescer::new(PlaceId(0), 2, 64, 1 << 20, false);
+        c.send_inline(&t, inl(1), 77u64).unwrap();
+        let got = t.try_recv(PlaceId(1)).unwrap();
+        assert!(!got.payload.is::<Inlined>());
+        assert_eq!(*got.payload.downcast::<u64>().unwrap(), 77);
+    }
+
+    #[test]
+    fn inline_batch_to_dead_place_drops_values_once_and_counts_like_boxed() {
+        let lose = |inline: bool| {
+            let t = LocalTransport::new(3);
+            let n = drops();
+            let mut c = Coalescer::new(PlaceId(0), 3, 64, 1 << 20, true);
+            for i in 0..4u64 {
+                if inline {
+                    c.send_inline(&t, inl(1), Tally(n.clone(), i)).unwrap();
+                } else {
+                    let e = Envelope::new(PlaceId(0), PlaceId(1), MsgClass::Task, 8, Box::new(0));
+                    c.send(&t, e).unwrap();
+                }
+            }
+            c.send(&t, env(2, 9)).unwrap();
+            t.kill_place(PlaceId(1));
+            let err = c.flush(&t).unwrap_err();
+            assert!(c.is_empty());
+            assert_eq!(drain_tags(&t, 2), vec![9]);
+            (err, t.stats().total_messages(), count(&n))
+        };
+        let (boxed_err, boxed_msgs, _) = lose(false);
+        let (err, msgs, dropped) = lose(true);
+        assert_eq!(err, boxed_err);
+        assert_eq!(err, SendError::dead(PlaceId(1), 1));
+        assert_eq!((msgs, boxed_msgs), (1, 1), "lost messages left the ledgers");
+        assert_eq!(dropped, 4, "each unread value dropped once");
+    }
+
+    #[test]
+    fn kill_purge_drops_queued_inline_values_once() {
+        let t = LocalTransport::new(2);
+        let n = drops();
+        let mut c = Coalescer::new(PlaceId(0), 2, 4, 1 << 20, true);
+        for i in 0..10u64 {
+            c.send_inline(&t, inl(1), Tally(n.clone(), i)).unwrap();
+        }
+        c.flush(&t).unwrap();
+        assert_eq!(t.queue_len(PlaceId(1)), 3, "two full batches and a pair");
+        assert_eq!(count(&n), 0);
+        t.kill_place(PlaceId(1));
+        assert_eq!(count(&n), 10);
     }
 }

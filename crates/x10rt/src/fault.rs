@@ -917,4 +917,45 @@ mod tests {
         t.kill_place(PlaceId(1));
         assert_eq!(t.held_len(), 0);
     }
+    #[test]
+    fn inline_batch_losses_count_like_a_boxed_batch() {
+        // A batch whose cells ride inline loses the same messages, in the
+        // same ledgers, as the batch with every cell boxed; each inline
+        // value is dropped exactly once wherever the batch dies.
+        use crate::message::tests::{count, drops, mixed_batch};
+        let batch = |inline: bool, n: &Arc<std::sync::atomic::AtomicUsize>| {
+            let b = mixed_batch(3, n);
+            if inline {
+                b
+            } else {
+                Envelope::batch(PlaceId(0), PlaceId(1), b.unbatch().unwrap())
+            }
+        };
+        let lossy = [ClassFaults::dropping(1.0), ClassFaults::truncating(1.0)];
+        for faults in lossy {
+            let mut seen = Vec::new();
+            for inline in [false, true] {
+                let n = drops();
+                let t = wrap(2, FaultPlan::new(1).all_classes(faults));
+                t.send(batch(inline, &n)).unwrap();
+                while t.try_recv(PlaceId(1)).is_some() {}
+                let c = t.fault_counts();
+                assert_eq!((c.lost(MsgClass::Task), c.lost(MsgClass::Steal)), (3, 3));
+                assert_eq!(c.lost(MsgClass::Batch), 0);
+                assert_eq!(count(&n), 3, "inline {inline}: values dropped once");
+                seen.push(c);
+            }
+            assert_eq!(seen[0], seen[1], "{faults:?}");
+        }
+        let mut errs = Vec::new();
+        for inline in [false, true] {
+            let n = drops();
+            let t = wrap(2, FaultPlan::new(1));
+            t.kill_place(PlaceId(1));
+            errs.push(t.send(batch(inline, &n)).unwrap_err());
+            assert_eq!(count(&n), 3, "inline {inline}: values dropped once");
+            assert_eq!(t.fault_counts().lost_total(), 0);
+        }
+        assert_eq!(errs, [SendError::dead(PlaceId(1), 1); 2]);
+    }
 }

@@ -62,7 +62,7 @@ pub use codec::{CodecMode, DecodeError, EncodeError, HandlerId, WireMsg, PROTO_V
 pub use congruent::{CongruentAllocator, CongruentArray, Pod};
 pub use fault::{ClassFaults, FaultCounts, FaultEvent, FaultPlan, FaultTransport};
 pub use hash::IntMap;
-pub use message::{BatchPayload, Envelope, MsgClass, Payload, HEADER_BYTES};
+pub use message::{BatchPayload, Envelope, InlineSlot, Inlined, MsgClass, Payload, HEADER_BYTES};
 pub use place::{PlaceId, Topology};
 pub use rdma::RemoteAddr;
 pub use ring::{SpscRing, DEFAULT_RING_CAPACITY};

@@ -313,7 +313,7 @@ impl Core {
         out.extend_from_slice(&[0u8; 4]); // length prefix, patched below
         let (from, to) = (env.from.0, env.to.0);
         match env.unbatch_boxed() {
-            Ok(batch) => {
+            Ok(mut batch) => {
                 codec::put_frame_header(
                     &mut out,
                     &codec::FrameHeader {
@@ -323,7 +323,11 @@ impl Core {
                         count: batch.envs.len() as u32,
                     },
                 );
-                for e in batch.envs {
+                // A value carried inline is boxed back into its payload:
+                // the self-loop stashes it like any typed payload, and a
+                // real peer gets the typed error, with the rest of the
+                // batch dropped.
+                for e in batch.drain_boxed() {
                     self.encode_one(e, &mut out)?;
                 }
             }
@@ -1076,6 +1080,53 @@ mod tests {
             core.encode_frame(env),
             Err(EncodeError::NotSerializable { .. })
         ));
+    }
+
+    #[test]
+    fn inline_batch_to_another_process_is_a_typed_encode_error() {
+        // Cells that ride inline in a batch (CodecMode::Inline) cannot
+        // cross a process boundary: the frame fails with the typed error,
+        // and every value in the batch is dropped exactly once.
+        use crate::message::tests::{count, drops, mixed_batch};
+        let core = Core {
+            inner: LocalTransport::new(2),
+            place_proc: vec![0, 1],
+            me: 0,
+            self_loop: false,
+            out: vec![None, None],
+            stash: Mutex::new(IntMap::default()),
+            stash_next: AtomicU64::new(1),
+            closing: AtomicBool::new(false),
+        };
+        let n = drops();
+        assert_eq!(
+            core.encode_frame(mixed_batch(3, &n)),
+            Err(EncodeError::NotSerializable {
+                class: MsgClass::Task,
+            })
+        );
+        assert_eq!(count(&n), 3);
+        assert!(core.stash.lock().is_empty());
+    }
+
+    #[test]
+    fn self_loop_carries_inline_batch_values_boxed() {
+        use crate::message::tests::{count, drops, mixed_batch, Tally};
+        let t = TcpTransport::self_loop(2).expect("self loop");
+        let n = drops();
+        t.send(mixed_batch(2, &n)).unwrap();
+        let got = recv_blocking(&t, PlaceId(1))
+            .unbatch()
+            .expect("still a batch");
+        let tags: Vec<u64> = got
+            .into_iter()
+            .map(|e| match e.payload.downcast::<Tally>() {
+                Ok(v) => v.1,
+                Err(p) => *p.downcast::<u64>().unwrap(),
+            })
+            .collect();
+        assert_eq!(tags, vec![0, 100, 1, 101]);
+        assert_eq!(count(&n), 2);
     }
 
     #[test]

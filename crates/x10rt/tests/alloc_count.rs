@@ -4,7 +4,7 @@
 //! laps of a symmetric all-to-all coalesced message storm (which grow the
 //! ring slot arrays, coalescer buffers, arena freelists and receive scratch
 //! to their steady-state sizes), further laps must perform **zero** heap
-//! allocations: envelopes live inline in recycled batch boxes, flushes swap
+//! allocations: envelopes live inline in recycled batch boxes, flushes move
 //! boxes instead of copying, each lane's ring keeps its first array, and
 //! received boxes recycle back into the arenas. The test also asserts that
 //! no lane ring ever grew (a growth links a freshly allocated array); the
