@@ -9,11 +9,11 @@ use crate::config::Config;
 use crate::finish::root::RootState;
 use crate::finish::{Attach, FinishId, FinishKind, FinishRef};
 use crate::task::Task;
-use crate::worker::{SpawnBody, Worker};
+use crate::worker::{SendWhen, SpawnBody, Worker};
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use x10rt::HandlerId;
 use x10rt::{CongruentArray, MsgClass, NetStats, PlaceId, Pod, SegmentTable, Topology};
@@ -192,6 +192,7 @@ impl<'w> Ctx<'w> {
                 Attach::Uncounted,
                 SpawnBody::Closure(Task::new(f)),
                 class,
+                SendWhen::Flush,
             );
         }
     }
@@ -200,9 +201,8 @@ impl<'w> Ctx<'w> {
         let here = self.here();
         // Innermost finish opened by this activity wins; otherwise the
         // activity's own governing finish.
-        let scope_info = self.scopes.borrow().last().map(|s| (s.fin, s.root.clone()));
-        if let Some((fin, root)) = scope_info {
-            return self.spawn_at_root(&root, fin, target, body, class);
+        if let Some((fin, root)) = self.innermost_scope() {
+            return self.spawn_at_root(&root, fin, target, body, class, SendWhen::Flush);
         }
         let attach = self.attach.borrow().clone();
         match attach {
@@ -212,7 +212,7 @@ impl<'w> Ctx<'w> {
             Attach::Counted { fin, .. } => {
                 if fin.id.home == here {
                     let root = self.worker.root_of(&fin);
-                    self.spawn_at_root(&root, fin, target, body, class);
+                    self.spawn_at_root(&root, fin, target, body, class, SendWhen::Flush);
                 } else if fin.kind == FinishKind::Here {
                     self.spawn_split_weight(fin, target, body, class);
                 } else {
@@ -222,6 +222,11 @@ impl<'w> Ctx<'w> {
         }
     }
 
+    /// The finish this activity opened last, if it is inside one.
+    fn innermost_scope(&self) -> Option<(FinishRef, Arc<RootState>)> {
+        self.scopes.borrow().last().map(|s| (s.fin, s.root.clone()))
+    }
+
     fn spawn_at_root(
         &self,
         root: &Arc<RootState>,
@@ -229,6 +234,7 @@ impl<'w> Ctx<'w> {
         target: PlaceId,
         body: SpawnBody,
         class: MsgClass,
+        when: SendWhen,
     ) {
         let here = self.here();
         if target == here {
@@ -267,6 +273,7 @@ impl<'w> Ctx<'w> {
                 },
                 body,
                 class,
+                when,
             );
         }
     }
@@ -300,7 +307,8 @@ impl<'w> Ctx<'w> {
         if target == self.here() {
             self.worker.push_task(body.into_task(), attach);
         } else {
-            self.worker.send_spawn(target, attach, body, class);
+            self.worker
+                .send_spawn(target, attach, body, class, SendWhen::Flush);
         }
     }
 
@@ -353,6 +361,7 @@ impl<'w> Ctx<'w> {
                 },
                 body,
                 class,
+                SendWhen::Flush,
             );
         }
     }
@@ -439,6 +448,14 @@ impl<'w> Ctx<'w> {
 
     /// `val v = at(p) e`: blocking remote evaluation — the paper's
     /// FINISH_HERE round trip ("gets"). Runs inline when `p` is `here`.
+    ///
+    /// A round trip is two messages, the request and the reply, and both
+    /// go to the transport at once instead of waiting for the coalescer's
+    /// flush. The request carries the finish's credit; after `f` the
+    /// remote activity hands all the credit it has left to the reply, so
+    /// its death sends no control message. Children `f` spawned return
+    /// their split credit as usual, and a panicking `f` sends no reply and
+    /// returns the credit with the panic.
     pub fn at<R, F>(&self, p: PlaceId, f: F) -> R
     where
         R: Send + 'static,
@@ -447,22 +464,55 @@ impl<'w> Ctx<'w> {
         if p == self.here() {
             return f(self);
         }
-        let slot: Arc<Mutex<Option<R>>> = Arc::new(Mutex::new(None));
-        let done = Arc::new(AtomicBool::new(false));
-        let (slot2, done2) = (slot.clone(), done.clone());
+        let cell: Arc<Mutex<Option<R>>> = Arc::new(Mutex::new(None));
+        let reply_cell = cell.clone();
         let home = self.here();
         self.finish_pragma(FinishKind::Here, |ctx| {
-            ctx.at_async(p, move |rctx| {
+            let (fin, root) = ctx.innermost_scope().expect("at(): its own finish scope");
+            let request = Task::new(move |rctx: &Ctx| {
                 let r = f(rctx);
-                rctx.at_async(home, move |_| {
-                    *slot2.lock() = Some(r);
-                    done2.store(true, Ordering::Release);
-                });
+                rctx.send_reply(home, Task::new(move |_: &Ctx| *reply_cell.lock() = Some(r)));
             });
+            ctx.spawn_at_root(
+                &root,
+                fin,
+                p,
+                SpawnBody::Closure(request),
+                MsgClass::Task,
+                SendWhen::Now,
+            );
         });
-        debug_assert!(done.load(Ordering::Acquire));
-        let r = slot.lock().take();
-        r.expect("at(): response activity did not deliver a value")
+        // The finish is done only once the reply returned the credit, so
+        // the reply ran and filled the cell.
+        let r = cell.lock().take();
+        r.expect("at(): the reply did not deliver a value")
+    }
+
+    /// A blocking `at`'s reply: hand all of this remote FINISH_HERE
+    /// activity's credit to `task` and send it home straight to the
+    /// transport. The reply's death at home returns the credit, and
+    /// `Worker::on_death` sends nothing for this activity, which now holds
+    /// none.
+    fn send_reply(&self, home: PlaceId, task: Task) {
+        let attach = {
+            let mut attach = self.attach.borrow_mut();
+            let Attach::Counted { fin, weight, .. } = &mut *attach else {
+                unreachable!("at(): request activity is counted")
+            };
+            debug_assert_eq!(fin.kind, FinishKind::Here);
+            Attach::Counted {
+                fin: *fin,
+                weight: std::mem::take(weight),
+                remote: true,
+            }
+        };
+        self.worker.send_spawn(
+            home,
+            attach,
+            SpawnBody::Closure(task),
+            MsgClass::Task,
+            SendWhen::Now,
+        );
     }
 
     /// Blocking remote statement — the paper's FINISH_ASYNC ("puts"):

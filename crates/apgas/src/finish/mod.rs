@@ -11,8 +11,11 @@
 //!
 //! * [`FinishKind::Async`] — a single (possibly remote) activity;
 //! * [`FinishKind::Here`] — a round trip (request out, response back);
-//!   implemented here with weighted credits so the round trip costs at most
-//!   one control message;
+//!   implemented here with weighted credits: a remote activity returns
+//!   its credit in one control message when it dies, unless it handed all
+//!   of it to its reply first. A blocking `at` does that, so its round trip
+//!   is the request and the reply and no control message at all
+//!   ([`crate::Ctx::at`]);
 //! * [`FinishKind::Local`] — purely place-local activities (an atomic
 //!   counter, zero messages);
 //! * [`FinishKind::Spmd`] — remote activities that do not spawn escaping
@@ -242,7 +245,8 @@ pub enum FinishMsg {
         /// Panics from those activities.
         panics: Vec<String>,
     },
-    /// Here: a dying activity returns its remaining credit.
+    /// Here: a dying remote activity returns its remaining credit (none
+    /// is sent by one that handed all of it to a blocking `at`'s reply).
     CreditReturn {
         /// Target finish.
         fin: FinishRef,

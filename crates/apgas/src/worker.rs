@@ -92,6 +92,17 @@ impl SpawnBody {
     }
 }
 
+/// When a remote spawn reaches the transport.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum SendWhen {
+    /// It may wait in the coalescer until its destination's buffer fills or
+    /// the quantum's flush (every spawn but a blocking `at`'s).
+    Flush,
+    /// Now ([`x10rt::Coalescer::send_now`]): the sender, or the activity it
+    /// answers, is blocked on it (a blocking `at`'s request and reply).
+    Now,
+}
+
 /// The one worker of a place. Everything only it touches is stored here
 /// without a lock (`RefCell`/`Cell`: a place's activities run only on its
 /// worker, and `Worker` is `!Sync`); other threads see the counts it
@@ -580,6 +591,8 @@ impl Worker {
     pub(crate) fn park_brief(&self) {
         // Never sleep on buffered sends: a peer may be waiting on them.
         self.flush_sends();
+        // Out of work: free the batch boxes this stretch did not need.
+        self.coalescer.borrow_mut().trim_arena();
         // Deterministic mode: this worker holds the baton until its next
         // run_one polls the gate (and parks there until its next grant);
         // parking here would only stall the schedule controller.
@@ -1199,7 +1212,22 @@ impl Worker {
                         root.note_local_death(self.here.0, panic);
                     }
                 } else if fin.kind == FinishKind::Here {
-                    debug_assert!(weight > 0, "remote HERE activity without credit");
+                    // A remote HERE activity ends with 0 credit only after
+                    // handing all of it to a blocking `at`'s reply (a split
+                    // always leaves the spawner some): the reply returns
+                    // it, so there is nothing to send. A panic after the
+                    // hand-over has no message left to ride in.
+                    if weight == 0 {
+                        assert!(
+                            panic.is_none(),
+                            "FINISH_HERE activity at {} panicked after handing its credit \
+                             to its reply, so the panic cannot reach finish {:?}: {}",
+                            self.here,
+                            fin.id,
+                            panic.as_deref().unwrap_or_default()
+                        );
+                        return;
+                    }
                     self.send_finish_msg(
                         fin.id.home,
                         16,
@@ -1217,7 +1245,16 @@ impl Worker {
     // ------------------------------------------------------------------
 
     /// Ship an activity to `dst` (accounting already done by the caller).
-    pub fn send_spawn(&self, dst: PlaceId, attach: Attach, body: SpawnBody, class: MsgClass) {
+    /// `when` says whether it may wait in the coalescer for the flush or
+    /// must reach the transport now ([`SendWhen`]).
+    pub fn send_spawn(
+        &self,
+        dst: PlaceId,
+        attach: Attach,
+        body: SpawnBody,
+        class: MsgClass,
+        when: SendWhen,
+    ) {
         if let Some(h) = &self.hooks {
             h.spawn_sent.inc(self.here.0);
             h.ring.instant("spawn", "send", dst.0 as u64);
@@ -1232,7 +1269,9 @@ impl Worker {
         let payload: x10rt::Payload = match body {
             // The typed cell travels by value: it rides inline in the
             // batch that carries it, and is boxed only if it leaves alone.
-            SpawnBody::Closure(mut task) if self.g.cfg.codec == CodecMode::Inline => {
+            SpawnBody::Closure(mut task)
+                if self.g.cfg.codec == CodecMode::Inline && when == SendWhen::Flush =>
+            {
                 task.attach = attach;
                 let env = Envelope::inlined(self.here, dst, class, body_bytes);
                 let env = self.stamp(env, root);
@@ -1245,6 +1284,8 @@ impl Worker {
                 }
                 return;
             }
+            // Under the byte codec the cell is encoded; a spawn sent now is
+            // boxed at once, so an idle destination takes it as it is.
             SpawnBody::Closure(mut task) => {
                 task.attach = attach;
                 wire::to_payload(self.g.cfg.codec, task)
@@ -1256,9 +1297,19 @@ impl Worker {
                 wire::encode_spawn_cmd(&attach, handler, &args),
             )),
         };
-        self.send_env_rooted(
-            Envelope::new(self.here, dst, class, body_bytes, payload),
-            root,
-        );
+        let env = Envelope::new(self.here, dst, class, body_bytes, payload);
+        match when {
+            SendWhen::Flush => self.send_env_rooted(env, root),
+            SendWhen::Now => {
+                let env = self.stamp(env, root);
+                let sent = self
+                    .coalescer
+                    .borrow_mut()
+                    .send_now(&*self.g.transport, env);
+                if let Err(e) = sent {
+                    self.note_send_failure(&e);
+                }
+            }
+        }
     }
 }

@@ -171,18 +171,75 @@ fn finish_async_rejects_two_spawns() {
     });
 }
 
-#[test]
-fn finish_here_round_trip_costs_one_ctl_msg() {
-    let rt = rt(2);
+/// `TRIPS` blocking `at` round trips; returns the `Task` and `FinishCtl`
+/// messages they sent.
+fn at_trip_msgs(rt: &Runtime) -> (u64, u64) {
+    const TRIPS: u32 = 10;
     rt.run(|ctx| {
         ctx.net_stats().reset();
-        let v = ctx.at(PlaceId(1), |c| c.here().0 * 10);
-        assert_eq!(v, 10);
-        let ctl = ctx.net_stats().class(MsgClass::FinishCtl);
-        assert_eq!(
-            ctl.messages, 1,
-            "HERE credit protocol: only the request's credit return crosses"
+        for i in 0..TRIPS {
+            let v = ctx.at(PlaceId(1), move |c| c.here().0 * 10 + i);
+            assert_eq!(v, 10 + i);
+        }
+        let stats = ctx.net_stats();
+        let (task, ctl) = (
+            stats.class(MsgClass::Task).messages,
+            stats.class(MsgClass::FinishCtl).messages,
         );
+        assert_eq!(task % u64::from(TRIPS), 0, "{task} Task messages");
+        (task / u64::from(TRIPS), ctl / u64::from(TRIPS))
+    })
+}
+
+#[test]
+fn blocking_at_is_two_task_msgs_and_no_ctl_msg() {
+    // The request and the reply cross; the reply carries all the credit
+    // back, so no FINISH_HERE control message does.
+    assert_eq!(at_trip_msgs(&rt(2)), (2, 0), "inline codec");
+    let tcp = x10rt::TcpTransport::self_loop(2).expect("self-loop transport");
+    let bytes = Runtime::with_transport(Config::new(2).codec(apgas::CodecMode::Bytes), tcp);
+    assert_eq!(at_trip_msgs(&bytes), (2, 0), "byte codec over TCP");
+}
+
+#[test]
+fn at_waits_for_everything_its_body_spawned() {
+    // The body at place 1 spawns a slow local child, slow remote children
+    // at place 2 and at the caller's place, and runs a nested `at`. The
+    // reply leaves before the children finish; the caller must still wait
+    // for all of them. Each child away from the caller's place returns its
+    // split credit in one control message; the one at home and the nested
+    // `at` send none.
+    let rt = rt(3);
+    rt.run(|ctx| {
+        let ran = Arc::new(AtomicUsize::new(0));
+        let r = ran.clone();
+        ctx.net_stats().reset();
+        let v = ctx.at(PlaceId(1), move |c| {
+            let slow = |r: Arc<AtomicUsize>| {
+                move |_: &apgas::Ctx| {
+                    std::thread::sleep(Duration::from_millis(30));
+                    r.fetch_add(1, Ordering::SeqCst);
+                }
+            };
+            c.spawn(slow(r.clone()));
+            c.at_async(PlaceId(2), slow(r.clone()));
+            c.at_async(PlaceId(0), slow(r.clone()));
+            c.at(PlaceId(2), |cc| cc.here().0) + 40
+        });
+        assert_eq!(v, 42);
+        assert_eq!(
+            ran.load(Ordering::SeqCst),
+            3,
+            "at returned before its children ran"
+        );
+        let stats = ctx.net_stats();
+        assert_eq!(
+            stats.class(MsgClass::FinishCtl).messages,
+            2,
+            "remote-resident children"
+        );
+        // Request, reply, the two remote children, nested request and reply.
+        assert_eq!(stats.class(MsgClass::Task).messages, 6);
     });
 }
 

@@ -8,6 +8,10 @@
 //! allocates nothing. A spawn flushed alone is boxed, and allocates its
 //! one cell.
 //!
+//! A warm blocking `at` round trip allocates four times: the request's
+//! cell, the reply's cell (each boxed straight into its envelope), the
+//! finish root and the result cell.
+//!
 //! The counting allocator sees every thread of this binary, so the whole
 //! check runs in one `#[test]` and nothing else allocates concurrently.
 
@@ -104,6 +108,28 @@ fn lone_round(rt: &Runtime, sink: &Arc<AtomicU64>) -> f64 {
     (ALLOCS.load(Ordering::SeqCst) - before) as f64 / LONE as f64
 }
 
+/// Allocations per blocking `at` round trip, warmed, on 2 places run by
+/// one executor thread. Counted inside the activity, so the cost of
+/// `Runtime::run` itself is left out.
+fn at_round_trips() -> f64 {
+    const TRIPS: u64 = 256;
+    let rt = Runtime::new(Config::new(2).executor_threads(1));
+    let per_trip = rt.run(|ctx| {
+        let trips = |n: u64| {
+            for i in 0..n {
+                let got = ctx.at(apgas::PlaceId(1), move |c| i ^ u64::from(c.here().0));
+                assert_eq!(got, i ^ 1, "a reply was lost or mixed up");
+            }
+        };
+        trips(TRIPS);
+        let before = ALLOCS.load(Ordering::SeqCst);
+        trips(TRIPS);
+        (ALLOCS.load(Ordering::SeqCst) - before) as f64 / TRIPS as f64
+    });
+    drop(rt);
+    per_trip
+}
+
 /// Allocations per spawn of a cold round, of the warmed round after it,
 /// and of a warmed singleton round.
 fn measure() -> (f64, f64, f64) {
@@ -132,9 +158,13 @@ fn measure() -> (f64, f64, f64) {
 }
 
 #[test]
-fn batched_remote_spawn_allocates_nothing_lone_spawn_one_cell() {
+fn warm_spawns_and_at_round_trips_stay_within_allocation_bounds() {
     let (cold, warm, lone) = measure();
-    println!("{cold:.3} allocations/spawn cold, {warm:.3} warm, {lone:.3} lone");
+    let at = at_round_trips();
+    println!(
+        "{cold:.3} allocations/spawn cold, {warm:.3} warm, {lone:.3} lone; \
+         {at:.3} per at round trip"
+    );
     assert!(
         warm <= 0.1,
         "warmed round: {warm:.3} allocations per spawn (bound 0.1)"
@@ -145,5 +175,10 @@ fn batched_remote_spawn_allocates_nothing_lone_spawn_one_cell() {
     assert!(
         lone <= 1.1,
         "lone spawns: {lone:.3} allocations per spawn (bound 1.1: the cell only)"
+    );
+    assert!(
+        at <= 4.1,
+        "at round trips: {at:.3} allocations per trip (bound 4.1: two cells, \
+         the finish root and the result cell)"
     );
 }

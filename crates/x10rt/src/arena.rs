@@ -31,7 +31,8 @@ use obs::metrics::{Counter, MetricsRegistry};
 /// retained, bounding idle memory at roughly `retain × batch-size`
 /// envelopes and inline slots per worker. A destination buffer holds a box
 /// only while it holds messages, so the freelist is all the idle memory
-/// there is.
+/// there is; [`EnvelopeArena::trim`] frees what of it the last stretch of
+/// work did not use.
 pub const DEFAULT_ARENA_RETAIN: usize = 32;
 
 /// Local tally of arena traffic (per worker; see [`EnvelopeArena::counts`]).
@@ -45,6 +46,8 @@ pub struct ArenaCounts {
     pub recycled: u64,
     /// Boxes dropped on return (freelist full).
     pub discarded: u64,
+    /// Boxes freed by [`EnvelopeArena::trim`].
+    pub trimmed: u64,
 }
 
 impl ArenaCounts {
@@ -77,6 +80,11 @@ pub struct EnvelopeArena {
     #[allow(clippy::vec_box)]
     free: Vec<Box<BatchPayload>>,
     retain: usize,
+    /// The bottom boxes of the freelist that no `take` has reached since
+    /// the last [`EnvelopeArena::trim`] (the fewest it held since).
+    untouched: usize,
+    /// Whether a `take` ran since the last trim.
+    taken: bool,
     counts: ArenaCounts,
     hooks: Option<ArenaHooks>,
     /// Metrics shard (the owning place) for the obs mirror.
@@ -90,6 +98,8 @@ impl EnvelopeArena {
         EnvelopeArena {
             free: Vec::new(),
             retain: DEFAULT_ARENA_RETAIN,
+            untouched: 0,
+            taken: false,
             counts: ArenaCounts::default(),
             hooks: None,
             shard,
@@ -100,6 +110,7 @@ impl EnvelopeArena {
     pub fn set_retain(&mut self, retain: usize) {
         self.retain = retain;
         self.free.truncate(self.retain);
+        self.untouched = self.untouched.min(self.free.len());
     }
 
     /// Mirror take outcomes into the shared metrics registry (the
@@ -126,8 +137,10 @@ impl EnvelopeArena {
     /// otherwise. Recycled boxes keep their grown `Vec` capacity, which is
     /// what makes steady-state packing allocation-free.
     pub fn take(&mut self) -> Box<BatchPayload> {
+        self.taken = true;
         match self.free.pop() {
             Some(b) => {
+                self.untouched = self.untouched.min(self.free.len());
                 debug_assert!(
                     b.envs.is_empty() && b.inline_len() == 0,
                     "recycled box not cleared"
@@ -159,6 +172,22 @@ impl EnvelopeArena {
         } else {
             self.counts.discarded += 1;
         }
+    }
+
+    /// Free the boxes that sat on the freelist unused while the owner took
+    /// others: those at its bottom that no `take` reached since the last
+    /// trim (`take` pops the newest first). The owner calls this when it
+    /// runs out of work, so the freelist keeps what its last stretch of
+    /// work used plus what came back since. A stretch with no take says
+    /// nothing about what the next one needs, so it frees nothing.
+    pub fn trim(&mut self) {
+        if !std::mem::take(&mut self.taken) {
+            return;
+        }
+        let n = self.untouched;
+        self.free.drain(..n);
+        self.counts.trimmed += n as u64;
+        self.untouched = self.free.len();
     }
 }
 
@@ -202,5 +231,38 @@ mod tests {
         assert_eq!(a.free_len(), 2);
         assert_eq!(a.counts().recycled, 2);
         assert_eq!(a.counts().discarded, 2);
+    }
+
+    #[test]
+    fn trim_frees_the_boxes_no_take_reached() {
+        let mut a = EnvelopeArena::new(0);
+        let boxes: Vec<_> = (0..6).map(|_| a.take()).collect();
+        for b in boxes {
+            a.recycle(b);
+        }
+        // Six boxes came back while the arena was empty: all are fresh.
+        a.trim();
+        assert_eq!(a.free_len(), 6);
+        // Two are taken and come back, one new box arrives: the four the
+        // takes never reached are freed, the rest are kept.
+        let (b0, b1) = (a.take(), a.take());
+        a.recycle(b0);
+        a.recycle(b1);
+        a.recycle(Box::default());
+        a.trim();
+        assert_eq!(a.free_len(), 3);
+        assert_eq!(a.counts().trimmed, 4);
+        // No take since: however long the owner idles, nothing is freed.
+        a.recycle(Box::default());
+        a.trim();
+        a.trim();
+        assert_eq!(a.free_len(), 4);
+        // A take that misses reached below everything there was.
+        while a.free_len() > 0 {
+            let _ = a.take();
+        }
+        let _ = a.take();
+        a.trim();
+        assert_eq!(a.counts().trimmed, 4);
     }
 }

@@ -17,7 +17,9 @@
 //! scheduler flushes at the end of each scheduling quantum, before parking,
 //! and on worker exit, so no message ever stays buffered across a point where
 //! its destination could be blocked on it. Liveness holds by construction:
-//! buffered messages never survive a scheduling quantum.
+//! buffered messages never survive a scheduling quantum. A message someone
+//! is blocked on right now goes through [`Coalescer::send_now`], which does
+//! not wait for the flush.
 //!
 //! # Ordering
 //!
@@ -261,10 +263,32 @@ impl Coalescer {
         }
     }
 
-    /// The one buffer-and-threshold path of [`Coalescer::send`] and
-    /// [`Coalescer::send_inline`]: append `env` (and its inline value) to
-    /// its destination's buffer, then drain the buffer if it tripped a
-    /// threshold.
+    /// [`Coalescer::send`] of a message someone is blocked on (a blocking
+    /// `at` round trip's request or reply): it reaches the transport now,
+    /// not at the next flush. With nothing buffered for its destination it
+    /// goes straight out as itself, its payload already boxed by the
+    /// caller (no slot write, no arena box); otherwise it is appended and
+    /// that destination is flushed, so it cannot overtake what was
+    /// buffered before it (per-pair FIFO).
+    pub fn send_now(&mut self, transport: &dyn Transport, env: Envelope) -> Result<(), SendError> {
+        debug_assert_eq!(env.from, self.from, "coalescer owned by another place");
+        debug_assert!(
+            !env.payload.is::<Inlined>(),
+            "send_now takes a boxed payload"
+        );
+        let dest = env.to.index();
+        let idle = self.bufs.get(&dest).is_none_or(|b| b.payload.is_none());
+        if !self.enabled || idle {
+            return transport.send(env);
+        }
+        self.buffer(transport, env, None)?;
+        self.flush_dest(transport, dest)
+    }
+
+    /// The one buffer-and-threshold path of [`Coalescer::send`],
+    /// [`Coalescer::send_inline`] and [`Coalescer::send_now`]: append `env`
+    /// (and its inline value) to its destination's buffer, then drain the
+    /// buffer if it tripped a threshold.
     fn buffer(
         &mut self,
         transport: &dyn Transport,
@@ -397,7 +421,14 @@ impl Coalescer {
         self.arena.recycle(payload);
     }
 
-    /// Arena traffic tally (hits/misses/recycled/discarded).
+    /// Free the arena boxes the owner's last stretch of work did not use
+    /// ([`EnvelopeArena::trim`]); the owner calls it when it runs out of
+    /// work.
+    pub fn trim_arena(&mut self) {
+        self.arena.trim();
+    }
+
+    /// Arena traffic tally (hits/misses/recycled/discarded/trimmed).
     pub fn arena_counts(&self) -> ArenaCounts {
         self.arena.counts()
     }
@@ -836,6 +867,59 @@ mod tests {
         assert_eq!(err, SendError::dead(PlaceId(1), 1));
         assert_eq!((msgs, boxed_msgs), (1, 1), "lost messages left the ledgers");
         assert_eq!(dropped, 4, "each unread value dropped once");
+    }
+
+    #[test]
+    fn send_now_to_an_idle_destination_skips_the_buffer() {
+        let t = LocalTransport::new(3);
+        let mut c = Coalescer::new(PlaceId(0), 3, 64, 1 << 20, true);
+        c.send(&t, env(2, 1)).unwrap();
+        c.send_now(&t, env(1, 7)).unwrap();
+        // Out as itself at once, with place 2's buffer left alone and no
+        // drain or arena box spent on it.
+        let got = t.try_recv(PlaceId(1)).unwrap();
+        assert_eq!(got.class, MsgClass::Task);
+        assert_eq!(*got.payload.downcast::<u64>().unwrap(), 7);
+        assert_eq!(c.pending(), 1);
+        assert_eq!(c.flush_counts().total(), 0);
+        assert_eq!(c.bufs_allocated(), 1);
+        assert_eq!(t.stats().total_messages(), 1);
+    }
+
+    #[test]
+    fn send_now_behind_buffered_messages_flushes_them_first() {
+        let t = LocalTransport::new(3);
+        let mut c = Coalescer::new(PlaceId(0), 3, 64, 1 << 20, true);
+        c.send(&t, env(1, 0)).unwrap();
+        c.send(&t, env(1, 1)).unwrap();
+        c.send(&t, env(2, 5)).unwrap();
+        c.send_now(&t, env(1, 2)).unwrap();
+        // One batch, in send order, and only place 1 was drained.
+        assert_eq!(t.queue_len(PlaceId(1)), 1);
+        assert_eq!(drain_tags(&t, 1), vec![0, 1, 2]);
+        assert_eq!(c.pending(), 1);
+        assert_eq!(c.flush_counts().explicit, 1);
+        c.flush(&t).unwrap();
+        assert_eq!(drain_tags(&t, 2), vec![5]);
+    }
+
+    #[test]
+    fn send_now_passes_through_when_disabled_and_reports_a_dead_place() {
+        let t = LocalTransport::new(2);
+        let mut c = Coalescer::new(PlaceId(0), 2, 64, 1 << 20, false);
+        c.send_now(&t, env(1, 3)).unwrap();
+        assert_eq!(drain_tags(&t, 1), vec![3]);
+        let mut c = Coalescer::new(PlaceId(0), 2, 64, 1 << 20, true);
+        c.send(&t, env(1, 4)).unwrap();
+        t.kill_place(PlaceId(1));
+        let err = c.send_now(&t, env(1, 5)).unwrap_err();
+        assert_eq!(err, SendError::dead(PlaceId(1), 1), "one batch of two lost");
+        assert!(c.is_empty());
+        assert_eq!(
+            t.stats().total_messages(),
+            1,
+            "only the disabled coalescer's send"
+        );
     }
 
     #[test]

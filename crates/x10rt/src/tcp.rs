@@ -68,6 +68,10 @@ use std::time::{Duration, Instant};
 /// multi-gigabyte allocation (PROTOCOL.md §3).
 pub const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
 
+/// How long dropping a [`TcpTransport`] waits for its writer threads to
+/// write out their queues before it shuts the sockets down under them.
+pub const DRAIN_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// One process of a multi-process launch: where to reach it and which
 /// places it hosts.
 #[derive(Clone, Debug)]
@@ -473,8 +477,12 @@ impl Core {
 /// The TCP socket transport (see the [module docs](self)).
 pub struct TcpTransport {
     core: Arc<Core>,
-    /// Listener + connection threads, joined on drop.
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Writer threads, one per connection: on drop each gets up to
+    /// [`DRAIN_TIMEOUT`] to drain its queue into the socket.
+    writers: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Reader threads, one per connection, unblocked on drop by the socket
+    /// shutdown.
+    readers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// Connected streams (one per peer), shut down on drop to unblock the
     /// reader threads.
     streams: Mutex<Vec<TcpStream>>,
@@ -668,7 +676,8 @@ impl TcpTransport {
         local_addr: std::net::SocketAddr,
     ) -> Result<Arc<TcpTransport>, TcpError> {
         let mut core_mut = core;
-        let mut threads = Vec::new();
+        let mut writers = Vec::new();
+        let mut readers = Vec::new();
         let mut streams = Vec::new();
         {
             let core_ref = Arc::get_mut(&mut core_mut).expect("core not yet shared");
@@ -685,7 +694,7 @@ impl TcpTransport {
             let wstream = stream.try_clone()?;
             streams.push(stream.try_clone()?);
             let wc = core.clone();
-            threads.push(
+            writers.push(
                 std::thread::Builder::new()
                     .name(format!("tcp-writer-{j}"))
                     .spawn(move || wc.writer_loop(&q, wstream))
@@ -699,7 +708,7 @@ impl TcpTransport {
             };
             streams.push(rstream.try_clone()?);
             let rc = core.clone();
-            threads.push(
+            readers.push(
                 std::thread::Builder::new()
                     .name(format!("tcp-reader-{j}"))
                     .spawn(move || rc.reader_loop(rstream))
@@ -708,7 +717,8 @@ impl TcpTransport {
         }
         Ok(Arc::new(TcpTransport {
             core,
-            threads: Mutex::new(threads),
+            writers: Mutex::new(writers),
+            readers: Mutex::new(readers),
             streams: Mutex::new(streams),
             local_addr,
         }))
@@ -835,15 +845,30 @@ impl Transport for TcpTransport {
 }
 
 impl Drop for TcpTransport {
+    /// Close the writer queues and give the writers up to
+    /// [`DRAIN_TIMEOUT`] to write out what is still queued (a `H_SHUTDOWN`
+    /// frame sent just before the drop, say) and exit; then shut the
+    /// sockets down, which unblocks the readers and any writer still stuck
+    /// on a peer that stopped reading, and join every thread. Shutting a
+    /// socket down under a writer that has not written its queue yet would
+    /// lose the frames silently, and a peer waiting for them would wait for
+    /// ever; waiting for a writer without a deadline would hang the drop on
+    /// a peer that never reads again.
     fn drop(&mut self) {
         self.core.closing.store(true, Ordering::Release);
         for q in self.core.out.iter().flatten() {
             q.close();
         }
+        let writers = std::mem::take(&mut *self.writers.lock());
+        let deadline = Instant::now() + DRAIN_TIMEOUT;
+        while writers.iter().any(|h| !h.is_finished()) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         for s in self.streams.lock().drain(..) {
             let _ = s.shutdown(std::net::Shutdown::Both);
         }
-        for h in self.threads.lock().drain(..) {
+        let readers = std::mem::take(&mut *self.readers.lock());
+        for h in writers.into_iter().chain(readers) {
             let _ = h.join();
         }
     }
@@ -1001,6 +1026,91 @@ mod tests {
         t0.send(wire_env(0, 1, 5, vec![])).unwrap();
         let got = recv_blocking(&t0, PlaceId(1));
         assert_eq!(got.from, PlaceId(0));
+    }
+
+    /// A process that sends and then drops its transport at once (a launch
+    /// broadcasting `H_SHUTDOWN` on its way out) must still get every frame
+    /// to the peer: the drop lets the writers finish before it shuts the
+    /// sockets down.
+    #[test]
+    fn frames_sent_just_before_a_drop_reach_the_peer() {
+        const FRAMES: u32 = 64;
+        for round in 0..10 {
+            let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+            let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+            let procs: Vec<ProcSpec> = [&l0, &l1]
+                .iter()
+                .enumerate()
+                .map(|(rank, l)| ProcSpec {
+                    addr: l.local_addr().unwrap().to_string(),
+                    place_start: rank as u32,
+                    place_count: 1,
+                })
+                .collect();
+            let cfg1 = TcpConfig::new(procs.clone(), 1);
+            let h1 = std::thread::spawn(move || TcpTransport::connect_with_listener(cfg1, l1));
+            let t0 = TcpTransport::connect_with_listener(TcpConfig::new(procs, 0), l0).unwrap();
+            let t1 = h1.join().unwrap().expect("proc 1 up");
+            for i in 0..FRAMES {
+                t0.send(wire_env(0, 1, 3000 + i, vec![i as u8; 4096]))
+                    .unwrap();
+            }
+            drop(t0);
+            for i in 0..FRAMES {
+                let got = recv_blocking(&t1, PlaceId(1));
+                let w = got.payload.downcast::<WireMsg>().unwrap();
+                assert_eq!(w.handler, HandlerId(3000 + i), "round {round}");
+            }
+        }
+    }
+
+    /// A drop returns even when a peer has stopped reading: the writer
+    /// stuck on the full socket gets [`DRAIN_TIMEOUT`], then the socket is
+    /// shut down under it.
+    #[test]
+    fn drop_returns_when_the_peer_never_reads() {
+        const FRAMES: usize = 24;
+        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let procs: Vec<ProcSpec> = [&l0, &l1]
+            .iter()
+            .enumerate()
+            .map(|(rank, l)| ProcSpec {
+                addr: l.local_addr().unwrap().to_string(),
+                place_start: rank as u32,
+                place_count: 1,
+            })
+            .collect();
+        // Rank 1 answers the handshake, then keeps its socket open and
+        // never reads from it again.
+        let peer = std::thread::spawn(move || {
+            let (mut s, _) = l1.accept().unwrap();
+            let mut buf = [0u8; codec::HANDSHAKE_BYTES];
+            s.read_exact(&mut buf).unwrap();
+            let hs = codec::decode_handshake(&buf).unwrap();
+            let reply = Handshake {
+                version: hs.version,
+                proc_id: 1,
+                place_start: 1,
+                place_count: 1,
+                total_places: 2,
+            };
+            s.write_all(&codec::encode_handshake(&reply)).unwrap();
+            s
+        });
+        let t0 = TcpTransport::connect_with_listener(TcpConfig::new(procs, 0), l0).unwrap();
+        let _held_open = peer.join().unwrap();
+        // Far more than the two ends' socket buffers take in.
+        for _ in 0..FRAMES {
+            t0.send(wire_env(0, 1, 3000, vec![7u8; 1 << 20])).unwrap();
+        }
+        let start = Instant::now();
+        drop(t0);
+        let took = start.elapsed();
+        assert!(
+            took >= DRAIN_TIMEOUT && took < DRAIN_TIMEOUT + Duration::from_secs(5),
+            "drop took {took:?}"
+        );
     }
 
     #[test]
