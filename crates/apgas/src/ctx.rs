@@ -7,12 +7,13 @@
 use crate::clock::ClockReg;
 use crate::config::Config;
 use crate::finish::root::RootState;
-use crate::finish::{Attach, FinishId, FinishKind, FinishRef};
+use crate::finish::{Attach, FinishKind, FinishRef};
 use crate::task::Task;
 use crate::worker::{SendWhen, SpawnBody, Worker};
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use x10rt::HandlerId;
@@ -20,7 +21,7 @@ use x10rt::{CongruentArray, MsgClass, NetStats, PlaceId, Pod, SegmentTable, Topo
 
 struct Scope {
     fin: FinishRef,
-    root: Arc<RootState>,
+    root: Rc<RootState>,
 }
 
 /// Execution context of one activity.
@@ -223,13 +224,13 @@ impl<'w> Ctx<'w> {
     }
 
     /// The finish this activity opened last, if it is inside one.
-    fn innermost_scope(&self) -> Option<(FinishRef, Arc<RootState>)> {
+    fn innermost_scope(&self) -> Option<(FinishRef, Rc<RootState>)> {
         self.scopes.borrow().last().map(|s| (s.fin, s.root.clone()))
     }
 
     fn spawn_at_root(
         &self,
-        root: &Arc<RootState>,
+        root: &RootState,
         fin: FinishRef,
         target: PlaceId,
         body: SpawnBody,
@@ -380,16 +381,11 @@ impl<'w> Ctx<'w> {
     /// spawned activity. Panics raised by governed activities are collected
     /// and re-raised here (X10's `MultipleExceptions`).
     pub fn finish_pragma<R>(&self, kind: FinishKind, body: impl FnOnce(&Ctx) -> R) -> R {
-        let here = self.here();
         // One span per finish, from root creation through termination; the
         // kind label distinguishes the protocols on the trace timeline.
         let span = self.worker.trace().and_then(|t| t.span_start());
-        let seq = self.worker.next_finish_seq.get();
-        self.worker.next_finish_seq.set(seq + 1);
-        let id = FinishId { home: here, seq };
-        let fin = FinishRef { id, kind };
-        let root = Arc::new(RootState::new(kind, id));
-        self.worker.place.roots.lock().insert(seq, root.clone());
+        let (fin, root) = self.worker.open_root(kind);
+        let seq = fin.id.seq;
         if kind == FinishKind::Resilient {
             // Seed the backup place with the (empty) liveness snapshot so it
             // knows the scope exists before any activity can escape it.
@@ -402,33 +398,19 @@ impl<'w> Ctx<'w> {
         let result = catch_unwind(AssertUnwindSafe(|| body(self)));
         self.scopes.borrow_mut().pop();
         root.set_body_done();
-        match self.worker.g.cfg.finish_watchdog {
-            None if kind == FinishKind::Resilient => self.worker.wait_until(&|| {
-                // Adoption must run even without a watchdog: a kill with no
-                // deadline configured would otherwise hang the scope forever.
-                self.worker.resilient_recover(&root);
-                root.is_done()
-            }),
-            None => self.worker.wait_until(&|| root.is_done()),
-            Some(limit) => {
-                if let Err(err) = self.worker.wait_root_watchdog(&root, limit) {
-                    // Abandon the scope: deregister the root so straggling
-                    // control traffic is counted as stray instead of being
-                    // applied to a dead scope, then surface the typed error.
-                    self.worker.place.roots.lock().remove(&seq);
-                    if let Some(t) = self.worker.trace() {
-                        t.span_end(span, "finish", kind.label(), seq);
-                    }
-                    std::panic::panic_any(err);
-                }
-            }
-        }
-        self.worker.place.roots.lock().remove(&seq);
-        if kind == FinishKind::Resilient {
+        let waited = self
+            .worker
+            .wait_root(&root, self.worker.g.cfg.finish_watchdog);
+        // Terminated or abandoned by the watchdog, the scope is over.
+        self.worker.close_root(&root);
+        if waited.is_ok() && kind == FinishKind::Resilient {
             self.worker.send_backup_release(&root);
         }
         if let Some(t) = self.worker.trace() {
             t.span_end(span, "finish", kind.label(), seq);
+        }
+        if let Err(err) = waited {
+            std::panic::panic_any(err);
         }
         let panics = root.take_panics();
         match result {

@@ -26,28 +26,25 @@
 //! live count reaches zero.
 
 use super::{BackupSnapshot, CmdDescriptor, Deltas, FinishId, FinishKind};
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use x10rt::IntMap;
 
-/// Root-side termination-detection state for one `finish` block.
+/// Root-side termination-detection state for one `finish` block. Only the
+/// home place's worker ever touches it, so it takes no lock: other threads
+/// see the counts the worker publishes to its `PlaceState`.
 pub struct RootState {
     /// Protocol variant.
     pub kind: FinishKind,
     /// Identity.
     pub id: FinishId,
-    inner: Mutex<Inner>,
-    done: AtomicBool,
+    inner: RefCell<Inner>,
+    done: Cell<bool>,
     /// Count of accounting events applied to this root, in any protocol —
     /// the liveness signal the finish watchdog watches: as long as this
     /// advances, termination detection is making progress and the watchdog
     /// deadline keeps being extended.
-    events: AtomicU64,
-    /// Number of dead places this root has adopted (lock-free mirror of
-    /// `Inner::adopted.len()`, so the resilient wait loop can skip taking
-    /// the lock when nothing new has died).
-    adopted_places: AtomicUsize,
+    events: Cell<u64>,
 }
 
 #[derive(Default)]
@@ -103,29 +100,28 @@ impl RootState {
         RootState {
             kind,
             id,
-            inner: Mutex::new(Inner::default()),
-            done: AtomicBool::new(false),
-            events: AtomicU64::new(0),
-            adopted_places: AtomicUsize::new(0),
+            inner: RefCell::new(Inner::default()),
+            done: Cell::new(false),
+            events: Cell::new(0),
         }
     }
 
     /// Has global termination been detected?
     #[inline]
     pub fn is_done(&self) -> bool {
-        self.done.load(Ordering::Acquire)
+        self.done.get()
     }
 
     /// Number of accounting events applied so far (watchdog liveness
     /// signal).
     #[inline]
     pub fn progress_events(&self) -> u64 {
-        self.events.load(Ordering::Relaxed)
+        self.events.get()
     }
 
     #[inline]
     fn progressed(&self) {
-        self.events.fetch_add(1, Ordering::Relaxed);
+        self.events.set(self.events.get() + 1);
     }
 
     fn check(&self, g: &Inner) {
@@ -143,7 +139,7 @@ impl RootState {
             }
         };
         if quiescent {
-            self.done.store(true, Ordering::Release);
+            self.done.set(true);
         }
     }
 
@@ -160,7 +156,7 @@ impl RootState {
     /// The body spawned an activity at the home place.
     pub fn note_local_spawn(&self, home: u32) {
         self.progressed();
-        let mut g = self.inner.lock();
+        let mut g = self.inner.borrow_mut();
         g.total_spawns += 1;
         self.enforce_async_arity(&g);
         match self.kind {
@@ -177,7 +173,7 @@ impl RootState {
     /// A body-local (home) activity completed.
     pub fn note_local_death(&self, home: u32, panic: Option<String>) {
         self.progressed();
-        let mut g = self.inner.lock();
+        let mut g = self.inner.borrow_mut();
         if let Some(p) = panic {
             g.panics.push(p);
         }
@@ -200,7 +196,7 @@ impl RootState {
     /// Returns the credit the activity must carry (FINISH_HERE only).
     pub fn note_remote_spawn(&self, home: u32, dst: u32) -> u64 {
         self.progressed();
-        let mut g = self.inner.lock();
+        let mut g = self.inner.borrow_mut();
         g.total_spawns += 1;
         self.enforce_async_arity(&g);
         match self.kind {
@@ -237,7 +233,7 @@ impl RootState {
     /// `src` (default/dense bookkeeping; weighted arrivals report at death).
     pub fn note_home_receive(&self, home: u32, src: u32) {
         self.progressed();
-        let mut g = self.inner.lock();
+        let mut g = self.inner.borrow_mut();
         match self.kind {
             FinishKind::Default | FinishKind::Dense | FinishKind::Resilient => {
                 // If the source was adopted its spawn edge was zeroed (or
@@ -265,7 +261,7 @@ impl RootState {
     /// A weighted (FINISH_HERE) activity died at the home place.
     pub fn note_home_weighted_death(&self, weight: u64, panic: Option<String>) {
         self.progressed();
-        let mut g = self.inner.lock();
+        let mut g = self.inner.borrow_mut();
         if let Some(p) = panic {
             g.panics.push(p);
         }
@@ -280,7 +276,7 @@ impl RootState {
     pub fn apply_deltas(&self, deltas: Deltas) {
         self.progressed();
         let is_res = self.kind == FinishKind::Resilient;
-        let mut g = self.inner.lock();
+        let mut g = self.inner.borrow_mut();
         let Inner {
             matrix,
             nonzero_matrix,
@@ -317,7 +313,7 @@ impl RootState {
     /// activities.
     pub fn apply_done(&self, completions: u64, panics: Vec<String>) {
         self.progressed();
-        let mut g = self.inner.lock();
+        let mut g = self.inner.borrow_mut();
         g.completed_remote += completions;
         g.panics.extend(panics);
         debug_assert!(
@@ -331,7 +327,7 @@ impl RootState {
     /// Apply a returned credit (FINISH_HERE).
     pub fn apply_credit(&self, weight: u64, panic: Option<String>) {
         self.progressed();
-        let mut g = self.inner.lock();
+        let mut g = self.inner.borrow_mut();
         if let Some(p) = panic {
             g.panics.push(p);
         }
@@ -344,18 +340,18 @@ impl RootState {
     /// (home-side spawns call this directly before the task is shipped).
     pub fn register_cmd(&self, cmd: CmdDescriptor) {
         debug_assert_eq!(self.kind, FinishKind::Resilient);
-        self.inner.lock().pending_cmds.push(cmd);
+        self.inner.borrow_mut().pending_cmds.push(cmd);
     }
 
     /// Apply a remote spawner's `CmdLog`. Returns the descriptor back when
     /// its destination has already been adopted — the caller must re-execute
     /// it immediately (the reconstruction pass that would have picked it up
-    /// has already run). The re-execution is pre-accounted here, under the
-    /// lock, for the same reason as in [`RootState::reconstruct`]: the
-    /// caller's enqueue must not race the done latch.
+    /// has already run). The re-execution is pre-accounted here, for the
+    /// same reason as in [`RootState::reconstruct`]: the done latch must
+    /// not fire before the caller's enqueue.
     pub fn apply_cmd_log(&self, cmd: CmdDescriptor) -> Option<CmdDescriptor> {
         self.progressed();
-        let mut g = self.inner.lock();
+        let mut g = self.inner.borrow_mut();
         if g.adopted.contains(&cmd.dest) {
             g.total_spawns += 1;
             let home = self.id.home.0;
@@ -370,12 +366,16 @@ impl RootState {
         }
     }
 
-    /// Cheap lock-free pre-check for [`RootState::reconstruct`]: true when
-    /// the runtime reports more dead places than this root has adopted.
+    /// Number of dead places this root has adopted.
+    pub fn adopted_places(&self) -> usize {
+        self.inner.borrow().adopted.len()
+    }
+
+    /// Cheap pre-check for [`RootState::reconstruct`]: true when the
+    /// runtime reports more dead places than this root has adopted.
     #[inline]
     pub fn needs_reconstruct(&self, dead_count: usize) -> bool {
-        self.kind == FinishKind::Resilient
-            && self.adopted_places.load(Ordering::Relaxed) < dead_count
+        self.kind == FinishKind::Resilient && self.adopted_places() < dead_count
     }
 
     /// Adopt the orphaned accounting of newly-dead places: zero every
@@ -387,7 +387,7 @@ impl RootState {
     /// abandoned — only command-bodied work is re-executed.
     pub fn reconstruct(&self, dead: &[u32]) -> Option<Vec<CmdDescriptor>> {
         debug_assert_eq!(self.kind, FinishKind::Resilient);
-        let mut g = self.inner.lock();
+        let mut g = self.inner.borrow_mut();
         let fresh: Vec<u32> = dead
             .iter()
             .copied()
@@ -397,8 +397,6 @@ impl RootState {
             return None;
         }
         g.adopted.extend(fresh.iter().copied());
-        self.adopted_places
-            .store(g.adopted.len(), Ordering::Relaxed);
         let dead_keys: Vec<(u32, u32)> = g
             .matrix
             .iter()
@@ -429,10 +427,10 @@ impl RootState {
             .drain(..)
             .partition(|c| fresh.contains(&c.dest));
         g.pending_cmds = kept;
-        // Pre-account the re-executions *inside* this critical section.
-        // Zeroing the dead edges can leave the matrix momentarily all-zero
-        // while the lost commands are about to be re-injected; `done` is a
-        // latch (all-zero is terminal in normal operation), so `check` must
+        // Pre-account the re-executions before `check` below. Zeroing the
+        // dead edges can leave the matrix momentarily all-zero while the
+        // lost commands are about to be re-injected; `done` is a latch
+        // (all-zero is terminal in normal operation), so `check` must
         // never see that fake quiescent state. The caller re-executes each
         // returned descriptor without a further spawn note.
         if !lost.is_empty() {
@@ -450,7 +448,7 @@ impl RootState {
 
     /// Compact liveness snapshot for backup replication.
     pub fn backup_snapshot(&self) -> BackupSnapshot {
-        let g = self.inner.lock();
+        let g = self.inner.borrow();
         BackupSnapshot {
             nonzero: (g.nonzero_matrix + g.nonzero_live) as u64,
             pending: g.pending_cmds.len() as u64,
@@ -460,19 +458,19 @@ impl RootState {
     /// The finish body returned; termination may now be declared.
     pub fn set_body_done(&self) {
         self.progressed();
-        let mut g = self.inner.lock();
+        let mut g = self.inner.borrow_mut();
         g.body_done = true;
         self.check(&g);
     }
 
     /// Drain accumulated panics (called once by the waiter after `is_done`).
     pub fn take_panics(&self) -> Vec<String> {
-        std::mem::take(&mut self.inner.lock().panics)
+        std::mem::take(&mut self.inner.borrow_mut().panics)
     }
 
     /// Root-state footprint in matrix entries (for the O(n²) demonstration).
     pub fn matrix_entries(&self) -> usize {
-        self.inner.lock().matrix.len()
+        self.inner.borrow().matrix.len()
     }
 }
 

@@ -1,20 +1,18 @@
 //! Per-place state that threads other than the place's worker must touch:
 //! root submissions from outside the runtime (the ingress), the route to
-//! its executor slot for wake-ups, the finish roots, and counts the worker
-//! publishes for the residue oracle, the schedule controller and the status
-//! report.
+//! its executor slot for wake-ups, and counts the worker publishes for the
+//! residue oracle, the schedule controller and the status report.
 //!
-//! Everything only the worker uses — its run queue, the finish proxies,
-//! backup snapshots, the dense aggregator, the object registry, team and
-//! clock tables — lives in [`crate::worker::Worker`] without a lock.
+//! Everything only the worker uses — its run queue, the finish roots and
+//! proxies, backup snapshots, the dense aggregator, the object registry,
+//! team and clock tables — lives in [`crate::worker::Worker`] without a
+//! lock.
 
-use crate::finish::root::RootState;
 use crate::task::Task;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use x10rt::{IntMap, PlaceId};
+use x10rt::PlaceId;
 
 /// A schedulable activity: its cell (body plus termination-detection
 /// attachment) and its causal identity.
@@ -47,13 +45,14 @@ pub struct PlaceState {
     /// Times a worker of this place actually went to sleep (scheduler
     /// diagnostic; the aggregation ablation reports it).
     pub parks: AtomicU64,
-    /// Finish roots homed at this place, by home-local sequence number.
-    /// The worker creates, looks up and removes them; three readers on
-    /// other threads need the roots themselves, not a count, which is why
-    /// this table keeps its lock: the status report (`status::collect`),
-    /// the schedule controller's `Runtime::place_needs_recovery`, and the
-    /// residue oracle (`Global::residue`).
-    pub roots: Mutex<IntMap<u64, Arc<RootState>>>,
+    /// Finish roots open at this place (published when the worker opens or
+    /// closes one).
+    pub root_count: AtomicUsize,
+    /// The fewest dead places any open resilient root at this place has
+    /// adopted, `usize::MAX` when none is open (published when the worker
+    /// opens or closes a resilient root and after each adoption). More dead
+    /// places than this means a root here has recovery to run.
+    pub adoption_floor: AtomicUsize,
     /// Activities in the worker's run queue (published on every push and
     /// pop; the ingress is counted separately).
     pub queued: AtomicUsize,
@@ -90,7 +89,8 @@ impl PlaceState {
             ingress: Mutex::new(Vec::new()),
             ingress_ready: AtomicBool::new(false),
             parks: AtomicU64::new(0),
-            roots: Mutex::new(IntMap::default()),
+            root_count: AtomicUsize::new(0),
+            adoption_floor: AtomicUsize::new(usize::MAX),
             queued: AtomicUsize::new(0),
             proxy_count: AtomicUsize::new(0),
             backup_count: AtomicUsize::new(0),

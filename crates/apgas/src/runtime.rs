@@ -127,7 +127,7 @@ impl Global {
             dense_pending: 0,
         };
         for p in self.places.iter().filter(|p| !skip.contains(&p.id)) {
-            r.roots += p.roots.lock().len();
+            r.roots += p.root_count.load(Ordering::Relaxed);
             r.proxies += p.proxy_count.load(Ordering::Relaxed);
             r.dense_pending += p.dense_pending.load(Ordering::Relaxed) as usize;
         }
@@ -140,7 +140,8 @@ impl Global {
 /// is idle, all three counts must be zero.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FinishResidue {
-    /// Finish roots still registered at their home places.
+    /// Finish roots still open at their home places (each home worker
+    /// publishes its count when it opens or closes one).
     pub roots: usize,
     /// Finish proxies still holding state for remotely-homed finishes.
     pub proxies: usize,
@@ -601,10 +602,10 @@ impl Runtime {
     // --- live introspection ---
 
     /// The process-wide status report as human-readable text: per-place run
-    /// states, queue and mailbox depths, coalescer buffering, in-flight
-    /// finish roots (protocol kind + liveness progress counter), finish
-    /// residue, and the full sorted metrics dump. Also dumped automatically
-    /// when the finish watchdog trips.
+    /// states, queue and mailbox depths, coalescer buffering, open finish
+    /// roots and proxies, finish residue, and the full sorted metrics dump.
+    /// Also dumped automatically, under a header naming the stalled root
+    /// and its progress count, when the finish watchdog trips.
     pub fn status_report(&self) -> String {
         crate::status::report_text(&self.g)
     }
@@ -690,26 +691,20 @@ impl Runtime {
     }
 
     /// Does `place` host a resilient finish root that has not yet adopted
-    /// every dead place? Adoption runs in the waiting worker's quantum (the
-    /// resilient wait re-polls `Worker::resilient_recover` each
-    /// condition check), so a schedule controller must treat pending
+    /// every dead place? True when the transport reports more dead places
+    /// than the place's published adoption floor (the fewest any of its
+    /// open resilient roots has adopted). Adoption runs in the waiting
+    /// worker's quantum (the root's wait calls `Worker::resilient_recover`
+    /// on every pass), so a schedule controller must treat pending
     /// recovery as runnable work — it is invisible to [`Runtime::place_has_work`]
     /// because no queue or mailbox entry exists for it. Always `false` with
     /// `Config::resilient_finish` off: recovery will never run, and
     /// reporting it as work would mask the resulting (deliberate) wedge.
     pub fn place_needs_recovery(&self, place: PlaceId) -> bool {
-        if !self.g.cfg.resilient_finish {
-            return false;
-        }
-        let dead = self.g.transport.dead_places();
-        if dead.is_empty() {
-            return false;
-        }
-        self.g.places[place.0 as usize]
-            .roots
-            .lock()
-            .values()
-            .any(|r| r.needs_reconstruct(dead.len()))
+        let floor = self.g.places[place.0 as usize]
+            .adoption_floor
+            .load(Ordering::Relaxed);
+        self.g.cfg.resilient_finish && self.g.transport.dead_places().len() > floor
     }
 
     /// Total activities queued across all places (not counting the one a

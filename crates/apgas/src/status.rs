@@ -2,16 +2,15 @@
 //!
 //! A status report is a process-wide view of the runtime *right now* — per-
 //! place run states (alive/dead, queued activities, mailbox depth, outgoing
-//! lanes and their slot memory, parks, coalescer buffering, finish proxies,
-//! dense buffering), every
-//! in-flight finish root with its protocol kind and liveness progress
-//! counter, the finish residue, and the full name-sorted metrics dump
-//! (which carries the mailbox ring-overflow, GLB steal/lifeline, and arena
-//! hit-rate counters). It renders as text
-//! (for humans and crash artifacts) and JSON (for tools), is dumped
-//! automatically when the finish liveness watchdog trips or a chaos cell
-//! fails, and is served to any place over the transport via the `H_OBS`
-//! status query (PROTOCOL.md §4).
+//! lanes and their slot memory, parks, coalescer buffering, open finish
+//! roots and proxies, dense buffering), the finish residue, and the full
+//! name-sorted metrics dump (which carries the mailbox ring-overflow, GLB
+//! steal/lifeline, and arena hit-rate counters). It renders as text (for
+//! humans and crash artifacts) and JSON (for tools), is dumped
+//! automatically when the finish liveness watchdog trips (under a header
+//! naming the stalled root's kind, seq, place and progress count) or a
+//! chaos cell fails, and is served to any place over the transport via the
+//! `H_OBS` status query (PROTOCOL.md §4).
 
 use crate::runtime::Global;
 use parking_lot::Mutex;
@@ -72,8 +71,8 @@ struct PlaceStatus {
     proxies: usize,
     /// Does this place's dense aggregator buffer undelivered deltas?
     dense_pending: bool,
-    /// (kind label, finish seq, progress events, done?)
-    roots: Vec<(&'static str, u64, u64, bool)>,
+    /// Finish roots open at this place.
+    roots: usize,
 }
 
 impl PlaceStatus {
@@ -88,7 +87,7 @@ impl PlaceStatus {
             || self.backup_roots > 0
             || self.proxies > 0
             || self.dense_pending
-            || !self.roots.is_empty()
+            || self.roots > 0
     }
 }
 
@@ -98,12 +97,6 @@ fn collect(g: &Global) -> Vec<PlaceStatus> {
         .hosted()
         .map(|i| {
             let p = &g.places[i];
-            let roots = p
-                .roots
-                .lock()
-                .values()
-                .map(|r| (r.kind.label(), r.id.seq, r.progress_events(), r.is_done()))
-                .collect();
             let (lanes, lane_bytes) = g.transport.lane_footprint(p.id);
             PlaceStatus {
                 place: p.id.0,
@@ -118,7 +111,7 @@ fn collect(g: &Global) -> Vec<PlaceStatus> {
                 backup_roots: p.backup_count.load(Ordering::Relaxed),
                 proxies: p.proxy_count.load(Ordering::Relaxed),
                 dense_pending: p.dense_pending.load(Ordering::Relaxed),
-                roots,
+                roots: p.root_count.load(Ordering::Relaxed),
             }
         })
         .collect()
@@ -157,7 +150,8 @@ pub(crate) fn report_text(g: &Global) -> String {
         let _ = writeln!(
             s,
             "place {}: {}  queue {}  mailbox {}  lanes {}  lane_kib {}  parks {}  \
-             probing {}  coalesced_bytes {}  backup_roots {}  proxies {}  dense_pending {}",
+             probing {}  coalesced_bytes {}  roots {}  backup_roots {}  proxies {}  \
+             dense_pending {}",
             ps.place,
             if ps.dead { "DEAD" } else { "alive" },
             ps.queue,
@@ -167,17 +161,11 @@ pub(crate) fn report_text(g: &Global) -> String {
             ps.parks,
             ps.probing,
             ps.coalesced_bytes,
+            ps.roots,
             ps.backup_roots,
             ps.proxies,
             ps.dense_pending
         );
-        for (kind, seq, progress, done) in &ps.roots {
-            let _ = writeln!(
-                s,
-                "  finish[{kind}] seq {seq}: progress {progress}, {}",
-                if *done { "done" } else { "open" }
-            );
-        }
     }
     if elided > 0 {
         let _ = writeln!(s, "({elided} idle place(s) elided)");
@@ -236,8 +224,8 @@ pub(crate) fn report_json(g: &Global) -> String {
             s,
             "{{\"place\": {}, \"dead\": {}, \"queue\": {}, \"mailbox\": {}, \
              \"lanes\": {}, \"lane_kib\": {}, \"parks\": {}, \"probing\": {}, \
-             \"coalesced_bytes\": {}, \"backup_roots\": {}, \"proxies\": {}, \
-             \"dense_pending\": {}, \"roots\": [",
+             \"coalesced_bytes\": {}, \"roots\": {}, \"backup_roots\": {}, \
+             \"proxies\": {}, \"dense_pending\": {}}}",
             ps.place,
             ps.dead,
             ps.queue,
@@ -247,21 +235,11 @@ pub(crate) fn report_json(g: &Global) -> String {
             ps.parks,
             ps.probing,
             ps.coalesced_bytes,
+            ps.roots,
             ps.backup_roots,
             ps.proxies,
             ps.dense_pending
         );
-        for (i, (kind, seq, progress, done)) in ps.roots.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(
-                s,
-                "{{\"kind\": \"{kind}\", \"seq\": {seq}, \"progress\": {progress}, \
-                 \"done\": {done}}}"
-            );
-        }
-        s.push_str("]}");
     }
     let residue = g.residue();
     let _ = write!(

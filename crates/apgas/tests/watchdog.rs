@@ -129,10 +129,11 @@ fn here_round_trip_surfaces_dead_place() {
 }
 
 /// A watchdog trip must leave a status report behind (the automatic dump):
-/// [`Runtime::last_watchdog_report`] names the stalled finish kind and the
-/// waiting place, and carries the full introspection dump — per-place run
-/// states, the in-flight root with its progress counter frozen at the
-/// stall, and the metrics (including `finish.watchdog_fired`).
+/// [`Runtime::last_watchdog_report`] opens with a header naming the stalled
+/// root — its kind, seq, waiting place and progress count frozen at the
+/// stall — and carries the full introspection dump: per-place run states
+/// with their open-root counts, the finish residue, and the metrics
+/// (including `finish.watchdog_fired`).
 #[test]
 fn watchdog_trip_dumps_a_status_report() {
     let rt = runtime();
@@ -160,9 +161,22 @@ fn watchdog_trip_dumps_a_status_report() {
         report.contains("finish[FINISH_DEFAULT]"),
         "report must name the stalled finish kind:\n{report}"
     );
+    // Header: `finish[KIND] seq S at P stalled (progress N): watchdog fired …`.
+    let header = report.lines().next().unwrap_or_default();
+    let field = |after: &str, before: char| -> u64 {
+        header
+            .split(after)
+            .nth(1)
+            .and_then(|rest| rest.split(before).next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("header must name `{after}N`: {header}"))
+    };
+    assert!(field("] seq ", ' ') >= 1, "{header}");
+    // At least the body's spawn and its end were accounted before the stall.
+    assert!(field("stalled (progress ", ')') >= 2, "{header}");
     assert!(
-        report.contains("stalled: watchdog fired"),
-        "report must say what happened:\n{report}"
+        header.contains(" at 0 stalled (progress ") && header.contains("): watchdog fired after"),
+        "header must name the waiting place and say what happened:\n{report}"
     );
     assert!(
         report.contains("runtime status: rank 0"),
@@ -191,7 +205,7 @@ fn watchdog_trip_dumps_a_status_report() {
                 .find(|p| p.get("place").and_then(|x| x.as_u64()) == Some(2))
         })
         .unwrap_or_else(|| panic!("the dead place must be listed: {json}"));
-    for key in ["proxies", "lanes", "lane_kib"] {
+    for key in ["roots", "proxies", "lanes", "lane_kib"] {
         assert!(victim.get(key).and_then(|x| x.as_u64()).is_some(), "{json}");
     }
     assert!(
@@ -201,6 +215,23 @@ fn watchdog_trip_dumps_a_status_report() {
             .is_some(),
         "{json}"
     );
+    let places = v
+        .get("place_states")
+        .and_then(|p| p.as_array())
+        .expect("place_states is a list");
+    for p in places {
+        assert!(
+            p.get("roots").and_then(|x| x.as_u64()).is_some(),
+            "every listed place publishes a root count: {json}"
+        );
+    }
+    // The watchdog abandoned the stalled root: no root stays open.
+    let residue_roots = v
+        .get("residue")
+        .and_then(|r| r.get("roots"))
+        .and_then(|x| x.as_u64());
+    assert_eq!(residue_roots, Some(0), "{json}");
+    assert_eq!(rt.finish_residue().roots, 0);
 }
 
 /// FINISH_LOCAL governs only place-local activities: killing an unrelated

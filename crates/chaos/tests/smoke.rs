@@ -201,7 +201,7 @@ fn killed_cell_status_artifact_names_the_stall() {
                     "artifact must carry the trip-time report: {body}"
                 );
                 assert!(
-                    body.contains("stalled: watchdog fired"),
+                    body.contains("stalled (progress ") && body.contains("watchdog fired after"),
                     "artifact must carry the diagnosis: {body}"
                 );
                 assert!(
