@@ -55,10 +55,6 @@ pub struct Config {
     /// Places per host; determines host masters for `FINISH_DENSE` routing
     /// and the Power 775 traffic accounting (32 on the paper's machine).
     pub places_per_host: usize,
-    /// How long an idle worker parks before re-polling its mailbox. Small
-    /// values reduce latency, large values reduce CPU burn when places
-    /// heavily outnumber cores (they do in this reproduction).
-    pub park_timeout: Duration,
     /// Transport aggregation: flush a destination's coalescing buffer once
     /// it holds this many messages (see `x10rt::coalesce`).
     pub batch_max_msgs: usize,
@@ -159,7 +155,6 @@ impl Config {
         Config {
             places,
             places_per_host: 32,
-            park_timeout: Duration::from_micros(200),
             batch_max_msgs: x10rt::coalesce::DEFAULT_MAX_MSGS,
             batch_max_bytes: x10rt::coalesce::DEFAULT_MAX_BYTES,
             batch_disable: false,

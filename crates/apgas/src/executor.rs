@@ -9,7 +9,7 @@
 //!   worker loop runs directly on it with no stack switch: the paper's
 //!   launch, one worker per place (`X10_NTHREADS=1`). A parked worker
 //!   yields the thread a few times, then sleeps on its slot's condvar for
-//!   at most `park_timeout`. Used when [`crate::Config::executor_threads`]
+//!   at most [`PARK_TIMEOUT`]. Used when [`crate::Config::executor_threads`]
 //!   is unset or at least the hosted place count; runs on every platform.
 //! * **Shared** — the hosted places run as stackful contexts (see
 //!   `context`) multiplexed over a fixed pool of executor threads (M:N
@@ -43,8 +43,8 @@
 //! park — so a running context is re-marked only by another place's
 //! traffic, never by its own local spawns.
 //!
-//! Idle executors wake on their own every `resweep` (the configured
-//! `park_timeout`) and mark *every* unfinished context runnable. That
+//! Idle executors wake on their own every [`PARK_TIMEOUT`] (the pool's
+//! `resweep`) and mark *every* unfinished context runnable. That
 //! re-poll is what keeps time-based machinery alive — the two timed
 //! re-polls, the finish watchdog and GLB steal timeouts, assume a parked
 //! worker re-checks its condition on the park-timeout cadence (a dedicated
@@ -74,6 +74,12 @@ use std::time::Duration;
 /// worker's stack, so it needs room. Context stacks are mapped `NORESERVE`:
 /// the cost is address space, and only touched pages are committed.
 pub(crate) const WORKER_STACK: usize = 16 << 20;
+
+/// The longest idle park: a dedicated worker's condvar timeout and the
+/// shared pool's resweep period. The timed re-polls (finish watchdog, GLB
+/// steal timeouts) run on this cadence; shorter costs CPU when places
+/// outnumber cores, longer delays them.
+pub(crate) const PARK_TIMEOUT: Duration = Duration::from_micros(200);
 
 /// Idle parks a dedicated worker spends yielding the CPU before it sleeps
 /// on its condvar. Aggregated traffic arrives in bursts, so a receiver that
@@ -116,7 +122,6 @@ impl Executor {
         first_place: usize,
         entries: Vec<Entry>,
         threads: Option<usize>,
-        park_timeout: Duration,
         metrics: Option<&MetricsRegistry>,
         connect: impl FnOnce(&Arc<Executor>),
     ) -> Vec<JoinHandle<()>> {
@@ -130,7 +135,6 @@ impl Executor {
                     let bodies = bodies.map(|(i, (entry, slot))| {
                         let parker = Parker::Thread {
                             slot,
-                            timeout: park_timeout,
                             idle_streak: Cell::new(0),
                         };
                         let body: Body = Box::new(move || entry(parker));
@@ -145,7 +149,7 @@ impl Executor {
                     let pool = Arc::new(ExecutorPool::new(
                         contexts.collect(),
                         n,
-                        park_timeout,
+                        PARK_TIMEOUT,
                         metrics,
                     ));
                     let bodies = (0..n).map(|t| {
@@ -198,7 +202,6 @@ pub(crate) enum Parker {
     /// Dedicated thread: yield, then sleep on the slot.
     Thread {
         slot: Arc<ThreadSlot>,
-        timeout: Duration,
         /// Consecutive parks with no wake in between; the first
         /// [`PARK_SPIN_YIELDS`] of them only yield the thread.
         idle_streak: Cell<u32>,
@@ -206,7 +209,7 @@ pub(crate) enum Parker {
 }
 
 impl Parker {
-    /// Give the CPU away until this place is woken or `park_timeout`
+    /// Give the CPU away until this place is woken or [`PARK_TIMEOUT`]
     /// passes. On a shared executor the context switches out and runs again
     /// once an executor finds it runnable. On a dedicated one the thread
     /// yields for [`PARK_SPIN_YIELDS`] parks after each wake, then sleeps on
@@ -215,11 +218,7 @@ impl Parker {
     pub(crate) fn park(&self) {
         match self {
             Parker::Context => crate::context::yield_now(),
-            Parker::Thread {
-                slot,
-                timeout,
-                idle_streak,
-            } => slot.park(idle_streak, *timeout),
+            Parker::Thread { slot, idle_streak } => slot.park(idle_streak),
         }
     }
 }
@@ -247,7 +246,7 @@ impl ThreadSlot {
         }
     }
 
-    fn park(&self, idle_streak: &Cell<u32>, timeout: Duration) {
+    fn park(&self, idle_streak: &Cell<u32>) {
         if self.woken.swap(false, Ordering::SeqCst) {
             idle_streak.set(0);
         }
@@ -262,7 +261,7 @@ impl ThreadSlot {
         let mut guard = self.lock.lock();
         self.sleeping.store(true, Ordering::SeqCst);
         if !self.woken.load(Ordering::SeqCst) {
-            self.cv.wait_for(&mut guard, timeout);
+            self.cv.wait_for(&mut guard, PARK_TIMEOUT);
         }
         self.sleeping.store(false, Ordering::SeqCst);
     }
@@ -302,8 +301,7 @@ impl ExecutorPool {
             sleepers: AtomicUsize::new(0),
             idle_lock: Mutex::new(()),
             idle_cv: Condvar::new(),
-            // A zero resweep would busy-spin every idle executor.
-            resweep: resweep.max(Duration::from_micros(10)),
+            resweep,
             metrics: metrics.map(|m| PoolMetrics {
                 resumes: m.counter(obs::names::EXECUTOR_RESUMES),
                 empty_passes: m.counter(obs::names::EXECUTOR_EMPTY_PASSES),

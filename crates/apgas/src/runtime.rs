@@ -277,7 +277,6 @@ impl Runtime {
             hosted.start,
             entries,
             g.cfg.executor_threads,
-            g.cfg.park_timeout,
             g.obs.as_ref().map(|o| &o.metrics),
             |executor| {
                 // Submissions, deliveries and shutdown all funnel through

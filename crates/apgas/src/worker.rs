@@ -613,13 +613,13 @@ impl Worker {
 
     /// Give the CPU away after a quantum that found nothing to do, until a
     /// delivery, a submission or shutdown wakes this place, or
-    /// `park_timeout` passes (see `executor::Parker::park`). Safe against
-    /// lost wakes: a delivery from another place, or a submission from
-    /// outside the runtime, wakes the place even while it is mid-quantum;
-    /// this worker's own enqueues do not wake, but it parks only after a
-    /// quantum that found its queue empty. The timed re-poll keeps the
-    /// time-based machinery alive (the finish watchdog and GLB steal
-    /// timeouts).
+    /// `executor::PARK_TIMEOUT` passes (see `executor::Parker::park`).
+    /// Safe against lost wakes: a delivery from another place, or a
+    /// submission from outside the runtime, wakes the place even while it
+    /// is mid-quantum; this worker's own enqueues do not wake, but it parks
+    /// only after a quantum that found its queue empty. The timed re-poll
+    /// keeps the time-based machinery alive (the finish watchdog and GLB
+    /// steal timeouts).
     pub(crate) fn park_brief(&self) {
         // Never sleep on buffered sends: a peer may be waiting on them.
         self.flush_sends();

@@ -291,10 +291,7 @@ fn mailbox_sweeps_amortize_over_a_storm() {
 fn executor_counts_resumes_under_a_storm() {
     let places = 32u32;
     let per_place = 256u64;
-    let mut cfg = Config::new(places as usize).executor_threads(2);
-    // A short resweep cadence so the idle phase below times out often.
-    cfg.park_timeout = Duration::from_millis(1);
-    let rt = Runtime::new(cfg);
+    let rt = Runtime::new(Config::new(places as usize).executor_threads(2));
     let sink = Arc::new(AtomicU64::new(0));
     let s2 = sink.clone();
     rt.run(move |ctx| {

@@ -1,16 +1,30 @@
-//! Ablations for the design choices DESIGN.md calls out.
+//! Ablations for the design choices DESIGN.md calls out. The `ms` columns
+//! are wall times on this host, of one run unless the row is a mean.
 //!
-//! * `ablation_finish` — protocol cost of the same workload under every
-//!   finish variant;
-//! * `ablation_glb` — lifelines on/off, victim-list bound, and
-//!   fragment-of-every-interval vs naive stealing on UTS;
-//! * `ablation_bcast` — tree vs flat place-group broadcast.
+//! * finish protocols (§3.1) — the same fan-out of one remote activity per
+//!   place under FINISH_DEFAULT, FINISH_SPMD and FINISH_DENSE at 8 places
+//!   per host: control messages, control bytes, root in-degree, ms;
+//! * the round-trip ("get") idiom under FINISH_DEFAULT vs FINISH_HERE, and
+//!   64 local spawns at one place under FINISH_DEFAULT vs FINISH_LOCAL:
+//!   control messages, control bytes and ms per round, the mean of
+//!   [`ROUNDS`] rounds;
+//! * GLB on UTS at 4 places (§6) — the default configuration against no
+//!   random steals (lifelines only), eight random steals, one victim and
+//!   tiny chunks: nodes, ms, steal attempts and hits, lifeline gifts,
+//!   deaths; then the time of one `UtsBag::split` (a fragment of every
+//!   interval) after `process(2000)` on a depth-10 tree, the mean of
+//!   [`ROUNDS`] splits;
+//! * place-group broadcast, tree vs flat: task messages, max out-degree, ms.
 //!
 //! Usage: `cargo run --release -p bench --bin ablation [--quick]`
 
-use apgas::{Config, FinishKind, MsgClass, PlaceGroup, Runtime};
+use apgas::{Config, Ctx, FinishKind, MsgClass, PlaceGroup, Runtime};
 use glb::GlbConfig;
 use kernels::util::timed;
+
+/// Rounds averaged for each µs-scale row (round trips, local spawns and
+/// bag splits).
+const ROUNDS: u32 = 200;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -26,7 +40,7 @@ fn finish_ablation(places: usize) {
         "protocol", "ctl msgs", "ctl bytes", "root in-deg", "ms"
     );
     for kind in [FinishKind::Default, FinishKind::Spmd, FinishKind::Dense] {
-        let rt = Runtime::new(Config::new(places));
+        let rt = Runtime::new(Config::new(places).places_per_host(8));
         rt.run(move |ctx| {
             ctx.net_stats().reset();
             let (_, secs) = timed(|| {
@@ -47,24 +61,35 @@ fn finish_ablation(places: usize) {
             );
         });
     }
-    // FINISH_HERE vs default for the round-trip ("get") idiom.
-    println!("\n-- round trip (get) idiom --");
-    for kind in [FinishKind::Default, FinishKind::Here] {
-        let rt = Runtime::new(Config::new(2));
-        rt.run(move |ctx| {
+    // FINISH_HERE vs default for the round-trip ("get") idiom, and
+    // FINISH_LOCAL vs default for activities that never leave the place.
+    println!("\n-- per round, mean of {ROUNDS} rounds --");
+    println!(
+        "{:>26} {:>10} {:>12} {:>10}",
+        "round", "ctl msgs", "ctl bytes", "ms"
+    );
+    let get: fn(&Ctx) = |c| {
+        let home = c.here();
+        c.at_async(apgas::PlaceId(1), move |cc| cc.at_async(home, |_| {}));
+    };
+    let spawns: fn(&Ctx) = |c| (0..64).for_each(|_| c.spawn(|_| {}));
+    for (places, what, kind, body) in [
+        (2, "get", FinishKind::Default, get),
+        (2, "get", FinishKind::Here, get),
+        (1, "64 spawns", FinishKind::Default, spawns),
+        (1, "64 spawns", FinishKind::Local, spawns),
+    ] {
+        Runtime::new(Config::new(places)).run(move |ctx| {
             ctx.net_stats().reset();
-            ctx.finish_pragma(kind, |c| {
-                let home = c.here();
-                c.at_async(apgas::PlaceId(1), move |cc| {
-                    cc.at_async(home, |_| {});
-                });
-            });
+            let (_, secs) = timed(|| (0..ROUNDS).for_each(|_| ctx.finish_pragma(kind, body)));
             let ctl = ctx.net_stats().class(MsgClass::FinishCtl);
+            let per_round = |n: u64| n as f64 / f64::from(ROUNDS);
             println!(
-                "{:>16} {:>10} ctl msgs, {:>6} ctl bytes",
-                kind.label(),
-                ctl.messages,
-                ctl.bytes
+                "{:>26} {:>10.2} {:>12.1} {:>10.4}",
+                format!("{what} {}", kind.label()),
+                per_round(ctl.messages),
+                per_round(ctl.bytes),
+                secs * 1e3 / f64::from(ROUNDS)
             );
         });
     }
@@ -122,6 +147,19 @@ fn glb_ablation(depth: u32) {
             b.deaths
         );
     }
+    use glb::TaskBag;
+    let (mut secs, mut stolen) = (0.0, 0);
+    for _ in 0..ROUNDS {
+        let mut bag = uts::UtsBag::root(uts::GeoTree::paper(10));
+        bag.process(2000);
+        let (loot, s) = timed(|| bag.split());
+        secs += s;
+        stolen = loot.map_or(0, |l| l.intervals().len());
+    }
+    println!(
+        "UtsBag::split after process(2000), depth 10: {stolen} intervals, {:.2} µs per split",
+        secs * 1e6 / f64::from(ROUNDS)
+    );
 }
 
 fn bcast_ablation(places: usize) {

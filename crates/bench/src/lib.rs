@@ -91,13 +91,6 @@ pub fn measure_fft_rate(n: usize) -> f64 {
     5.0 * n as f64 * (n as f64).log2() / secs
 }
 
-/// Measure sequential RandomAccess rate (updates/s).
-pub fn measure_ra_rate(log2_table: u32) -> f64 {
-    let (errors, rate) = kernels::ra::ra_sequential(log2_table, 2);
-    assert_eq!(errors, 0);
-    rate
-}
-
 /// Measure sequential BC rate (edges/s) at R-MAT scale `s`.
 pub fn measure_bc_rate(scale: u32) -> f64 {
     let g = kernels::bc::rmat::generate(&kernels::bc::rmat::RmatParams::paper(scale));

@@ -47,7 +47,7 @@ pub const EXECUTOR_EMPTY_PASSES: &str = "executor.empty_passes";
 /// no runnable context (unit: sleeps; sharded by executor).
 pub const EXECUTOR_SLEEPS: &str = "executor.sleeps";
 
-/// Counter: idle waits that timed out after `park_timeout` and marked every
+/// Counter: idle waits that timed out after `PARK_TIMEOUT` and marked every
 /// unfinished context runnable — the resweep safety net firing (unit:
 /// resweeps; sharded by executor).
 pub const EXECUTOR_RESWEEPS: &str = "executor.resweeps";

@@ -73,7 +73,8 @@
 //! observes the re-arm (and fires) or the receiver's re-arm acquires the
 //! sender's append (and the re-check sees it). Spurious wakes are possible;
 //! lost wakes are not. An idle worker's park is bounded by the runtime's
-//! `park_timeout`, so even a misused waker costs a delay, not a hang.
+//! `executor::PARK_TIMEOUT` (200 µs), so even a misused waker costs a
+//! delay, not a hang.
 
 use crate::hash::IntMap;
 use crate::message::{Envelope, MsgClass};
