@@ -480,7 +480,8 @@ pub fn decode_clock_msg(args: &[u8]) -> Result<ClockMsg, DecodeError> {
 
 /// Outcome of encoding a team fragment's data: either fully serialized, or
 /// an opaque `Any` that must ride the envelope as an inline part (the
-/// self-loop stash carries it; cross-process transports reject it).
+/// TCP self-loop carries it on a frame's side list; cross-process
+/// transports reject it).
 pub enum TeamData {
     /// The data serialized into the argument bytes.
     Encoded,

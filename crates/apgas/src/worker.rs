@@ -49,7 +49,7 @@ pub enum SpawnBody {
     /// by value in its batch's inline slot, or is the envelope payload when
     /// flushed alone; under `Bytes` it is the [`WireMsg`]'s inline part and
     /// the attach also travels as bytes (over the TCP self-loop the cell
-    /// waits in the stash).
+    /// waits on its frame's side list).
     Closure(Task),
     /// A registered command: run the handler with the argument bytes. It
     /// ships as a [`WireMsg`] in both codec modes.

@@ -58,10 +58,10 @@ pub const ERROR_MAGIC: [u8; 4] = *b"X10E";
 /// Message-header flag: a causal id is present (root/seq fields are valid).
 pub const FLAG_CAUSAL: u8 = 0x01;
 
-/// Message-header flag: a non-serializable payload part was parked in the
-/// sending transport's in-process stash; the first 8 argument bytes are the
-/// stash key. Only legal when sender and receiver share an address space
-/// (the TCP back-end's self-loop mode).
+/// Message-header flag: the message's non-serializable payload part is the
+/// next part of its frame's in-process side list; no key bytes are carried.
+/// Only legal when sender and receiver share an address space (the TCP
+/// back-end's self-loop mode, see [`crate::tcp`]).
 pub const FLAG_STASH: u8 = 0x02;
 
 /// Message-header flag (reserved): the message belongs to a resilient
@@ -245,6 +245,10 @@ pub enum DecodeError {
     },
     /// Bytes remained after a complete decode (framing slip).
     TrailingBytes(usize),
+    /// A frame's [`FLAG_STASH`] messages do not match its side list one to
+    /// one: more flagged messages than parts, parts left over, or a flag on
+    /// a connection that has no side lists.
+    StashMismatch,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -274,22 +278,33 @@ impl std::fmt::Display for DecodeError {
                 "declared length {declared} exceeds available {available} bytes"
             ),
             DecodeError::TrailingBytes(n) => write!(f, "{n} trailing bytes after decode"),
+            DecodeError::StashMismatch => {
+                write!(f, "FLAG_STASH messages do not match the frame's side list")
+            }
         }
     }
 }
 
 impl std::error::Error for DecodeError {}
 
-/// Typed encoding failure.
+/// Typed encoding failure. The TCP back-end treats either as a
+/// configuration error and panics at the sender.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum EncodeError {
     /// The payload has a non-serializable part (a closure, `Box<dyn Any>`
-    /// data) and the transport has no in-process stash to park it in —
-    /// i.e. the destination lives in another process. Cross-process work
+    /// data) and the transport has no in-process side list to carry it on
+    /// — i.e. the destination lives in another process. Cross-process work
     /// must ship as registered commands instead.
     NotSerializable {
         /// Message class of the offending envelope.
         class: MsgClass,
+    },
+    /// The frame would be longer than [`crate::tcp::MAX_FRAME_BYTES`], for
+    /// which the peer's reader drops the connection. Sized from header and
+    /// argument lengths before any byte is copied.
+    FrameTooLarge {
+        /// The frame's length after its 4-byte prefix.
+        len: usize,
     },
 }
 
@@ -302,6 +317,11 @@ impl std::fmt::Display for EncodeError {
                  Box<dyn Any> data cannot cross a process boundary — register \
                  a command handler and send bytes instead",
                 class.label()
+            ),
+            EncodeError::FrameTooLarge { len } => write!(
+                f,
+                "frame of {len} bytes exceeds the {} byte frame limit",
+                crate::tcp::MAX_FRAME_BYTES
             ),
         }
     }

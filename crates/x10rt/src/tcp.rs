@@ -33,11 +33,15 @@
 //! the `--transport tcp` flag of the bench/chaos bins uses — single-process
 //! determinism and fault injection compose unchanged, while the entire codec
 //! and framing path is exercised for real. Non-serializable payload parts
-//! (closure bodies in [`codec::WireMsg::inline`]) are parked in an
-//! in-process *stash* keyed by a `u64` carried in the argument bytes
-//! ([`codec::FLAG_STASH`]); that is legal only because sender and receiver
-//! share an address space — a cross-process send of such a payload fails
-//! with a typed [`codec::EncodeError::NotSerializable`].
+//! (closure bodies in [`codec::WireMsg::inline`]) cannot go into the bytes:
+//! the encoder collects a frame's parts, in message order, into one *side
+//! list*, and marks their messages [`codec::FLAG_STASH`] (no key bytes).
+//! The list is queued in the critical section that queues its frame, so
+//! the side lists' FIFO matches the byte order of the one self connection;
+//! the reader pops one list per frame that holds `FLAG_STASH` messages and
+//! hands its parts out in order. That is legal only because sender and
+//! receiver share an address space — a cross-process send of such a
+//! payload fails with a typed [`codec::EncodeError::NotSerializable`].
 //!
 //! # Accounting
 //!
@@ -49,7 +53,6 @@
 
 use crate::codec::{self, DecodeError, EncodeError, HandlerId, Handshake, WireMsg};
 use crate::fault::FaultMarker;
-use crate::hash::IntMap;
 use crate::message::{Envelope, Payload};
 use crate::place::PlaceId;
 use crate::stats::NetStats;
@@ -59,7 +62,7 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -172,48 +175,91 @@ impl From<std::io::Error> for TcpError {
 /// socket (the transport contract) — backpressure shows up as queue memory,
 /// as it does for the in-process lanes' ring growth.
 struct OutQueue {
-    frames: Mutex<VecDeque<Vec<u8>>>,
+    pending: Mutex<Pending>,
     ready: Condvar,
     closed: AtomicBool,
+}
+
+/// What an [`OutQueue`]'s lock guards.
+#[derive(Default)]
+struct Pending {
+    frames: VecDeque<Vec<u8>>,
+    /// The side lists of the frames that carry `FLAG_STASH` messages, in
+    /// frame order, until the reader takes them (self connection only).
+    sides: VecDeque<Vec<Payload>>,
 }
 
 impl OutQueue {
     fn new() -> Arc<Self> {
         Arc::new(OutQueue {
-            frames: Mutex::new(VecDeque::new()),
+            pending: Mutex::new(Pending::default()),
             ready: Condvar::new(),
             closed: AtomicBool::new(false),
         })
     }
 
-    fn push(&self, frame: Vec<u8>) {
-        let mut q = self.frames.lock();
-        q.push_back(frame);
+    /// Queue `frame`, and its side list when it has one: both under one
+    /// lock, so the list is queued before the writer can send the frame.
+    fn push(&self, frame: Vec<u8>, side: Vec<Payload>) {
+        let mut p = self.pending.lock();
+        p.frames.push_back(frame);
+        if !side.is_empty() {
+            p.sides.push_back(side);
+        }
         self.ready.notify_one();
     }
 
     /// Block until a frame is available or the queue closes.
     fn pop(&self) -> Option<Vec<u8>> {
-        let mut q = self.frames.lock();
+        let mut p = self.pending.lock();
         loop {
-            if let Some(f) = q.pop_front() {
+            if let Some(f) = p.frames.pop_front() {
                 return Some(f);
             }
             if self.closed.load(Ordering::Acquire) {
                 return None;
             }
-            self.ready.wait(&mut q);
+            self.ready.wait(&mut p);
         }
     }
 
-    /// Wake the writer for good. The flag is stored under the `frames`
+    /// Wake the writer for good. The flag is stored under the `pending`
     /// lock: a writer between its `closed` check and its `wait` holds that
     /// lock, so the notify cannot fall into that gap and be lost (a lost
     /// one left `Drop` joining a writer that never woke).
     fn close(&self) {
-        let _q = self.frames.lock();
+        let _p = self.pending.lock();
         self.closed.store(true, Ordering::Release);
         self.ready.notify_all();
+    }
+}
+
+/// The side list of the frame being decoded: popped from the self
+/// connection's FIFO at the frame's first `FLAG_STASH` message, then handed
+/// out one part per such message.
+struct FrameParts<'a> {
+    /// The self connection's queue; `None` on a connection to a peer
+    /// process, where no message may carry `FLAG_STASH`.
+    queue: Option<&'a OutQueue>,
+    parts: Option<std::vec::IntoIter<Payload>>,
+}
+
+impl FrameParts<'_> {
+    fn next(&mut self) -> Result<Payload, DecodeError> {
+        let queue = self.queue;
+        let parts = self.parts.get_or_insert_with(|| {
+            let side = queue.and_then(|q| q.pending.lock().sides.pop_front());
+            side.unwrap_or_default().into_iter()
+        });
+        parts.next().ok_or(DecodeError::StashMismatch)
+    }
+
+    /// Fail unless every part was handed out.
+    fn finish(&self) -> Result<(), DecodeError> {
+        match self.parts.as_ref().map_or(0, ExactSizeIterator::len) {
+            0 => Ok(()),
+            _ => Err(DecodeError::StashMismatch),
+        }
     }
 }
 
@@ -227,29 +273,33 @@ struct Core {
     self_loop: bool,
     /// Writer queue per peer process (`None` for `me` unless self-loop).
     out: Vec<Option<Arc<OutQueue>>>,
-    /// In-process stash for non-serializable payload parts (self-loop only).
-    stash: Mutex<IntMap<u64, Payload>>,
-    stash_next: AtomicU64,
     /// Set during teardown so connection threads exit quietly.
     closing: AtomicBool,
+}
+
+/// The argument bytes a payload puts on the wire, and whether it leaves a
+/// part on its frame's side list: the sizing twin of [`Core::encode_one`].
+/// A value riding in a batch's inline slot sizes as a whole-payload part,
+/// which it is: only the inline codec fills slots, never with a `WireMsg`.
+fn wire_shape(payload: &Payload) -> (usize, bool) {
+    match payload.downcast_ref::<WireMsg>() {
+        Some(w) => (w.args.len(), w.inline.is_some()),
+        None if payload.is::<FaultMarker>() => (1, false),
+        None => (0, true),
+    }
 }
 
 impl Core {
     // -- encoding ---------------------------------------------------------
 
-    /// Park a payload in the stash, returning its key.
-    fn stash_put(&self, payload: Payload) -> u64 {
-        let key = self.stash_next.fetch_add(1, Ordering::Relaxed);
-        self.stash.lock().insert(key, payload);
-        key
-    }
-
-    fn stash_take(&self, key: u64) -> Option<Payload> {
-        self.stash.lock().remove(&key)
-    }
-
-    /// Serialize one logical (non-batch) message into `out`.
-    fn encode_one(&self, env: Envelope, out: &mut Vec<u8>) -> Result<(), EncodeError> {
+    /// Serialize one logical (non-batch) message into `out`, its
+    /// non-serializable part (if any) onto `side`.
+    fn encode_one(
+        &self,
+        env: Envelope,
+        out: &mut Vec<u8>,
+        side: &mut Vec<Payload>,
+    ) -> Result<(), EncodeError> {
         let Envelope {
             class,
             bytes,
@@ -257,22 +307,34 @@ impl Core {
             payload,
             ..
         } = env;
-        let (handler, flags, args) = match payload.downcast::<WireMsg>() {
-            Ok(w) => {
-                let w = *w;
-                match w.inline {
-                    None => (w.handler, 0u8, w.args),
-                    Some(inline) => {
-                        if !self.self_loop {
-                            return Err(EncodeError::NotSerializable { class });
-                        }
-                        let key = self.stash_put(inline);
-                        let mut args = Vec::with_capacity(8 + w.args.len());
-                        codec::put_u64(&mut args, key);
-                        args.extend_from_slice(&w.args);
-                        (w.handler, codec::FLAG_STASH, args)
-                    }
-                }
+        let mut put = |handler, flags, args: &[u8]| {
+            codec::put_msg_header(
+                out,
+                &codec::MsgHeader {
+                    class,
+                    flags,
+                    handler,
+                    causal,
+                    modeled_bytes: bytes as u32,
+                    args_len: args.len() as u32,
+                },
+            );
+            out.extend_from_slice(args);
+        };
+        let mut stash = |part: Payload| {
+            if !self.self_loop {
+                return Err(EncodeError::NotSerializable { class });
+            }
+            side.push(part);
+            Ok(codec::FLAG_STASH)
+        };
+        match payload.downcast::<WireMsg>() {
+            Ok(mut w) => {
+                let flags = match w.inline.take() {
+                    None => 0,
+                    Some(part) => stash(part)?,
+                };
+                put(w.handler, flags, &w.args);
             }
             Err(payload) => match payload.downcast::<FaultMarker>() {
                 Ok(marker) => {
@@ -280,102 +342,78 @@ impl Core {
                         FaultMarker::Duplicate => 0u8,
                         FaultMarker::Truncated => 1u8,
                     };
-                    (codec::H_MARKER, 0u8, vec![kind])
+                    put(codec::H_MARKER, 0, &[kind]);
                 }
-                Err(payload) => {
-                    // An untyped in-process payload (CodecMode::Inline box):
-                    // only the self-loop can carry it — whole-payload stash.
-                    if !self.self_loop {
-                        return Err(EncodeError::NotSerializable { class });
-                    }
-                    let key = self.stash_put(payload);
-                    let mut args = Vec::with_capacity(8);
-                    codec::put_u64(&mut args, key);
-                    (HandlerId::INVALID, codec::FLAG_STASH, args)
-                }
+                // An untyped in-process payload (CodecMode::Inline box):
+                // only the self-loop can carry it — the whole payload goes
+                // on the side list.
+                Err(payload) => put(HandlerId::INVALID, stash(payload)?, &[]),
             },
-        };
-        codec::put_msg_header(
-            out,
-            &codec::MsgHeader {
-                class,
-                flags,
-                handler,
-                causal,
-                modeled_bytes: bytes as u32,
-                args_len: args.len() as u32,
-            },
-        );
-        out.extend_from_slice(&args);
+        }
         Ok(())
     }
 
     /// Serialize a whole envelope (batch or single) into one length-prefixed
-    /// frame.
-    fn encode_frame(&self, env: Envelope) -> Result<Vec<u8>, EncodeError> {
-        let mut out = Vec::with_capacity(4 + codec::FRAME_HEADER_BYTES + 64);
-        out.extend_from_slice(&[0u8; 4]); // length prefix, patched below
+    /// frame plus its side list. The frame is sized before anything is
+    /// copied: an oversized one fails here, at the sender, instead of
+    /// making the peer drop the connection.
+    fn encode_frame(&self, env: Envelope) -> Result<(Vec<u8>, Vec<Payload>), EncodeError> {
         let (from, to) = (env.from.0, env.to.0);
-        match env.unbatch_boxed() {
-            Ok(mut batch) => {
-                codec::put_frame_header(
-                    &mut out,
-                    &codec::FrameHeader {
-                        flags: codec::FRAME_FLAG_BATCH,
-                        from,
-                        to,
-                        count: batch.envs.len() as u32,
-                    },
-                );
-                // A value carried inline is boxed back into its payload:
-                // the self-loop stashes it like any typed payload, and a
-                // real peer gets the typed error, with the rest of the
-                // batch dropped.
-                for e in batch.drain_boxed() {
-                    self.encode_one(e, &mut out)?;
-                }
-            }
-            Err(env) => {
-                codec::put_frame_header(
-                    &mut out,
-                    &codec::FrameHeader {
-                        flags: 0,
-                        from,
-                        to,
-                        count: 1,
-                    },
-                );
-                self.encode_one(env, &mut out)?;
-            }
+        let (flags, mut batch, single) = match env.unbatch_boxed() {
+            Ok(batch) => (codec::FRAME_FLAG_BATCH, Some(batch), None),
+            Err(env) => (0, None, Some(env)),
+        };
+        let envs = batch.as_ref().map_or(single.as_slice(), |b| &b.envs);
+        let (mut len, mut parts) = (codec::FRAME_HEADER_BYTES, 0);
+        for e in envs {
+            let (args, stashed) = wire_shape(&e.payload);
+            len += codec::MSG_HEADER_BYTES + args;
+            parts += stashed as usize;
+        }
+        if len > MAX_FRAME_BYTES {
+            return Err(EncodeError::FrameTooLarge { len });
+        }
+        let mut out = Vec::with_capacity(4 + len);
+        out.extend_from_slice(&[0u8; 4]); // length prefix, patched below
+        let header = codec::FrameHeader {
+            flags,
+            from,
+            to,
+            count: envs.len() as u32,
+        };
+        codec::put_frame_header(&mut out, &header);
+        let mut side = Vec::with_capacity(parts);
+        // A value carried inline in a batch is boxed back into its payload:
+        // the self-loop puts it on the side list like any typed payload,
+        // and a real peer gets the typed error, with the rest of the batch
+        // dropped.
+        for e in batch.iter_mut().flat_map(|b| b.drain_boxed()).chain(single) {
+            self.encode_one(e, &mut out, &mut side)?;
         }
         let len = (out.len() - 4) as u32;
         out[..4].copy_from_slice(&len.to_le_bytes());
-        Ok(out)
+        Ok((out, side))
     }
 
     // -- decoding ---------------------------------------------------------
 
-    /// Decode one logical message back into an envelope.
+    /// Decode one logical message back into an envelope, taking its
+    /// stashed part (if any) from the frame's side list.
     fn decode_one(
         &self,
         cur: &mut codec::Cursor<'_>,
         from: PlaceId,
         to: PlaceId,
+        side: &mut FrameParts<'_>,
     ) -> Result<Envelope, DecodeError> {
         let h = codec::read_msg_header(cur)?;
         let args = cur.take(h.args_len as usize)?;
         let payload: Payload = if h.flags & codec::FLAG_STASH != 0 {
-            let mut acur = codec::Cursor::new(args);
-            let key = acur.u64()?;
-            let stashed = self.stash_take(key).ok_or(DecodeError::BadTag {
-                what: "stash key",
-                tag: 0,
-            })?;
+            let stashed = side.next()?;
             if h.handler == HandlerId::INVALID {
                 stashed // whole payload was stashed
             } else {
-                let rest = acur.take(acur.remaining())?;
-                Box::new(WireMsg::with_inline(h.handler, rest.to_vec(), stashed))
+                Box::new(WireMsg::with_inline(h.handler, args.to_vec(), stashed))
             }
         } else if h.handler == codec::H_MARKER {
             let mut acur = codec::Cursor::new(args);
@@ -409,20 +447,28 @@ impl Core {
         let mut cur = codec::Cursor::new(buf);
         let fh = codec::read_frame_header(&mut cur)?;
         let (from, to) = (PlaceId(fh.from), PlaceId(fh.to));
+        // Only the self connection has side lists: `out[me]` exists only in
+        // self-loop mode.
+        let mut side = FrameParts {
+            queue: self.out[self.me].as_deref(),
+            parts: None,
+        };
         if fh.flags & codec::FRAME_FLAG_BATCH != 0 {
             let mut envs = Vec::with_capacity(fh.count as usize);
             for _ in 0..fh.count {
-                envs.push(self.decode_one(&mut cur, from, to)?);
+                envs.push(self.decode_one(&mut cur, from, to, &mut side)?);
             }
             cur.finish()?;
+            side.finish()?;
             // Sends to a dead place black-hole, exactly like LocalTransport.
             let _ = self.inner.send(Envelope::batch(from, to, envs));
         } else {
             for _ in 0..fh.count {
-                let env = self.decode_one(&mut cur, from, to)?;
+                let env = self.decode_one(&mut cur, from, to, &mut side)?;
                 let _ = self.inner.send(env);
             }
             cur.finish()?;
+            side.finish()?;
         }
         Ok(())
     }
@@ -557,8 +603,6 @@ impl TcpTransport {
             me: cfg.me,
             self_loop,
             out: (0..nprocs).map(|_| None).collect(),
-            stash: Mutex::new(IntMap::default()),
-            stash_next: AtomicU64::new(1),
             closing: AtomicBool::new(false),
         });
         let mut conns: Vec<Option<(TcpStream, Handshake)>> = (0..nprocs).map(|_| None).collect();
@@ -736,13 +780,15 @@ impl TcpTransport {
 
     /// Route `env` to the socket path, panicking on a non-serializable
     /// cross-process payload (a configuration error: cross-process runs
-    /// require `CodecMode::Bytes` and command-based spawns).
+    /// require `CodecMode::Bytes` and command-based spawns) or on a frame
+    /// over [`MAX_FRAME_BYTES`], which the peer would drop the connection
+    /// for.
     fn send_socket(&self, proc: usize, env: Envelope) {
         let class = env.class;
         match self.core.encode_frame(env) {
-            Ok(frame) => {
+            Ok((frame, side)) => {
                 if let Some(q) = &self.core.out[proc] {
-                    q.push(frame);
+                    q.push(frame, side);
                 }
             }
             Err(e) => panic!(
@@ -878,6 +924,7 @@ impl Drop for TcpTransport {
 mod tests {
     use super::*;
     use crate::message::{MsgClass, HEADER_BYTES};
+    use std::sync::atomic::AtomicU64;
 
     fn wire_env(from: u32, to: u32, handler: u32, args: Vec<u8>) -> Envelope {
         Envelope::new(
@@ -887,6 +934,19 @@ mod tests {
             args.len(),
             Box::new(WireMsg::new(HandlerId(handler), args)),
         )
+    }
+
+    /// The core of process 0 of a two-process launch (one place each),
+    /// with no connections: encoder and decoder checks call it directly.
+    fn proc0_of_two() -> Core {
+        Core {
+            inner: LocalTransport::new(2),
+            place_proc: vec![0, 1],
+            me: 0,
+            self_loop: false,
+            out: vec![None, None],
+            closing: AtomicBool::new(false),
+        }
     }
 
     fn recv_blocking(t: &TcpTransport, place: PlaceId) -> Envelope {
@@ -1155,16 +1215,7 @@ mod tests {
         // Direct encode check: a non-WireMsg payload addressed across a
         // process boundary must fail with NotSerializable, not panic deep in
         // a socket thread.
-        let core = Core {
-            inner: LocalTransport::new(2),
-            place_proc: vec![0, 1],
-            me: 0,
-            self_loop: false,
-            out: vec![None, None],
-            stash: Mutex::new(IntMap::default()),
-            stash_next: AtomicU64::new(1),
-            closing: AtomicBool::new(false),
-        };
+        let core = proc0_of_two();
         let env = Envelope::new(
             PlaceId(0),
             PlaceId(1),
@@ -1198,25 +1249,15 @@ mod tests {
         // cross a process boundary: the frame fails with the typed error,
         // and every value in the batch is dropped exactly once.
         use crate::message::tests::{count, drops, mixed_batch};
-        let core = Core {
-            inner: LocalTransport::new(2),
-            place_proc: vec![0, 1],
-            me: 0,
-            self_loop: false,
-            out: vec![None, None],
-            stash: Mutex::new(IntMap::default()),
-            stash_next: AtomicU64::new(1),
-            closing: AtomicBool::new(false),
-        };
+        let core = proc0_of_two();
         let n = drops();
-        assert_eq!(
+        assert!(matches!(
             core.encode_frame(mixed_batch(3, &n)),
             Err(EncodeError::NotSerializable {
                 class: MsgClass::Task,
             })
-        );
+        ));
         assert_eq!(count(&n), 3);
-        assert!(core.stash.lock().is_empty());
     }
 
     #[test]
@@ -1237,6 +1278,155 @@ mod tests {
             .collect();
         assert_eq!(tags, vec![0, 100, 1, 101]);
         assert_eq!(count(&n), 2);
+    }
+
+    /// Batches that mix stashed and plain messages, and a stashed message
+    /// sent alone, arrive in order with their own parts, and every side
+    /// list is taken off the FIFO.
+    #[test]
+    fn self_loop_side_lists_follow_their_frames() {
+        let t = TcpTransport::self_loop(2).expect("self loop");
+        let part = |tag: u32| -> Payload { Box::new(format!("part {tag}")) };
+        // Every third message is plain, every other one carries a part;
+        // message 7 is an untyped payload, stashed whole.
+        let msg = |i: u32| -> Envelope {
+            let payload: Payload = match i {
+                7 => part(i),
+                _ if i.is_multiple_of(3) => {
+                    Box::new(WireMsg::new(HandlerId(2000 + i), vec![i as u8]))
+                }
+                _ => Box::new(WireMsg::with_inline(
+                    HandlerId(2000 + i),
+                    vec![i as u8],
+                    part(i),
+                )),
+            };
+            Envelope::new(PlaceId(0), PlaceId(1), MsgClass::Task, 8, payload)
+        };
+        let check = |i: u32, e: Envelope| match e.payload.downcast::<WireMsg>() {
+            Ok(w) => {
+                assert_eq!(
+                    (w.handler, w.args.clone()),
+                    (HandlerId(2000 + i), vec![i as u8])
+                );
+                let inline = w.inline.map(|p| *p.downcast::<String>().unwrap());
+                assert_eq!(inline, (!i.is_multiple_of(3)).then(|| format!("part {i}")));
+            }
+            Err(p) => assert_eq!(*p.downcast::<String>().unwrap(), format!("part {i}")),
+        };
+        for round in 0..20u32 {
+            t.send(Envelope::batch(
+                PlaceId(0),
+                PlaceId(1),
+                (0..10).map(msg).collect(),
+            ))
+            .unwrap();
+            t.send(msg(1)).unwrap();
+            t.send(Envelope::batch(PlaceId(0), PlaceId(1), vec![msg(3)]))
+                .unwrap();
+            let envs = recv_blocking(&t, PlaceId(1)).unbatch().expect("a batch");
+            assert_eq!(envs.len(), 10, "round {round}");
+            for (i, e) in envs.into_iter().enumerate() {
+                check(i as u32, e);
+            }
+            check(1, recv_blocking(&t, PlaceId(1)));
+            let envs = recv_blocking(&t, PlaceId(1)).unbatch().expect("a batch");
+            check(3, envs.into_iter().next().unwrap());
+        }
+        let q = t.core.out[0].as_ref().expect("self queue");
+        assert!(q.pending.lock().sides.is_empty(), "side lists left behind");
+    }
+
+    /// A batch frame body with one message per entry of `stashed`, flagged
+    /// `FLAG_STASH` where the entry is true.
+    fn stash_frame(stashed: &[bool]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let header = codec::FrameHeader {
+            flags: codec::FRAME_FLAG_BATCH,
+            from: 0,
+            to: 0,
+            count: stashed.len() as u32,
+        };
+        codec::put_frame_header(&mut buf, &header);
+        for &s in stashed {
+            let header = codec::MsgHeader {
+                class: MsgClass::Task,
+                flags: if s { codec::FLAG_STASH } else { 0 },
+                handler: HandlerId(2000),
+                causal: None,
+                modeled_bytes: 32,
+                args_len: 0,
+            };
+            codec::put_msg_header(&mut buf, &header);
+        }
+        buf
+    }
+
+    /// A side list that does not match its frame's `FLAG_STASH` messages,
+    /// or a flag on a connection without side lists, is a typed decode
+    /// error (the reader drops the connection), never a panic.
+    #[test]
+    fn stash_count_mismatch_is_a_typed_decode_error() {
+        let core = Core {
+            inner: LocalTransport::new(1),
+            place_proc: vec![0],
+            me: 0,
+            self_loop: true,
+            out: vec![Some(OutQueue::new())],
+            closing: AtomicBool::new(false),
+        };
+        let queue = core.out[0].as_deref().unwrap();
+        let list = |n: usize| (0..n).map(|i| Box::new(i) as Payload).collect();
+        queue.push(Vec::new(), list(1));
+        assert_eq!(
+            core.deliver_frame(&stash_frame(&[true, false, true])),
+            Err(DecodeError::StashMismatch)
+        );
+        queue.push(Vec::new(), list(3));
+        assert_eq!(
+            core.deliver_frame(&stash_frame(&[true, true])),
+            Err(DecodeError::StashMismatch)
+        );
+        // The FIFO is empty now: a flagged frame finds no list.
+        assert_eq!(
+            core.deliver_frame(&stash_frame(&[false, true])),
+            Err(DecodeError::StashMismatch)
+        );
+        // A connection to a peer process has no side lists at all.
+        assert_eq!(
+            proc0_of_two().deliver_frame(&stash_frame(&[true])),
+            Err(DecodeError::StashMismatch)
+        );
+        assert_eq!(core.deliver_frame(&stash_frame(&[false, false])), Ok(()));
+    }
+
+    /// A frame longer than the peer's limit fails at the encoder, sized
+    /// before any byte is copied (the zeroed argument buffers are never
+    /// touched, so they cost no memory).
+    #[test]
+    fn oversized_frames_are_refused_at_the_encoder() {
+        let core = proc0_of_two();
+        let room = MAX_FRAME_BYTES - codec::FRAME_HEADER_BYTES - codec::MSG_HEADER_BYTES;
+        let too_big = wire_env(0, 1, 2000, vec![0u8; room + 1]);
+        assert!(matches!(
+            core.encode_frame(too_big),
+            Err(EncodeError::FrameTooLarge { len }) if len == MAX_FRAME_BYTES + 1
+        ));
+        // A batch counts every message's header and arguments.
+        let halves = (0..2)
+            .map(|_| wire_env(0, 1, 2000, vec![0u8; room / 2]))
+            .collect();
+        assert!(matches!(
+            core.encode_frame(Envelope::batch(PlaceId(0), PlaceId(1), halves)),
+            Err(EncodeError::FrameTooLarge { len }) if len > MAX_FRAME_BYTES
+        ));
+        let fits = wire_env(0, 1, 2000, vec![1, 2, 3]);
+        let (frame, side) = core.encode_frame(fits).expect("a small frame");
+        assert_eq!(
+            frame.len(),
+            4 + codec::FRAME_HEADER_BYTES + codec::MSG_HEADER_BYTES + 3
+        );
+        assert!(side.is_empty());
     }
 
     #[test]
