@@ -3,7 +3,7 @@
 //! When the executor runs in shared mode (`Config::executor_threads` below
 //! the hosted place count; see `executor`), each hosted place runs as a
 //! *context* — a worker loop on its own heap-allocated call stack — instead
-//! of owning an OS thread. A small pool of executor threads resumes runnable
+//! of owning an OS thread. A small pool of executor threads resumes queued
 //! contexts; a context that finds nothing to do yields back to its executor
 //! instead of blocking the thread, so thousands of places multiplex over a
 //! handful of cores.
@@ -17,16 +17,18 @@
 //! never in the middle of protocol state updates.
 //!
 //! Safety model: a context's stack, saved stack pointers, and entry closure
-//! are only ever touched by the executor thread that currently holds its
-//! `claimed` flag. The flag is handed over with acquire/release ordering
-//! (the executor's shared pool does the claiming), which is what makes
-//! migrating a context between executor threads sound: the claiming thread
-//! observes every stack write the previous thread made.
+//! are only ever touched by the executor thread that popped it off the
+//! shared pool's run queue, between that pop and its yield. The queue's
+//! mutex plus the context's [`State`] hand it over: the executor that
+//! yields it changes the state, and whoever queues it next does so under
+//! the mutex the next executor pops under. That is what makes migrating a
+//! context between executor threads sound: the resuming thread observes
+//! every stack write the previous thread made.
 
 use std::cell::Cell;
 use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// Smallest stack we will allocate, guard page excluded. Worker quanta keep
@@ -193,6 +195,29 @@ impl Drop for StackMem {
     }
 }
 
+/// Where a context is in the shared pool's schedule (see `executor`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum State {
+    /// On the run queue, or about to be pushed there: the next wake is
+    /// already answered.
+    Queued,
+    /// An executor is running it.
+    Running,
+    /// Running, and woken since it was resumed: its executor queues it
+    /// again when it yields.
+    Woken,
+    /// Yielded with no wake pending: the next wake queues it.
+    Idle,
+    /// Its entry returned; it never runs again.
+    Done,
+}
+
+/// Each [`State`] at its `u8` value.
+const STATES: [State; 5] = {
+    use State::*;
+    [Queued, Running, Woken, Idle, Done]
+};
+
 /// One place's schedulable context: a worker loop suspended on its own
 /// stack. Contexts are identified by their slot in the executor pool; the
 /// runtime maps pool slots to hosted place ids.
@@ -202,21 +227,20 @@ pub(crate) struct PlaceContext {
     ctx_sp: UnsafeCell<*mut u8>,
     /// Stack pointer of the executor currently running the context.
     exec_sp: UnsafeCell<*mut u8>,
-    /// Set by wakers; cleared by the executor just before resuming, so a
-    /// wake that lands mid-quantum re-marks the context instead of being
-    /// lost.
-    pub(crate) runnable: AtomicBool,
-    /// Exclusive-run flag: at most one executor drives a context at a time.
-    /// Hand-over is acquire/release — the claiming executor sees all stack
-    /// state the releasing one wrote.
-    pub(crate) claimed: AtomicBool,
-    finished: AtomicBool,
+    /// A [`State`], changed only by read-modify-writes (AcqRel), a wake's
+    /// included even when it leaves the state as it was. So every wake is
+    /// ordered against the swap to `Running` that starts a quantum: before
+    /// it, and the quantum sees what the waker sent; after it, and the wake
+    /// finds the context running and marks it `Woken`.
+    state: AtomicU8,
     entry: UnsafeCell<Option<Box<dyn FnOnce() + Send>>>,
 }
 
 // SAFETY: `ctx_sp`/`exec_sp`/`entry` and the stack are only accessed by the
-// executor thread that holds `claimed` (or by `new` before the context is
-// shared); the `claimed` AcqRel handoff orders those accesses.
+// executor thread that popped the context off the run queue, until it
+// yields (or by `new` before the context is shared). The state change at
+// the yield and the queue mutex at the next push and pop order those
+// accesses (module docs).
 unsafe impl Send for PlaceContext {}
 unsafe impl Sync for PlaceContext {}
 
@@ -229,9 +253,7 @@ impl PlaceContext {
             stack: StackMem::alloc(stack_size),
             ctx_sp: UnsafeCell::new(std::ptr::null_mut()),
             exec_sp: UnsafeCell::new(std::ptr::null_mut()),
-            runnable: AtomicBool::new(true),
-            claimed: AtomicBool::new(false),
-            finished: AtomicBool::new(false),
+            state: AtomicU8::new(State::Queued as u8),
             entry: UnsafeCell::new(Some(entry)),
         });
         ctx.seed_stack();
@@ -262,18 +284,50 @@ impl PlaceContext {
         }
     }
 
-    pub(crate) fn finished(&self) -> bool {
-        self.finished.load(Ordering::Acquire)
+    /// Apply `f` to the state as one read-modify-write; `None` leaves it.
+    /// Returns the state it found.
+    fn update(&self, f: impl Fn(State) -> Option<State>) -> State {
+        let step = |s: u8| f(STATES[s as usize]).map(|to| to as u8);
+        let found = self
+            .state
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, step);
+        STATES[found.unwrap_or_else(|s| s) as usize]
     }
 
-    /// Run the context on the calling thread until it yields or finishes.
-    /// Caller must hold `claimed`.
-    pub(crate) fn resume(&self) {
-        debug_assert!(self.claimed.load(Ordering::Relaxed));
-        debug_assert!(!self.finished());
+    /// Note a wake. An `Idle` context becomes `Queued` and this returns
+    /// true: the caller must push it on the run queue. A running one
+    /// becomes `Woken`. A queued or woken one keeps its state (written
+    /// back, see `state`), and a finished one ignores the wake.
+    pub(crate) fn wake(&self) -> bool {
+        self.update(|s| match s {
+            State::Idle => Some(State::Queued),
+            State::Running => Some(State::Woken),
+            State::Done => None,
+            same => Some(same),
+        }) == State::Idle
+    }
+
+    /// Run the context on the calling thread until it yields or finishes,
+    /// and return the state it yields in: `Idle`, `Woken` (the caller must
+    /// queue it again) or `Done`. The caller must have popped it off the
+    /// run queue; resuming a context that is not Queued (one another
+    /// thread may be running) panics.
+    pub(crate) fn resume(&self) -> State {
+        let was = self.update(|_| Some(State::Running));
+        assert_eq!(was, State::Queued, "resumed a context that was not queued");
         CURRENT.with(|c| c.set(self as *const PlaceContext));
         unsafe { ctx_switch(self.exec_sp.get(), *self.ctx_sp.get()) };
         CURRENT.with(|c| c.set(std::ptr::null()));
+        // A Woken context goes straight back to Queued: the caller pushes it.
+        let yielded = self.update(|s| match s {
+            State::Running => Some(State::Idle),
+            State::Woken => Some(State::Queued),
+            _ => None,
+        });
+        match yielded {
+            State::Running => State::Idle,
+            woken_or_done => woken_or_done,
+        }
     }
 
     /// Switch from the context's stack back to its executor. Only called on
@@ -323,11 +377,10 @@ extern "C" fn apgas_ctx_entry(ctx: *mut PlaceContext) -> ! {
         // this catch only stops the unwind at the stack boundary.
         let _ = catch_unwind(AssertUnwindSafe(f));
     }
-    ctx.finished.store(true, Ordering::Release);
+    ctx.update(|_| Some(State::Done));
     loop {
-        // A finished context must never be resumed again (executors check
-        // `finished` under the claim), but being parked here forever is the
-        // safe failure mode if one is.
+        // A finished context is never queued again (a wake ignores it),
+        // but being parked here forever is the safe failure mode if one is.
         ctx.switch_out();
     }
 }
@@ -336,14 +389,6 @@ extern "C" fn apgas_ctx_entry(ctx: *mut PlaceContext) -> ! {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-
-    fn claim(ctx: &PlaceContext) {
-        assert!(!ctx.claimed.swap(true, Ordering::AcqRel));
-    }
-
-    fn unclaim(ctx: &PlaceContext) {
-        ctx.claimed.store(false, Ordering::Release);
-    }
 
     #[test]
     fn runs_yields_and_finishes() {
@@ -358,33 +403,31 @@ mod tests {
                 s2.fetch_add(1, Ordering::SeqCst);
             }),
         );
-        claim(&ctx);
-        ctx.resume();
+        assert!(!ctx.wake(), "a new context is already queued");
+        assert_eq!(ctx.resume(), State::Idle);
         assert_eq!(steps.load(Ordering::SeqCst), 1);
-        assert!(!ctx.finished());
-        ctx.resume();
+        assert!(ctx.wake(), "an idle context must be queued by a wake");
+        assert!(!ctx.wake(), "a second wake finds it queued");
+        assert_eq!(ctx.resume(), State::Done);
         assert_eq!(steps.load(Ordering::SeqCst), 2);
-        assert!(ctx.finished());
-        unclaim(&ctx);
+        assert!(!ctx.wake(), "a finished context is never queued again");
         assert!(!on_context());
     }
 
     #[test]
     fn context_panic_is_contained() {
         let ctx = PlaceContext::new(MIN_STACK, Box::new(|| panic!("boom")));
-        claim(&ctx);
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        ctx.resume();
+        let state = ctx.resume();
         std::panic::set_hook(prev);
-        assert!(ctx.finished(), "panicking context must still finish");
-        unclaim(&ctx);
+        assert_eq!(state, State::Done, "panicking context must still finish");
     }
 
     #[test]
     fn migrates_between_threads() {
-        // Start on one thread, yield, finish on another: the claimed-flag
-        // handoff must carry the stack state across.
+        // Start on one thread, yield, finish on another: the state handoff
+        // must carry the stack state across.
         let ctx = PlaceContext::new(
             MIN_STACK,
             Box::new(|| {
@@ -393,20 +436,11 @@ mod tests {
                 assert_eq!(local + 1, 42);
             }),
         );
-        claim(&ctx);
-        ctx.resume();
-        unclaim(&ctx);
-        assert!(!ctx.finished());
+        assert_eq!(ctx.resume(), State::Idle);
+        assert!(ctx.wake());
         let c2 = ctx.clone();
-        std::thread::spawn(move || {
-            claim(&c2);
-            c2.resume();
-            unclaim(&c2);
-            assert!(c2.finished());
-        })
-        .join()
-        .unwrap();
-        assert!(ctx.finished());
+        let state = std::thread::spawn(move || c2.resume()).join().unwrap();
+        assert_eq!(state, State::Done);
     }
 
     #[test]
@@ -424,10 +458,6 @@ mod tests {
                 assert_eq!(rec(2000), 2001 * 1000);
             }),
         );
-        claim(&ctx);
-        while !ctx.finished() {
-            ctx.resume();
-        }
-        unclaim(&ctx);
+        assert_eq!(ctx.resume(), State::Done);
     }
 }

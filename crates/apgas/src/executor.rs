@@ -21,50 +21,43 @@
 //!
 //! # The shared pool
 //!
-//! Scheduling is deliberately simple: every executor thread scans the whole
-//! context table (starting at its own offset to spread contention), claims
-//! any runnable unfinished context with a CAS on its `claimed` flag, and
-//! resumes it until it yields. There is no per-executor run queue and no
-//! affinity — a context migrates freely to whichever executor claims it
-//! next, which is exactly what the claimed-flag acquire/release handoff is
-//! for.
-//!
-//! Wake protocol (the same Dekker pattern a dedicated slot uses): a waker
-//! stores `runnable = true` (SeqCst) and then reads `sleepers`; an executor
-//! increments `sleepers` (SeqCst) under the idle lock and then re-scans for
-//! runnable contexts before sleeping. The SeqCst total order means at least
-//! one side always sees the other, so a wake cannot be lost; `notify_all`
-//! under the idle lock closes the window where the executor holds the lock
-//! but has not started waiting yet.
+//! Executors take work from one run queue of context slots, behind one
+//! mutex and one condvar. Each context carries one state (`context::State`:
+//! Queued, Running, Woken, Idle, Done). A wake pushes a slot only on its
+//! Idle→Queued edge, so a slot is on the queue at most once. A wake that
+//! lands while the context runs marks it Woken, and the executor queues it
+//! again when it yields. A context migrates freely to whichever executor
+//! pops it next; there is no per-executor queue and no affinity.
 //!
 //! Wakes come from outside the context: deliveries from other places and
 //! submissions from outside the runtime. A place's own worker enqueues
 //! without waking — the queue is its own, and it pops it before it can
-//! park — so a running context is re-marked only by another place's
+//! park — so a running context is marked Woken only by another place's
 //! traffic, never by its own local spawns.
 //!
-//! Idle executors wake on their own every [`PARK_TIMEOUT`] (the pool's
-//! `resweep`) and mark *every* unfinished context runnable. That
-//! re-poll is what keeps time-based machinery alive — the two timed
-//! re-polls, the finish watchdog and GLB steal timeouts, assume a parked
-//! worker re-checks its condition on the park-timeout cadence (a dedicated
-//! slot's timed condvar wait is the same re-poll). So the pre-sleep
-//! re-scan counts only contexts this executor could claim: a context that
-//! another executor is running, re-marked by a delivery, is that
-//! executor's to rescan after its quantum. Counting it would keep an idle
-//! executor from sleeping, hence from resweeping, for as long as the other
-//! one runs, and parked places' timed waits would stall that long.
+//! An executor that finds the queue empty waits on the condvar for at most
+//! [`PARK_TIMEOUT`]. A wait that times out (the pool's `resweep`) wakes
+//! every context, which queues each Idle one. That re-poll is what keeps
+//! time-based machinery alive — the two timed re-polls, the finish watchdog
+//! and GLB steal timeouts, assume a parked worker re-checks its condition on
+//! the park-timeout cadence (a dedicated slot's timed condvar wait is the
+//! same re-poll). A context another executor is running is not on the
+//! queue, so it never keeps an idle executor from waiting, hence from
+//! resweeping. A context that finishes lowers the live count, and the
+//! executors return once it reaches zero.
 //!
-//! With observability on, every pass over the table publishes its counts
-//! once, from locals: `executor.resumes`, `executor.empty_passes`,
-//! `executor.sleeps` and `executor.resweeps` (OBSERVABILITY.md). A
-//! dedicated executor has no table and leaves them at zero.
+//! With observability on, each executor counts `executor.resumes` in a
+//! local and publishes it whenever it waits and when it returns; it adds
+//! `executor.sleeps` and `executor.resweeps` to its own shard as each wait
+//! starts or times out (OBSERVABILITY.md). A dedicated executor has no run
+//! queue and leaves them at zero.
 
-use crate::context::PlaceContext;
+use crate::context::{PlaceContext, State};
 use obs::metrics::{Counter, MetricsRegistry};
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -146,12 +139,8 @@ impl Executor {
                     let contexts = entries.into_iter().map(|entry| {
                         PlaceContext::new(WORKER_STACK, Box::new(move || entry(Parker::Context)))
                     });
-                    let pool = Arc::new(ExecutorPool::new(
-                        contexts.collect(),
-                        n,
-                        PARK_TIMEOUT,
-                        metrics,
-                    ));
+                    let pool =
+                        Arc::new(ExecutorPool::new(contexts.collect(), PARK_TIMEOUT, metrics));
                     let bodies = (0..n).map(|t| {
                         let pool = pool.clone();
                         let body: Body = Box::new(move || pool.run_executor(t));
@@ -211,7 +200,7 @@ pub(crate) enum Parker {
 impl Parker {
     /// Give the CPU away until this place is woken or [`PARK_TIMEOUT`]
     /// passes. On a shared executor the context switches out and runs again
-    /// once an executor finds it runnable. On a dedicated one the thread
+    /// once a wake or a resweep queues it. On a dedicated one the thread
     /// yields for [`PARK_SPIN_YIELDS`] parks after each wake, then sleeps on
     /// its slot. A wake that lands while the worker runs is never lost:
     /// the next park returns at once.
@@ -223,10 +212,10 @@ impl Parker {
     }
 }
 
-/// Park/wake state of one dedicated place thread. Same Dekker pairing as
-/// the shared pool: the waker stores `woken` and then reads `sleeping`,
-/// the parker stores `sleeping` under the lock and then reads `woken`, all
-/// SeqCst, so one side always sees the other.
+/// Park/wake state of one dedicated place thread. A Dekker pairing: the
+/// waker stores `woken` and then reads `sleeping`, the parker stores
+/// `sleeping` under the lock and then reads `woken`, all SeqCst, so one side
+/// always sees the other.
 #[derive(Default)]
 pub(crate) struct ThreadSlot {
     /// Set by every wake; taken by the next park, which then only yields.
@@ -270,144 +259,108 @@ impl ThreadSlot {
 /// The shared pool: place contexts over a fixed set of executor threads.
 struct ExecutorPool {
     contexts: Vec<Arc<PlaceContext>>,
-    threads: usize,
-    sleepers: AtomicUsize,
-    idle_lock: Mutex<()>,
-    idle_cv: Condvar,
+    run: Mutex<RunQueue>,
+    /// Signalled on a push, and when the last context finishes.
+    ready_cv: Condvar,
     resweep: Duration,
     metrics: Option<PoolMetrics>,
+}
+
+/// What the pool's one mutex guards.
+struct RunQueue {
+    /// Slots of the Queued contexts, in wake order.
+    ready: VecDeque<usize>,
+    /// Contexts that have not finished.
+    live: usize,
+    /// Executors waiting on the condvar: a push with none waiting skips the
+    /// notify, which costs a futex syscall even when nobody waits.
+    waiting: usize,
 }
 
 /// The pool's counters (see the module docs), sharded by executor index.
 struct PoolMetrics {
     resumes: Counter,
-    empty_passes: Counter,
     sleeps: Counter,
     resweeps: Counter,
 }
 
 impl ExecutorPool {
-    /// A pool over `contexts`, reporting its scheduling counts into
-    /// `metrics` when given.
+    /// A pool over `contexts`, all of them queued, reporting its scheduling
+    /// counts into `metrics` when given.
     fn new(
         contexts: Vec<Arc<PlaceContext>>,
-        threads: usize,
         resweep: Duration,
         metrics: Option<&MetricsRegistry>,
     ) -> ExecutorPool {
+        let n = contexts.len();
         ExecutorPool {
             contexts,
-            threads: threads.max(1),
-            sleepers: AtomicUsize::new(0),
-            idle_lock: Mutex::new(()),
-            idle_cv: Condvar::new(),
+            run: Mutex::new(RunQueue {
+                ready: (0..n).collect(),
+                live: n,
+                waiting: 0,
+            }),
+            ready_cv: Condvar::new(),
             resweep,
             metrics: metrics.map(|m| PoolMetrics {
                 resumes: m.counter(obs::names::EXECUTOR_RESUMES),
-                empty_passes: m.counter(obs::names::EXECUTOR_EMPTY_PASSES),
                 sleeps: m.counter(obs::names::EXECUTOR_SLEEPS),
                 resweeps: m.counter(obs::names::EXECUTOR_RESWEEPS),
             }),
         }
     }
 
-    /// Mark one context runnable and kick a sleeping executor if any.
+    /// Wake one context: queue it if it was Idle (and rouse a waiting
+    /// executor), or have its executor queue it again if it is running.
     pub(crate) fn wake_slot(&self, slot: usize) {
-        self.contexts[slot].runnable.store(true, Ordering::SeqCst);
-        self.notify_sleepers();
-    }
-
-    fn notify_sleepers(&self) {
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _guard = self.idle_lock.lock();
-            self.idle_cv.notify_all();
-        }
-    }
-
-    /// Is there a context this executor could claim? One another executor
-    /// holds does not count: that executor rescans it after its quantum.
-    fn any_runnable(&self) -> bool {
-        self.contexts.iter().any(|c| {
-            !c.finished() && !c.claimed.load(Ordering::Acquire) && c.runnable.load(Ordering::SeqCst)
-        })
-    }
-
-    fn mark_all_runnable(&self) {
-        for c in &self.contexts {
-            if !c.finished() {
-                c.runnable.store(true, Ordering::SeqCst);
+        if self.contexts[slot].wake() {
+            let mut run = self.run.lock();
+            run.ready.push_back(slot);
+            if run.waiting > 0 {
+                self.ready_cv.notify_one();
             }
         }
     }
 
     /// Body of one executor thread. Returns when every context has finished.
     pub(crate) fn run_executor(&self, who: usize) {
-        let n = self.contexts.len();
-        if n == 0 {
-            return;
-        }
-        // Stagger scan starts so executors don't fight over context 0.
-        let offset = (who * n) / self.threads;
         let shard = who as u32;
-        loop {
-            let mut resumed = 0u64;
-            let mut unfinished = false;
-            for i in 0..n {
-                let ctx = &self.contexts[(offset + i) % n];
-                if ctx.finished() {
-                    continue;
+        let mut resumes = 0u64;
+        let mut run = self.run.lock();
+        while run.live > 0 {
+            let Some(slot) = run.ready.pop_front() else {
+                let m = self.metrics.as_ref();
+                if let Some(m) = m {
+                    m.resumes.add(shard, std::mem::take(&mut resumes));
+                    m.sleeps.inc(shard);
                 }
-                unfinished = true;
-                if !ctx.runnable.load(Ordering::SeqCst) {
-                    continue;
-                }
-                if ctx.claimed.swap(true, Ordering::AcqRel) {
-                    continue; // another executor is driving it right now
-                }
-                if ctx.finished() {
-                    ctx.claimed.store(false, Ordering::Release);
-                    continue;
-                }
-                // Clear-before-resume: a wake that lands while the context
-                // runs (another place's delivery) re-marks it and it gets
-                // rescanned, never lost.
-                ctx.runnable.store(false, Ordering::SeqCst);
-                ctx.resume();
-                ctx.claimed.store(false, Ordering::Release);
-                // The context may have become runnable again mid-quantum;
-                // notify in case every other executor already went idle.
-                if ctx.runnable.load(Ordering::SeqCst) && !ctx.finished() {
-                    self.notify_sleepers();
-                }
-                resumed += 1;
-            }
-            if let Some(m) = self.metrics.as_ref().filter(|_| resumed > 0) {
-                m.resumes.add(shard, resumed);
-            }
-            if !unfinished {
-                return;
-            }
-            if resumed == 0 {
-                let mut guard = self.idle_lock.lock();
-                self.sleepers.fetch_add(1, Ordering::SeqCst);
-                let slept = !self.any_runnable();
-                let timed_out =
-                    slept && self.idle_cv.wait_for(&mut guard, self.resweep).timed_out();
-                self.sleepers.fetch_sub(1, Ordering::SeqCst);
-                drop(guard);
+                run.waiting += 1;
+                let timed_out = self.ready_cv.wait_for(&mut run, self.resweep).timed_out();
+                run.waiting -= 1;
                 if timed_out {
-                    self.mark_all_runnable();
-                }
-                if let Some(m) = &self.metrics {
-                    m.empty_passes.inc(shard);
-                    if slept {
-                        m.sleeps.inc(shard);
-                    }
-                    if timed_out {
+                    let woken = (0..self.contexts.len()).filter(|&i| self.contexts[i].wake());
+                    run.ready.extend(woken);
+                    self.ready_cv.notify_all();
+                    if let Some(m) = m {
                         m.resweeps.inc(shard);
                     }
                 }
+                continue;
+            };
+            drop(run);
+            let state = self.contexts[slot].resume();
+            resumes += 1;
+            run = self.run.lock();
+            match state {
+                State::Woken => run.ready.push_back(slot),
+                State::Done => run.live -= 1,
+                _ => {}
             }
+        }
+        // The last context has finished: the waiting executors return too.
+        self.ready_cv.notify_all();
+        if let Some(m) = &self.metrics {
+            m.resumes.add(shard, resumes);
         }
     }
 }
@@ -416,6 +369,7 @@ impl ExecutorPool {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::time::Instant;
 
     /// N ping-pong contexts on a single executor thread: each yields between
     /// increments, all must finish — proof that a yielded context never
@@ -438,43 +392,107 @@ mod tests {
             })
             .collect();
         let resweep = Duration::from_micros(50);
-        let pool = Arc::new(ExecutorPool::new(contexts, 1, resweep, None));
-        // Idle-yielded contexts are only re-marked by the resweep here, so
-        // this also exercises the timeout path.
+        let pool = Arc::new(ExecutorPool::new(contexts, resweep, None));
+        // Idle-yielded contexts are only queued again by the resweep here,
+        // so this also exercises the timeout path.
         pool.run_executor(0);
         assert_eq!(count.load(Ordering::SeqCst), 16 * 8);
     }
 
+    /// One context's mailbox in `wake_slot_rouses_a_sleeping_executor`.
+    #[derive(Default)]
+    struct Mailbox {
+        /// Rounds its waker has sent.
+        sent: AtomicU64,
+        /// Rounds the context has read.
+        read: AtomicU64,
+        /// The odd round after which the context holds its executor.
+        holding: AtomicU64,
+        /// Rounds whose `wake_slot` has returned.
+        woken: AtomicU64,
+    }
+
+    /// 8 contexts on 2 executors, sent rounds by 2 outside threads, each
+    /// round followed by a `wake_slot`. After reading an even round a
+    /// context yields, so the next wake mostly finds it idle, with every
+    /// executor asleep. After an odd round it holds its executor until the
+    /// next round's wake has returned, then yields without reading again:
+    /// that wake found it running, and only the Woken re-queue resumes it.
+    /// The resweep is an hour, so only explicit wakes finish the run.
     #[test]
     fn wake_slot_rouses_a_sleeping_executor() {
-        let fired = Arc::new(AtomicU64::new(0));
-        let f2 = fired.clone();
-        let gate = Arc::new(AtomicU64::new(0));
-        let g2 = gate.clone();
-        let ctx = PlaceContext::new(
-            crate::context::MIN_STACK,
-            Box::new(move || {
-                while g2.load(Ordering::SeqCst) == 0 {
+        const CONTEXTS: usize = 8;
+        const ROUNDS: u64 = 40;
+        let boxes: Arc<Vec<Mailbox>> =
+            Arc::new((0..CONTEXTS).map(|_| Mailbox::default()).collect());
+        let contexts = (0..CONTEXTS).map(|i| {
+            let boxes = boxes.clone();
+            let body = move || {
+                let b = &boxes[i];
+                let mut read = 0;
+                while read < ROUNDS {
+                    let sent = b.sent.load(Ordering::SeqCst);
+                    if sent > read {
+                        read = sent;
+                        b.read.store(read, Ordering::SeqCst);
+                        continue;
+                    }
+                    if read % 2 == 1 {
+                        b.holding.store(read, Ordering::SeqCst);
+                        while b.woken.load(Ordering::SeqCst) <= read {
+                            std::hint::spin_loop();
+                        }
+                    }
                     crate::context::yield_now();
                 }
-                f2.store(1, Ordering::SeqCst);
-            }),
-        );
-        // Long resweep: without the explicit wake the run would take ~1s.
-        let resweep = Duration::from_secs(1);
-        let pool = Arc::new(ExecutorPool::new(vec![ctx], 1, resweep, None));
-        let p2 = pool.clone();
-        let h = std::thread::spawn(move || p2.run_executor(0));
-        std::thread::sleep(Duration::from_millis(30));
-        gate.store(1, Ordering::SeqCst);
-        let start = std::time::Instant::now();
-        pool.wake_slot(0);
-        h.join().unwrap();
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
-        assert!(
-            start.elapsed() < Duration::from_millis(900),
-            "wake_slot did not rouse the sleeping executor"
-        );
+            };
+            PlaceContext::new(crate::context::MIN_STACK, Box::new(body))
+        });
+        let resweep = Duration::from_secs(3600);
+        let pool = Arc::new(ExecutorPool::new(contexts.collect(), resweep, None));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let executors: Vec<_> = (0..2)
+            .map(|who| {
+                let (pool, done) = (pool.clone(), done_tx.clone());
+                std::thread::spawn(move || {
+                    pool.run_executor(who);
+                    let _ = done.send(());
+                })
+            })
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let wakers: Vec<_> = (0..2)
+            .map(|w| {
+                let (pool, boxes) = (pool.clone(), boxes.clone());
+                std::thread::spawn(move || {
+                    let mine: Vec<usize> = (w..CONTEXTS).step_by(2).collect();
+                    let sent = |i: usize| boxes[i].sent.load(Ordering::SeqCst);
+                    while Instant::now() < deadline && mine.iter().any(|&i| sent(i) < ROUNDS) {
+                        for &i in &mine {
+                            let (b, r) = (&boxes[i], sent(i));
+                            let ready = r < ROUNDS
+                                && b.read.load(Ordering::SeqCst) == r
+                                && (r % 2 == 0 || b.holding.load(Ordering::SeqCst) == r);
+                            if ready {
+                                b.sent.store(r + 1, Ordering::SeqCst);
+                                pool.wake_slot(i);
+                                b.woken.store(r + 1, Ordering::SeqCst);
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        for _ in 0..2 {
+            let left = deadline.saturating_duration_since(Instant::now());
+            assert!(
+                done_rx.recv_timeout(left).is_ok(),
+                "a wake was lost: the run did not finish without the resweep"
+            );
+        }
+        for h in wakers.into_iter().chain(executors) {
+            h.join().unwrap();
+        }
     }
 
     #[test]
@@ -499,7 +517,7 @@ mod tests {
             })
             .collect();
         let resweep = Duration::from_micros(50);
-        let pool = Arc::new(ExecutorPool::new(contexts, 3, resweep, None));
+        let pool = Arc::new(ExecutorPool::new(contexts, resweep, None));
         let hs: Vec<_> = (0..3)
             .map(|w| {
                 let p = pool.clone();

@@ -108,8 +108,9 @@ pub enum SendWhen {
 /// The one worker of a place. Everything only it touches is stored here
 /// without a lock (`RefCell`/`Cell`/`Rc`: a place's activities run only on
 /// its worker, and `Worker` is `!Sync`; its context moves between executor
-/// threads only through the claimed-flag acquire/release handoff); other
-/// threads see the counts it publishes to its [`PlaceState`].
+/// threads only through the shared pool's run queue, whose mutex and the
+/// context's state order the handoff); other threads see the counts it
+/// publishes to its [`PlaceState`].
 pub struct Worker {
     /// Shared runtime state.
     pub g: Arc<Global>,
@@ -128,11 +129,13 @@ pub struct Worker {
     recv_scratch: RefCell<Vec<Envelope>>,
     /// Ready activities, FIFO: local spawns, spawns unpacked by the mailbox
     /// drain, and root submissions moved in from the place's ingress. The
-    /// length is published to `PlaceState::queued`. A park halves its
-    /// capacity (not below `PARKED_CAPACITY`) when the queue filled less
-    /// than a quarter of it since the previous park.
+    /// length is published to `PlaceState::queued`. When the activities
+    /// run since the previous park filled less than a quarter of its
+    /// capacity, a park shrinks it to that fill (not below
+    /// `PARKED_CAPACITY`).
     queue: RefCell<VecDeque<Activity>>,
-    /// Longest the run queue got since the last park.
+    /// Longest the run queue was at a pop since the last park: 0 when no
+    /// activity ran.
     queue_high: Cell<usize>,
     /// Finish roots homed at this place, by home-local sequence number.
     /// Only this worker opens, applies events to and closes them; the count
@@ -194,9 +197,11 @@ struct WorkerHooks {
 /// activities run after the sweep.
 const QUANTUM: usize = 256;
 
-/// Entries of drain-scratch and run-queue capacity an idle worker keeps.
-/// A burst grows either one past it; parks after the burst free the
-/// excess, so no one-off burst pins its peak for the worker's life.
+/// Entries of drain-scratch and run-queue capacity a parked worker keeps
+/// at least. A burst grows either one past it. The next park frees the
+/// scratch's excess, and the first park after a stretch that runs fewer
+/// activities frees the run queue's, so a one-off burst pins its peak only
+/// until the place next runs activities.
 const PARKED_CAPACITY: usize = 32;
 
 /// Convert a panic payload into a printable message. Typed runtime errors
@@ -627,16 +632,19 @@ impl Worker {
         // what a burst grew the drain scratch to (at most `QUANTUM`
         // entries, so regrowing it is a few small reallocations). The run
         // queue has no such bound and a storm refills it park after park,
-        // so it only halves, after a stretch that used under a quarter of
-        // it: an idle place decays to `PARKED_CAPACITY` within a few
-        // parks, a busy one keeps its room.
+        // so it shrinks only after a stretch that ran activities but filled
+        // under a quarter of it, and then in one step to that fill. A
+        // stretch that ran nothing (a timed re-poll that found no work)
+        // says nothing about the room the place needs and leaves it, so
+        // how often an idle place parks does not decide how often it
+        // reallocates.
         self.coalescer.borrow_mut().trim_arena();
         self.recv_scratch.borrow_mut().shrink_to(PARKED_CAPACITY);
         {
             let mut queue = self.queue.borrow_mut();
-            let cap = queue.capacity();
-            if self.queue_high.replace(0) < cap / 4 {
-                queue.shrink_to((cap / 2).max(PARKED_CAPACITY));
+            let high = self.queue_high.replace(0);
+            if (1..queue.capacity() / 4).contains(&high) {
+                queue.shrink_to(high.max(PARKED_CAPACITY));
             }
         }
         // Deterministic mode: this worker holds the baton until its next

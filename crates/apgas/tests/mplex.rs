@@ -91,7 +91,7 @@ fn wait_until_wakes_on_late_message_single_executor() {
 /// 500 ordered sends from place 0 to place 5 while 39 other contexts churn
 /// across a three-thread pool: the receiving context migrates between
 /// executors mid-stream, and the arrival order must still be exactly the
-/// send order (per-pair FIFO is a transport invariant the claim/release
+/// send order (per-pair FIFO is a transport invariant the run-queue
 /// handoff must not break).
 #[test]
 fn per_pair_fifo_survives_context_migration() {
@@ -100,7 +100,7 @@ fn per_pair_fifo_survives_context_migration() {
         let log = Arc::new(Mutex::new(Vec::new()));
         let l2 = log.clone();
         ctx.finish(move |c| {
-            // Noise: keep every context runnable so claims churn.
+            // Noise: wake every context so the run queue churns.
             for p in c.places().skip(1) {
                 c.at_async(p, |cc| {
                     std::hint::black_box(cc.here().0);
@@ -177,11 +177,11 @@ fn watchdog_attributes_stall_to_the_right_place() {
 }
 
 /// An idle executor must sleep, and so resweep, while another executor
-/// runs a context that a delivery has re-marked runnable. Place 1 spins on
-/// one executor; place 2's reply lands in its mailbox mid-spin; place 3
-/// waits 20 ms on a timed condition that only a resweep re-polls. An idle
-/// executor that counted the claimed place 1 as runnable never slept, so
-/// the wait lasted as long as the spin.
+/// runs a context that a delivery has woken. Place 1 spins on one
+/// executor; place 2's reply lands in its mailbox mid-spin; place 3 waits
+/// 20 ms on a timed condition that only a resweep re-polls. An idle
+/// executor that counted the running place 1 as work never slept, so the
+/// wait lasted as long as the spin.
 #[test]
 fn timed_wait_is_repolled_while_a_reached_place_spins() {
     const SPIN: Duration = Duration::from_secs(2);
@@ -285,8 +285,8 @@ fn mailbox_sweeps_amortize_over_a_storm() {
 
 /// The executor pool reports its scheduling: a 32-place storm on two
 /// executors records context resumes, and the idle runtime after it
-/// records empty passes, condvar sleeps and the timed-out sleeps that
-/// resweep the parked contexts.
+/// records condvar sleeps and the timed-out sleeps that resweep the parked
+/// contexts.
 #[test]
 fn executor_counts_resumes_under_a_storm() {
     let places = 32u32;
@@ -312,15 +312,10 @@ fn executor_counts_resumes_under_a_storm() {
         });
     });
     assert_eq!(sink.load(Ordering::SeqCst), u64::from(places) * per_place);
-    // Counts are published at the end of each pass over the context table.
-    // The runtime is idle from here on: its executors find nothing to
-    // resume, sleep, and time out into resweeps.
-    let names = [
-        "executor.resumes",
-        "executor.empty_passes",
-        "executor.sleeps",
-        "executor.resweeps",
-    ];
+    // An executor publishes its resume count each time it waits. The
+    // runtime is idle from here on: its executors find the run queue empty,
+    // sleep, and time out into resweeps.
+    let names = ["executor.resumes", "executor.sleeps", "executor.resweeps"];
     let deadline = Instant::now() + Duration::from_secs(10);
     while names.iter().any(|n| counter(&rt, n) == 0) && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));

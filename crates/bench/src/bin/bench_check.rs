@@ -6,9 +6,10 @@
 //! - workload-shape keys (anything under a `workload`/`workloads` object,
 //!   plus `quick`) must match **exactly** — otherwise the two files measured
 //!   different experiments and the rest is meaningless;
-//! - figure-of-merit keys (`figure_of_merit`, `nodes`) must match exactly:
-//!   the traversal/update counts are deterministic, any drift is a
-//!   correctness bug, not noise;
+//! - figure-of-merit keys (`figure_of_merit`, `nodes`) and `task_msgs`
+//!   must match exactly: the traversal/update counts and the scale sweep's
+//!   task messages (one spawn per place, whatever the scheduler) are
+//!   deterministic, any drift is a correctness bug, not noise;
 //! - `*per_sec*` throughput keys are **one-sided**: fresh must not fall
 //!   more than `--rel-tol` below baseline, but may beat it by any margin
 //!   (commit the faster file to ratchet the ceiling up);
@@ -27,8 +28,8 @@
 //! before the band trips. A real budget blow-out shows up as an
 //! out-of-band pct drift, which fails on its own.
 //!
-//! All other leaves (message counts, metric values…) are run-dependent and
-//! ignored.
+//! All other leaves (finish-control, steal and envelope counts, metric
+//! values…) are run-dependent and ignored.
 //!
 //! Usage: `cargo run -p bench --bin bench_check -- BASELINE FRESH
 //!   [--pct-tol POINTS] [--rel-tol FRACTION]`
@@ -164,11 +165,11 @@ fn check_leaf(
         }
         return;
     }
-    if key == "figure_of_merit" || key == "nodes" {
+    if key == "figure_of_merit" || key == "nodes" || key == "task_msgs" {
         if base != fresh {
             out.push(format!(
-                "{path}: figure of merit changed (baseline {base:?}, fresh {fresh:?}) — \
-                 deterministic counts must not drift"
+                "{path}: deterministic count changed (baseline {base:?}, fresh {fresh:?}) — \
+                 it must not drift"
             ));
         }
         return;

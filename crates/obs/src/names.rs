@@ -33,22 +33,18 @@ pub const WORKER_ACTIVITIES: &str = "worker.activities";
 /// [`WORKER_ACTIVITIES`] it gives the sweeps paid per activity.
 pub const WORKER_MAILBOX_SWEEPS: &str = "worker.mailbox_sweeps";
 
-/// Counter: place contexts resumed by shared executor threads (unit:
-/// resumes; sharded by executor). Summed per pass over the context table
-/// and published once per pass. Zero on a dedicated executor.
+/// Counter: place contexts popped off the shared pool's run queue and
+/// resumed (unit: resumes; sharded by executor). Counted in the executor's
+/// locals and published each time it waits and when it returns. Zero on a
+/// dedicated executor.
 pub const EXECUTOR_RESUMES: &str = "executor.resumes";
 
-/// Counter: executor passes over the context table that resumed nothing
-/// (unit: passes; sharded by executor). Each one is a full scan paid for no
-/// work — read against [`EXECUTOR_RESUMES`] it is the scheduler's waste.
-pub const EXECUTOR_EMPTY_PASSES: &str = "executor.empty_passes";
-
-/// Counter: idle executor condvar waits entered after an empty pass found
-/// no runnable context (unit: sleeps; sharded by executor).
+/// Counter: condvar waits an executor entered because the run queue was
+/// empty (unit: sleeps; sharded by executor).
 pub const EXECUTOR_SLEEPS: &str = "executor.sleeps";
 
-/// Counter: idle waits that timed out after `PARK_TIMEOUT` and marked every
-/// unfinished context runnable — the resweep safety net firing (unit:
+/// Counter: executor waits that timed out after `PARK_TIMEOUT` and woke
+/// every context, queueing each idle one — the timed re-poll firing (unit:
 /// resweeps; sharded by executor).
 pub const EXECUTOR_RESWEEPS: &str = "executor.resweeps";
 
