@@ -9,8 +9,9 @@
 //! [`CodecMode::Bytes`]. Every boxed send makes that choice in
 //! `to_payload`, and the receiving worker dispatches both forms by
 //! handler id: a `WireMsg` names its handler, a typed box is named by its
-//! type (both looked up in this module), and the handler decodes only what
-//! arrived encoded. The one typed message that is not always boxed is a
+//! type (both looked up in this module), a message of a batch frame that
+//! came over a socket names it in its header (`Incoming`), and the
+//! handler decodes only what arrived encoded. The one typed message that is not always boxed is a
 //! spawn's `Task` cell: the worker's spawn path hands it to the coalescer
 //! by value, and it rides inline in its batch (`x10rt::InlineSlot`)
 //! unless it leaves alone.
@@ -44,8 +45,9 @@ pub(crate) trait Wire: Sized + Send + 'static {
     const HANDLER: HandlerId;
     /// Serialize into a [`WireMsg`] for [`Wire::HANDLER`].
     fn encode(self) -> WireMsg;
-    /// Decode a [`WireMsg`] addressed to [`Wire::HANDLER`].
-    fn decode(w: WireMsg) -> Result<Self, DecodeError>;
+    /// Decode the argument bytes, and the non-serializable part when one
+    /// came along, of a message addressed to [`Wire::HANDLER`].
+    fn decode(args: &[u8], inline: Option<Payload>) -> Result<Self, DecodeError>;
     /// The typed form as a payload.
     fn boxed(self) -> Payload {
         Box::new(self)
@@ -87,8 +89,28 @@ pub(crate) fn handler_of(p: &Payload) -> Option<HandlerId> {
 pub(crate) fn from_payload<M: Wire>(p: Payload) -> Result<M, DecodeError> {
     match M::unboxed(p).map_err(|p| p.downcast::<WireMsg>()) {
         Ok(m) => Ok(m),
-        Err(Ok(w)) => M::decode(*w),
+        Err(Ok(w)) => M::decode(&w.args, w.inline),
         Err(Err(_)) => Err(DecodeError::UnknownHandler(M::HANDLER.0)),
+    }
+}
+
+/// An incoming message in either form a worker receives it: a payload of
+/// its own, or the argument bytes of a received frame's message with the
+/// part its frame's side list held for it (`x10rt::Frame`).
+pub(crate) enum Incoming<'a> {
+    /// A payload [`handler_of`] names.
+    Boxed(Payload),
+    /// Argument bytes and a part.
+    Bytes(&'a [u8], Option<Payload>),
+}
+
+impl Incoming<'_> {
+    /// Take `M` out: see [`from_payload`] and [`Wire::decode`].
+    pub(crate) fn decode<M: Wire>(self) -> Result<M, DecodeError> {
+        match self {
+            Incoming::Boxed(p) => from_payload(p),
+            Incoming::Bytes(args, part) => M::decode(args, part),
+        }
     }
 }
 
@@ -97,11 +119,10 @@ impl Wire for Task {
     fn encode(self) -> WireMsg {
         WireMsg::with_inline(H_SPAWN, encode_spawn_closure(&self.attach), Box::new(self))
     }
-    fn decode(w: WireMsg) -> Result<Self, DecodeError> {
-        let (attach, body) = decode_spawn(&w.args)?;
+    fn decode(args: &[u8], inline: Option<Payload>) -> Result<Self, DecodeError> {
+        let (attach, body) = decode_spawn(args)?;
         let mut task = match body {
-            SpawnWireBody::Closure => w
-                .inline
+            SpawnWireBody::Closure => inline
                 .and_then(|p| p.downcast().ok())
                 .map(|t: Box<Task>| *t)
                 .ok_or(DecodeError::BadTag {
@@ -120,8 +141,8 @@ impl Wire for FinishMsg {
     fn encode(self) -> WireMsg {
         WireMsg::new(H_FINISH, encode_finish_msg(&self))
     }
-    fn decode(w: WireMsg) -> Result<Self, DecodeError> {
-        decode_finish_msg(&w.args)
+    fn decode(args: &[u8], _: Option<Payload>) -> Result<Self, DecodeError> {
+        decode_finish_msg(args)
     }
 }
 
@@ -133,8 +154,8 @@ impl Wire for TeamWire {
             (args, TeamData::Opaque(d)) => WireMsg::with_inline(H_TEAM, args, d),
         }
     }
-    fn decode(w: WireMsg) -> Result<Self, DecodeError> {
-        decode_team_wire(&w.args, w.inline)
+    fn decode(args: &[u8], inline: Option<Payload>) -> Result<Self, DecodeError> {
+        decode_team_wire(args, inline)
     }
 }
 
@@ -143,8 +164,8 @@ impl Wire for ClockMsg {
     fn encode(self) -> WireMsg {
         WireMsg::new(H_CLOCK, encode_clock_msg(&self))
     }
-    fn decode(w: WireMsg) -> Result<Self, DecodeError> {
-        decode_clock_msg(&w.args)
+    fn decode(args: &[u8], _: Option<Payload>) -> Result<Self, DecodeError> {
+        decode_clock_msg(args)
     }
 }
 
@@ -153,8 +174,8 @@ impl Wire for ObsMsg {
     fn encode(self) -> WireMsg {
         WireMsg::new(H_OBS, encode_obs_msg(&self))
     }
-    fn decode(w: WireMsg) -> Result<Self, DecodeError> {
-        decode_obs_msg(&w.args)
+    fn decode(args: &[u8], _: Option<Payload>) -> Result<Self, DecodeError> {
+        decode_obs_msg(args)
     }
 }
 

@@ -23,7 +23,7 @@ use crate::place_state::{Activity, PlaceState};
 use crate::runtime::Global;
 use crate::task::Task;
 use crate::team::TeamInbox;
-use crate::wire::{self, Wire};
+use crate::wire::{self, Incoming, Wire};
 use obs::causal::CausalId;
 use obs::metrics::{Counter, Histogram};
 use obs::trace::EventRing;
@@ -37,7 +37,9 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use x10rt::codec::{self, HandlerId, WireMsg};
-use x10rt::{Coalescer, CodecMode, Envelope, InlineSlot, IntMap, MsgClass, PlaceId};
+use x10rt::{
+    Coalescer, CodecMode, Envelope, Frame, FrameMsg, InlineSlot, IntMap, MsgClass, PlaceId,
+};
 
 /// What a spawn ships as the activity body: an in-process closure, or a
 /// registered command (handler id + serialized argument bytes — the fully
@@ -124,15 +126,16 @@ pub struct Worker {
     /// buffered messages never outlive a point where their destination could
     /// be waiting on them.
     coalescer: RefCell<Coalescer>,
-    /// Scratch buffer for bulk mailbox drains (reused across calls; a park
-    /// frees its capacity beyond `PARKED_CAPACITY`).
+    /// Scratch buffer for bulk mailbox drains, reused across calls. A park
+    /// shrinks it by the run queue's rule (`trimmed_capacity`).
     recv_scratch: RefCell<Vec<Envelope>>,
+    /// Most envelopes one drain took since the last park: 0 when none
+    /// arrived.
+    recv_high: Cell<usize>,
     /// Ready activities, FIFO: local spawns, spawns unpacked by the mailbox
     /// drain, and root submissions moved in from the place's ingress. The
-    /// length is published to `PlaceState::queued`. When the activities
-    /// run since the previous park filled less than a quarter of its
-    /// capacity, a park shrinks it to that fill (not below
-    /// `PARKED_CAPACITY`).
+    /// length is published to `PlaceState::queued`. A park shrinks it by
+    /// `trimmed_capacity`.
     queue: RefCell<VecDeque<Activity>>,
     /// Longest the run queue was at a pop since the last park: 0 when no
     /// activity ran.
@@ -198,11 +201,24 @@ struct WorkerHooks {
 const QUANTUM: usize = 256;
 
 /// Entries of drain-scratch and run-queue capacity a parked worker keeps
-/// at least. A burst grows either one past it. The next park frees the
-/// scratch's excess, and the first park after a stretch that runs fewer
-/// activities frees the run queue's, so a one-off burst pins its peak only
-/// until the place next runs activities.
+/// at least. A burst grows either one past it; see [`trimmed_capacity`]
+/// for when a park frees the excess.
 const PARKED_CAPACITY: usize = 32;
+
+/// The capacity a park shrinks the run queue or the drain scratch to, if
+/// any, given the most entries it held (`high`) since the previous park.
+/// Both caches refill park after park under a storm, so each shrinks only
+/// after a stretch that used it but filled under a quarter of it, and then
+/// in one step to that fill (not below [`PARKED_CAPACITY`]): a one-off
+/// burst pins its peak until the place next runs at a lower fill. A
+/// stretch that used neither (a timed re-poll that found no work) says
+/// nothing about the room the place needs and leaves both, so how often an
+/// idle place parks does not decide how often it reallocates.
+fn trimmed_capacity(capacity: usize, high: usize) -> Option<usize> {
+    (1..capacity / 4)
+        .contains(&high)
+        .then(|| high.max(PARKED_CAPACITY))
+}
 
 /// Convert a panic payload into a printable message. Typed runtime errors
 /// stringify through their `Display`, which embeds the dead-place marker so
@@ -257,6 +273,7 @@ impl Worker {
             here,
             coalescer: RefCell::new(coalescer),
             recv_scratch: RefCell::new(Vec::new()),
+            recv_high: Cell::new(0),
             queue: RefCell::new(VecDeque::new()),
             queue_high: Cell::new(0),
             roots: RefCell::new(IntMap::default()),
@@ -629,22 +646,16 @@ impl Worker {
         // Never sleep on buffered sends: a peer may be waiting on them.
         self.flush_sends();
         // Out of work: free the batch boxes this stretch did not need, and
-        // what a burst grew the drain scratch to (at most `QUANTUM`
-        // entries, so regrowing it is a few small reallocations). The run
-        // queue has no such bound and a storm refills it park after park,
-        // so it shrinks only after a stretch that ran activities but filled
-        // under a quarter of it, and then in one step to that fill. A
-        // stretch that ran nothing (a timed re-poll that found no work)
-        // says nothing about the room the place needs and leaves it, so
-        // how often an idle place parks does not decide how often it
-        // reallocates.
+        // what a burst grew the run queue and the drain scratch to.
         self.coalescer.borrow_mut().trim_arena();
-        self.recv_scratch.borrow_mut().shrink_to(PARKED_CAPACITY);
         {
+            let mut scratch = self.recv_scratch.borrow_mut();
+            if let Some(cap) = trimmed_capacity(scratch.capacity(), self.recv_high.replace(0)) {
+                scratch.shrink_to(cap);
+            }
             let mut queue = self.queue.borrow_mut();
-            let high = self.queue_high.replace(0);
-            if (1..queue.capacity() / 4).contains(&high) {
-                queue.shrink_to(high.max(PARKED_CAPACITY));
+            if let Some(cap) = trimmed_capacity(queue.capacity(), self.queue_high.replace(0)) {
+                queue.shrink_to(cap);
             }
         }
         // Deterministic mode: this worker holds the baton until its next
@@ -730,13 +741,16 @@ impl Worker {
         self.g
             .transport
             .try_recv_batch(self.here, max, &mut scratch);
+        self.recv_high.set(self.recv_high.get().max(scratch.len()));
         let mut n = 0;
         for env in scratch.drain(..) {
             // A batch envelope expands into its logical messages, dispatched
-            // in their original send order (a spawn cell moving out of its
-            // inline slot); the emptied batch box then goes back to the
-            // coalescer's arena (after the dispatch loop — handlers may
-            // borrow the coalescer to send).
+            // in their original send order. A coalescer batch's spawn cells
+            // move out of their inline slots, and its emptied box then goes
+            // back to the coalescer's arena (after the dispatch loop —
+            // handlers may borrow the coalescer to send). A batch that came
+            // over a socket is a frame, read message by message out of its
+            // bytes and freed after its last message.
             match env.unbatch_boxed() {
                 Ok(mut batch) => {
                     n += batch.envs.len();
@@ -745,10 +759,18 @@ impl Worker {
                     }
                     self.coalescer.borrow_mut().recycle_batch(batch);
                 }
-                Err(env) => {
-                    n += 1;
-                    self.handle_envelope(env, None);
-                }
+                Err(env) => match env.payload.downcast::<Frame>() {
+                    Ok(mut frame) => {
+                        n += frame.len();
+                        for msg in frame.msgs() {
+                            self.handle_frame_msg(env.from, msg);
+                        }
+                    }
+                    Err(payload) => {
+                        n += 1;
+                        self.handle_envelope(Envelope { payload, ..env }, None);
+                    }
+                },
             }
         }
         *self.recv_scratch.borrow_mut() = scratch;
@@ -761,30 +783,28 @@ impl Worker {
         n
     }
 
-    /// Dispatch one incoming message by its handler id, whichever form it
-    /// arrived in (`wire::handler_of`): each runtime handler is written
-    /// once, for both codec modes. A value that rode inline in its batch
-    /// (`val`) is a spawn cell. A message that fails to decode means a
-    /// peer violated the protocol; it panics with the typed decode error
-    /// rather than limping on with garbage.
-    fn handle_envelope(&self, env: Envelope, val: Option<InlineSlot>) {
-        // Receive stamp: dispatch time at this worker. Recorded before the
-        // dispatch so the transport component of the causal edge ends here
-        // and the handling below is attributed as execution.
-        if let (Some(id), Some(cb)) = (env.causal, self.causal_buf()) {
-            cb.causal_recv(id, env.from.0, env.class.index() as u8, env.bytes);
+    /// Receive stamp: dispatch time at this worker. Recorded before the
+    /// dispatch so the transport component of the causal edge ends here
+    /// and the handling is attributed as execution.
+    fn note_recv(&self, from: PlaceId, class: MsgClass, bytes: usize, causal: Option<CausalId>) {
+        if let (Some(id), Some(cb)) = (causal, self.causal_buf()) {
+            cb.causal_recv(id, from.0, class.index() as u8, bytes);
         }
+    }
+
+    /// Dispatch one incoming envelope. A value that rode inline in its
+    /// batch (`val`) is a spawn cell; any other payload goes by the handler
+    /// it names (`wire::handler_of`).
+    fn handle_envelope(&self, env: Envelope, val: Option<InlineSlot>) {
         let Envelope {
             from,
             class,
+            bytes,
             causal,
             payload,
             ..
         } = env;
-        fn take<M: Wire>(from: PlaceId, p: x10rt::Payload) -> M {
-            wire::from_payload(p)
-                .unwrap_or_else(|e| panic!("malformed {} message from {from}: {e}", M::HANDLER))
-        }
+        self.note_recv(from, class, bytes, causal);
         if let Some(val) = val {
             let task = val.take::<Task>().unwrap_or_else(|_| {
                 panic!(
@@ -794,21 +814,58 @@ impl Worker {
             });
             return self.receive_spawn(from, causal, task);
         }
-        match wire::handler_of(&payload) {
-            Some(codec::H_SPAWN) => self.receive_spawn(from, causal, take(from, payload)),
-            Some(codec::H_FINISH) => {
-                let msg = take(from, payload);
+        let handler = wire::handler_of(&payload).unwrap_or(HandlerId::INVALID);
+        self.dispatch(from, class, causal, handler, Incoming::Boxed(payload));
+    }
+
+    /// Dispatch one message of a received frame: by the handler its header
+    /// names, straight from the frame's bytes, or by the payload's own when
+    /// the sender's whole payload rode the side list.
+    fn handle_frame_msg(&self, from: PlaceId, msg: FrameMsg<'_>) {
+        self.note_recv(from, msg.class, msg.bytes, msg.causal);
+        let (handler, incoming) = match msg.part {
+            Some(whole) if msg.handler == HandlerId::INVALID => (
+                wire::handler_of(&whole).unwrap_or(HandlerId::INVALID),
+                Incoming::Boxed(whole),
+            ),
+            part => (msg.handler, Incoming::Bytes(msg.args, part)),
+        };
+        self.dispatch(from, msg.class, msg.causal, handler, incoming);
+    }
+
+    /// Run the handler `handler` names on one incoming message, whichever
+    /// form it arrived in (a boxed payload of either codec mode, or a
+    /// received frame's bytes): each runtime handler is written once. A
+    /// message that fails to decode means a peer violated the protocol; it
+    /// panics with the typed decode error rather than limping on with
+    /// garbage.
+    fn dispatch(
+        &self,
+        from: PlaceId,
+        class: MsgClass,
+        causal: Option<CausalId>,
+        handler: HandlerId,
+        msg: Incoming<'_>,
+    ) {
+        fn take<M: Wire>(from: PlaceId, msg: Incoming<'_>) -> M {
+            msg.decode()
+                .unwrap_or_else(|e| panic!("malformed {} message from {from}: {e}", M::HANDLER))
+        }
+        match handler {
+            codec::H_SPAWN => self.receive_spawn(from, causal, take(from, msg)),
+            codec::H_FINISH => {
+                let msg = take(from, msg);
                 self.with_inline_cause(causal, || self.handle_finish_msg(msg));
             }
-            Some(codec::H_TEAM) => {
-                let msg = take(from, payload);
+            codec::H_TEAM => {
+                let msg = take(from, msg);
                 self.with_inline_cause(causal, || self.team.borrow_mut().deliver(msg));
             }
-            Some(codec::H_CLOCK) => {
-                let msg = take(from, payload);
+            codec::H_CLOCK => {
+                let msg = take(from, msg);
                 self.with_inline_cause(causal, || crate::clock::handle_msg(self, msg));
             }
-            Some(codec::H_SHUTDOWN) => {
+            codec::H_SHUTDOWN => {
                 // A remote process is tearing the launch down; ship this
                 // process's observability snapshot back to the initiator
                 // first (once — rank 0 folds it even if it never asked),
@@ -819,11 +876,10 @@ impl Worker {
                     p.wake();
                 }
             }
-            Some(codec::H_OBS) => self.handle_obs_msg(take(from, payload)),
+            codec::H_OBS => self.handle_obs_msg(take(from, msg)),
             h => panic!(
-                "unknown handler id {} in a {}-class message from {from} — \
+                "unknown handler id {h} in a {}-class message from {from} — \
                  app commands must ride inside H_SPAWN",
-                h.unwrap_or(HandlerId::INVALID),
                 class.label()
             ),
         }

@@ -59,8 +59,7 @@ fn bytes_mode_over_tcp_self_loop() {
 fn bytes_mode_charges_identical_modeled_bytes() {
     // The byte ledgers are part of the model (Power 775 traffic accounting);
     // serializing must not change what a workload charges.
-    fn run_and_total(cfg: Config) -> (u64, u64) {
-        let rt = Runtime::new(cfg);
+    fn run_and_total(rt: Runtime) -> (u64, u64) {
         rt.run(|ctx| {
             ctx.finish(|c| {
                 for p in c.places() {
@@ -71,10 +70,17 @@ fn bytes_mode_charges_identical_modeled_bytes() {
         let s = rt.net_stats();
         (s.total_messages(), s.total_bytes())
     }
-    let (inline_msgs, inline_bytes) = run_and_total(Config::new(4));
-    let (bytes_msgs, bytes_bytes) = run_and_total(cfg_bytes(4));
+    let (inline_msgs, inline_bytes) = run_and_total(Runtime::new(Config::new(4)));
+    let (bytes_msgs, bytes_bytes) = run_and_total(Runtime::new(cfg_bytes(4)));
     assert_eq!(inline_msgs, bytes_msgs, "message counts must not change");
     assert_eq!(inline_bytes, bytes_bytes, "modeled bytes must not change");
+    // Over the TCP self-loop a batch arrives as the frame it crossed the
+    // socket in, and a lone message as its own envelope: the charges are
+    // the sender's, carried in each message header.
+    let transport = TcpTransport::self_loop(4).expect("self-loop transport");
+    let (tcp_msgs, tcp_bytes) = run_and_total(Runtime::with_transport(cfg_bytes(4), transport));
+    assert_eq!(inline_msgs, tcp_msgs, "message counts over TCP");
+    assert_eq!(inline_bytes, tcp_bytes, "modeled bytes over TCP");
 }
 
 #[test]

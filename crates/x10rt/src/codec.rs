@@ -543,8 +543,9 @@ pub fn read_msg_header(cur: &mut Cursor<'_>) -> Result<MsgHeader, DecodeError> {
 // ---------------------------------------------------------------------------
 
 /// Frame-header flag: the frame is a coalescer *batch* envelope — the
-/// receiver re-packs its messages into one `MsgClass::Batch` envelope
-/// instead of delivering them singly (a batch of one stays a batch).
+/// receiver delivers the frame whole, as one `MsgClass::Batch` envelope
+/// carrying the [`crate::Frame`], instead of delivering its messages singly
+/// (a batch of one stays a batch).
 pub const FRAME_FLAG_BATCH: u16 = 0x0001;
 
 /// Decoded frame header (the [`FRAME_HEADER_BYTES`] bytes following the

@@ -35,6 +35,8 @@
 //! * [`codec`] — the serialized wire format (`PROTOCOL.md`): fixed
 //!   little-endian message headers, handler-id registry conventions, batch
 //!   frames and the connection handshake;
+//! * [`frame`] — a received frame validated in place: a batch frame is
+//!   delivered whole and read message by message without copying;
 //! * [`tcp`] — [`tcp::TcpTransport`], the sockets back-end: places in
 //!   separate OS processes over per-peer framed TCP streams;
 //! * [`hash`] — the integer hasher behind every per-message map.
@@ -46,6 +48,7 @@ pub mod coalesce;
 pub mod codec;
 pub mod congruent;
 pub mod fault;
+pub mod frame;
 pub mod hash;
 pub mod message;
 pub mod place;
@@ -61,6 +64,7 @@ pub use coalesce::{Coalescer, FlushCounts, FlushReason};
 pub use codec::{CodecMode, DecodeError, EncodeError, HandlerId, WireMsg, PROTO_VERSION};
 pub use congruent::{CongruentAllocator, CongruentArray, Pod};
 pub use fault::{ClassFaults, FaultCounts, FaultEvent, FaultPlan, FaultTransport};
+pub use frame::{Frame, FrameMsg};
 pub use hash::IntMap;
 pub use message::{BatchPayload, Envelope, InlineSlot, Inlined, MsgClass, Payload, HEADER_BYTES};
 pub use place::{PlaceId, Topology};

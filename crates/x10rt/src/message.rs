@@ -67,7 +67,8 @@ pub enum MsgClass {
     /// A coalesced envelope carrying several messages for one destination
     /// (PAMI-style transport aggregation). The logical messages inside keep
     /// their own classes for the statistics; `Batch` only appears in the
-    /// physical envelope counters.
+    /// physical envelope counters. The payload is a [`BatchPayload`], or a
+    /// [`crate::Frame`] when the batch arrived over a socket.
     Batch,
 }
 
@@ -442,15 +443,17 @@ impl Envelope {
     }
 
     /// Unpack a batch envelope into its logical messages, each inline value
-    /// boxed back into its payload; a non-batch envelope comes back
-    /// unchanged as the `Err` variant.
+    /// boxed back into its payload; a non-batch envelope, or a batch frame
+    /// (read it with [`crate::Frame::msgs`]), comes back unchanged as the
+    /// `Err` variant.
     pub fn unbatch(self) -> Result<Vec<Envelope>, Envelope> {
         self.unbatch_boxed().map(|mut b| b.drain_boxed().collect())
     }
 
     /// [`Envelope::unbatch`], but keeping the payload box intact so the
     /// receiver can hand it back to an [`crate::arena::EnvelopeArena`] for
-    /// reuse after dispatching the inner messages.
+    /// reuse after dispatching the inner messages. A batch that arrived as
+    /// a [`crate::Frame`] comes back unchanged, too.
     pub fn unbatch_boxed(self) -> Result<Box<BatchPayload>, Envelope> {
         if self.class != MsgClass::Batch {
             return Err(self);
@@ -458,7 +461,10 @@ impl Envelope {
         match self.payload.downcast::<BatchPayload>() {
             Ok(b) => Ok(b),
             Err(payload) => {
-                debug_assert!(false, "Batch-class envelope without BatchPayload");
+                debug_assert!(
+                    payload.is::<crate::Frame>(),
+                    "Batch-class envelope without a batch payload"
+                );
                 Err(Envelope { payload, ..self })
             }
         }

@@ -7,11 +7,15 @@
 //! the [`crate::codec`] wire format into length-prefixed frames (one frame
 //! per envelope; a coalescer batch envelope maps to one frame carrying all
 //! its messages — the batch stays the wire unit, exactly as it is
-//! in-process) and written by a per-peer writer thread; a per-peer reader
-//! thread decodes incoming frames and delivers the rebuilt envelopes into an
-//! inner [`LocalTransport`], which provides the mailbox queues, wakers,
-//! statistics and kill support. Intra-process traffic bypasses the sockets
-//! and goes straight to the inner transport — the local fast path survives.
+//! in-process) and written by a per-peer writer thread. A per-peer reader
+//! thread reads each frame into a buffer of its own, validates all of it
+//! ([`Frame::parse`]) and delivers it into an inner [`LocalTransport`],
+//! which provides the mailbox queues, wakers, statistics and kill support:
+//! a batch frame whole, as one `MsgClass::Batch` envelope that owns the
+//! frame body and its side list (the receiver reads the messages out of
+//! the bytes, with no copy or box per message), a lone frame as the
+//! envelope it was sent as. Intra-process traffic bypasses the sockets and
+//! goes straight to the inner transport — the local fast path survives.
 //!
 //! # Connection establishment
 //!
@@ -39,9 +43,10 @@
 //! The list is queued in the critical section that queues its frame, so
 //! the side lists' FIFO matches the byte order of the one self connection;
 //! the reader pops one list per frame that holds `FLAG_STASH` messages and
-//! hands its parts out in order. That is legal only because sender and
-//! receiver share an address space — a cross-process send of such a
-//! payload fails with a typed [`codec::EncodeError::NotSerializable`].
+//! the frame hands its parts out in message order. That is legal only
+//! because sender and receiver share an address space — a cross-process
+//! send of such a payload fails with a typed
+//! [`codec::EncodeError::NotSerializable`].
 //!
 //! # Accounting
 //!
@@ -53,6 +58,7 @@
 
 use crate::codec::{self, DecodeError, EncodeError, HandlerId, Handshake, WireMsg};
 use crate::fault::FaultMarker;
+use crate::frame::Frame;
 use crate::message::{Envelope, Payload};
 use crate::place::PlaceId;
 use crate::stats::NetStats;
@@ -187,6 +193,9 @@ struct Pending {
     /// The side lists of the frames that carry `FLAG_STASH` messages, in
     /// frame order, until the reader takes them (self connection only).
     sides: VecDeque<Vec<Payload>>,
+    /// The writer is waiting for a frame: set by `pop` around its wait, so
+    /// `push` notifies only then.
+    waiting: bool,
 }
 
 impl OutQueue {
@@ -206,7 +215,9 @@ impl OutQueue {
         if !side.is_empty() {
             p.sides.push_back(side);
         }
-        self.ready.notify_one();
+        if p.waiting {
+            self.ready.notify_one();
+        }
     }
 
     /// Block until a frame is available or the queue closes.
@@ -219,7 +230,9 @@ impl OutQueue {
             if self.closed.load(Ordering::Acquire) {
                 return None;
             }
+            p.waiting = true;
             self.ready.wait(&mut p);
+            p.waiting = false;
         }
     }
 
@@ -231,35 +244,6 @@ impl OutQueue {
         let _p = self.pending.lock();
         self.closed.store(true, Ordering::Release);
         self.ready.notify_all();
-    }
-}
-
-/// The side list of the frame being decoded: popped from the self
-/// connection's FIFO at the frame's first `FLAG_STASH` message, then handed
-/// out one part per such message.
-struct FrameParts<'a> {
-    /// The self connection's queue; `None` on a connection to a peer
-    /// process, where no message may carry `FLAG_STASH`.
-    queue: Option<&'a OutQueue>,
-    parts: Option<std::vec::IntoIter<Payload>>,
-}
-
-impl FrameParts<'_> {
-    fn next(&mut self) -> Result<Payload, DecodeError> {
-        let queue = self.queue;
-        let parts = self.parts.get_or_insert_with(|| {
-            let side = queue.and_then(|q| q.pending.lock().sides.pop_front());
-            side.unwrap_or_default().into_iter()
-        });
-        parts.next().ok_or(DecodeError::StashMismatch)
-    }
-
-    /// Fail unless every part was handed out.
-    fn finish(&self) -> Result<(), DecodeError> {
-        match self.parts.as_ref().map_or(0, ExactSizeIterator::len) {
-            0 => Ok(()),
-            _ => Err(DecodeError::StashMismatch),
-        }
     }
 }
 
@@ -397,78 +381,31 @@ impl Core {
 
     // -- decoding ---------------------------------------------------------
 
-    /// Decode one logical message back into an envelope, taking its
-    /// stashed part (if any) from the frame's side list.
-    fn decode_one(
-        &self,
-        cur: &mut codec::Cursor<'_>,
-        from: PlaceId,
-        to: PlaceId,
-        side: &mut FrameParts<'_>,
-    ) -> Result<Envelope, DecodeError> {
-        let h = codec::read_msg_header(cur)?;
-        let args = cur.take(h.args_len as usize)?;
-        let payload: Payload = if h.flags & codec::FLAG_STASH != 0 {
-            let stashed = side.next()?;
-            if h.handler == HandlerId::INVALID {
-                stashed // whole payload was stashed
-            } else {
-                Box::new(WireMsg::with_inline(h.handler, args.to_vec(), stashed))
-            }
-        } else if h.handler == codec::H_MARKER {
-            let mut acur = codec::Cursor::new(args);
-            let marker = match acur.u8()? {
-                0 => FaultMarker::Duplicate,
-                1 => FaultMarker::Truncated,
-                t => {
-                    return Err(DecodeError::BadTag {
-                        what: "fault marker",
-                        tag: t,
-                    })
-                }
-            };
-            Box::new(marker)
-        } else {
-            Box::new(WireMsg::new(h.handler, args.to_vec()))
-        };
-        Ok(Envelope {
-            from,
-            to,
-            class: h.class,
-            bytes: h.modeled_bytes as usize,
-            causal: h.causal,
-            payload,
-        })
-    }
-
-    /// Decode a frame body (everything after the length prefix) and deliver
-    /// its envelope(s) into the inner transport.
-    fn deliver_frame(&self, buf: &[u8]) -> Result<(), DecodeError> {
-        let mut cur = codec::Cursor::new(buf);
-        let fh = codec::read_frame_header(&mut cur)?;
-        let (from, to) = (PlaceId(fh.from), PlaceId(fh.to));
+    /// Validate a frame body (everything after the length prefix) and
+    /// deliver it into the inner transport: a batch frame as one envelope
+    /// that owns the body, a lone frame's message as an envelope of its own.
+    fn deliver_frame(&self, body: Vec<u8>) -> Result<(), DecodeError> {
         // Only the self connection has side lists: `out[me]` exists only in
         // self-loop mode.
-        let mut side = FrameParts {
-            queue: self.out[self.me].as_deref(),
-            parts: None,
-        };
-        if fh.flags & codec::FRAME_FLAG_BATCH != 0 {
-            let mut envs = Vec::with_capacity(fh.count as usize);
-            for _ in 0..fh.count {
-                envs.push(self.decode_one(&mut cur, from, to, &mut side)?);
-            }
-            cur.finish()?;
-            side.finish()?;
-            // Sends to a dead place black-hole, exactly like LocalTransport.
-            let _ = self.inner.send(Envelope::batch(from, to, envs));
-        } else {
-            for _ in 0..fh.count {
-                let env = self.decode_one(&mut cur, from, to, &mut side)?;
-                let _ = self.inner.send(env);
-            }
-            cur.finish()?;
-            side.finish()?;
+        let queue = self.out[self.me].as_deref();
+        let mut frame = Frame::parse(body, || queue?.pending.lock().sides.pop_front())?;
+        let (from, to) = (PlaceId(frame.header().from), PlaceId(frame.header().to));
+        // Sends to a dead place black-hole, exactly like LocalTransport.
+        if frame.header().flags & codec::FRAME_FLAG_BATCH != 0 {
+            let _ = self.inner.send(frame.into_envelope());
+            return Ok(());
+        }
+        for m in frame.msgs() {
+            let (class, bytes, causal) = (m.class, m.bytes, m.causal);
+            let payload = m.into_payload();
+            let _ = self.inner.send(Envelope {
+                from,
+                to,
+                class,
+                bytes,
+                causal,
+                payload,
+            });
         }
         Ok(())
     }
@@ -476,7 +413,6 @@ impl Core {
     /// Reader loop for one peer connection: length-prefixed frames until EOF.
     fn reader_loop(&self, mut stream: TcpStream) {
         let mut len_buf = [0u8; 4];
-        let mut frame = Vec::new();
         loop {
             if let Err(e) = stream.read_exact(&mut len_buf) {
                 if !self.closing.load(Ordering::Acquire)
@@ -491,12 +427,12 @@ impl Core {
                 eprintln!("[x10rt::tcp] dropping connection: insane frame length {len}");
                 return;
             }
-            frame.clear();
-            frame.resize(len, 0);
-            if stream.read_exact(&mut frame).is_err() {
+            // A buffer per frame: a batch frame's is handed over with it.
+            let mut body = vec![0u8; len];
+            if stream.read_exact(&mut body).is_err() {
                 return;
             }
-            if let Err(e) = self.deliver_frame(&frame) {
+            if let Err(e) = self.deliver_frame(body) {
                 // A decode failure mid-stream means framing is lost for
                 // good: drop the connection rather than deliver garbage.
                 eprintln!("[x10rt::tcp] dropping connection: {e}");
@@ -734,6 +670,10 @@ impl TcpTransport {
         let core = core_mut;
         for (j, conn) in conns.into_iter().enumerate() {
             let Some((stream, _)) = conn else { continue };
+            // A frame is already a whole coalesced batch: Nagle's algorithm
+            // would hold it back until the previous one is acknowledged,
+            // and a delayed ACK makes that tens of milliseconds.
+            stream.set_nodelay(true)?;
             let q = core.out[j].as_ref().expect("queue built above").clone();
             let wstream = stream.try_clone()?;
             streams.push(stream.try_clone()?);
@@ -923,6 +863,7 @@ impl Drop for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::FrameMsg;
     use crate::message::{MsgClass, HEADER_BYTES};
     use std::sync::atomic::AtomicU64;
 
@@ -947,6 +888,13 @@ mod tests {
             out: vec![None, None],
             closing: AtomicBool::new(false),
         }
+    }
+
+    /// The batch delivered next at `place`, as the frame it arrived in.
+    fn recv_frame(t: &TcpTransport, place: PlaceId) -> Box<Frame> {
+        let env = recv_blocking(t, place);
+        assert_eq!(env.class, MsgClass::Batch);
+        env.payload.downcast::<Frame>().expect("a batch frame")
     }
 
     fn recv_blocking(t: &TcpTransport, place: PlaceId) -> Envelope {
@@ -1037,11 +985,12 @@ mod tests {
         let got = recv_blocking(&t, PlaceId(1));
         assert_eq!(got.class, MsgClass::Batch);
         assert_eq!(got.bytes, batch_bytes, "modeled batch size survives");
-        let envs = got.unbatch().expect("still a batch");
-        assert_eq!(envs.len(), 5);
-        for (i, e) in envs.into_iter().enumerate() {
-            let w = e.payload.downcast::<WireMsg>().unwrap();
-            assert_eq!(w.handler, HandlerId(2000 + i as u32));
+        let mut frame = got.payload.downcast::<Frame>().expect("still a batch");
+        assert_eq!(frame.len(), 5);
+        let msgs: Vec<_> = frame.msgs().map(|m| (m.handler, m.args.to_vec())).collect();
+        assert_eq!(msgs.len(), 5);
+        for (i, (handler, args)) in msgs.into_iter().enumerate() {
+            assert_eq!((handler, args), (HandlerId(2000 + i as u32), vec![i as u8]));
         }
     }
 
@@ -1266,12 +1215,9 @@ mod tests {
         let t = TcpTransport::self_loop(2).expect("self loop");
         let n = drops();
         t.send(mixed_batch(2, &n)).unwrap();
-        let got = recv_blocking(&t, PlaceId(1))
-            .unbatch()
-            .expect("still a batch");
-        let tags: Vec<u64> = got
-            .into_iter()
-            .map(|e| match e.payload.downcast::<Tally>() {
+        let tags: Vec<u64> = recv_frame(&t, PlaceId(1))
+            .msgs()
+            .map(|m| match m.into_payload().downcast::<Tally>() {
                 Ok(v) => v.1,
                 Err(p) => *p.downcast::<u64>().unwrap(),
             })
@@ -1303,7 +1249,7 @@ mod tests {
             };
             Envelope::new(PlaceId(0), PlaceId(1), MsgClass::Task, 8, payload)
         };
-        let check = |i: u32, e: Envelope| match e.payload.downcast::<WireMsg>() {
+        let check = |i: u32, p: Payload| match p.downcast::<WireMsg>() {
             Ok(w) => {
                 assert_eq!(
                     (w.handler, w.args.clone()),
@@ -1324,14 +1270,15 @@ mod tests {
             t.send(msg(1)).unwrap();
             t.send(Envelope::batch(PlaceId(0), PlaceId(1), vec![msg(3)]))
                 .unwrap();
-            let envs = recv_blocking(&t, PlaceId(1)).unbatch().expect("a batch");
-            assert_eq!(envs.len(), 10, "round {round}");
-            for (i, e) in envs.into_iter().enumerate() {
-                check(i as u32, e);
+            let mut frame = recv_frame(&t, PlaceId(1));
+            let msgs: Vec<Payload> = frame.msgs().map(FrameMsg::into_payload).collect();
+            assert_eq!(msgs.len(), 10, "round {round}");
+            for (i, p) in msgs.into_iter().enumerate() {
+                check(i as u32, p);
             }
-            check(1, recv_blocking(&t, PlaceId(1)));
-            let envs = recv_blocking(&t, PlaceId(1)).unbatch().expect("a batch");
-            check(3, envs.into_iter().next().unwrap());
+            check(1, recv_blocking(&t, PlaceId(1)).payload);
+            let mut frame = recv_frame(&t, PlaceId(1));
+            check(3, frame.msgs().next().unwrap().into_payload());
         }
         let q = t.core.out[0].as_ref().expect("self queue");
         assert!(q.pending.lock().sides.is_empty(), "side lists left behind");
@@ -1379,25 +1326,79 @@ mod tests {
         let list = |n: usize| (0..n).map(|i| Box::new(i) as Payload).collect();
         queue.push(Vec::new(), list(1));
         assert_eq!(
-            core.deliver_frame(&stash_frame(&[true, false, true])),
+            core.deliver_frame(stash_frame(&[true, false, true])),
             Err(DecodeError::StashMismatch)
         );
         queue.push(Vec::new(), list(3));
         assert_eq!(
-            core.deliver_frame(&stash_frame(&[true, true])),
+            core.deliver_frame(stash_frame(&[true, true])),
             Err(DecodeError::StashMismatch)
         );
         // The FIFO is empty now: a flagged frame finds no list.
         assert_eq!(
-            core.deliver_frame(&stash_frame(&[false, true])),
+            core.deliver_frame(stash_frame(&[false, true])),
             Err(DecodeError::StashMismatch)
         );
         // A connection to a peer process has no side lists at all.
         assert_eq!(
-            proc0_of_two().deliver_frame(&stash_frame(&[true])),
+            proc0_of_two().deliver_frame(stash_frame(&[true])),
             Err(DecodeError::StashMismatch)
         );
-        assert_eq!(core.deliver_frame(&stash_frame(&[false, false])), Ok(()));
+        assert_eq!(core.deliver_frame(stash_frame(&[false, false])), Ok(()));
+    }
+
+    /// A batch frame whose last message's arguments run past the frame's
+    /// end delivers none of its messages, and the reader drops the
+    /// connection: a good frame written behind it is never delivered.
+    #[test]
+    fn truncated_batch_delivers_nothing_and_drops_the_connection() {
+        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let procs: Vec<ProcSpec> = [&l0, &l1]
+            .iter()
+            .enumerate()
+            .map(|(rank, l)| ProcSpec {
+                addr: l.local_addr().unwrap().to_string(),
+                place_start: rank as u32,
+                place_count: 1,
+            })
+            .collect();
+        // Rank 1 is played by hand: it answers the handshake and then
+        // writes raw frames.
+        let peer = std::thread::spawn(move || {
+            let (mut s, _) = l1.accept().unwrap();
+            let mut buf = [0u8; codec::HANDSHAKE_BYTES];
+            s.read_exact(&mut buf).unwrap();
+            let hs = codec::decode_handshake(&buf).unwrap();
+            let reply = Handshake {
+                version: hs.version,
+                proc_id: 1,
+                place_start: 1,
+                place_count: 1,
+                total_places: 2,
+            };
+            s.write_all(&codec::encode_handshake(&reply)).unwrap();
+            s
+        });
+        let t0 = TcpTransport::connect_with_listener(TcpConfig::new(procs, 0), l0).unwrap();
+        let mut s = peer.join().unwrap();
+        let encoder = proc0_of_two();
+        let msg = |h: u32| wire_env(1, 0, h, vec![1, 2, 3, 4]);
+        let batch = Envelope::batch(PlaceId(1), PlaceId(0), (0..3).map(msg).collect());
+        let (mut bad, _) = encoder.encode_frame(batch).unwrap();
+        // Cut two argument bytes off the last message, keeping the length
+        // prefix true to the bytes that follow it.
+        bad.truncate(bad.len() - 2);
+        let len = (bad.len() - 4) as u32;
+        bad[..4].copy_from_slice(&len.to_le_bytes());
+        let (good, _) = encoder.encode_frame(msg(7)).unwrap();
+        s.write_all(&[bad, good].concat()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !t0.readers.lock().iter().all(|h| h.is_finished()) {
+            assert!(Instant::now() < deadline, "the reader kept the connection");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(t0.try_recv(PlaceId(0)).is_none(), "a message was delivered");
     }
 
     /// A frame longer than the peer's limit fails at the encoder, sized

@@ -1,30 +1,53 @@
-//! Pins the TCP encoder's allocations to a constant per frame.
+//! Pins the TCP transport's allocations to a constant per frame, at both
+//! ends of the socket.
 //!
-//! A counting global allocator wraps the system allocator and counts only
-//! while the test thread has it armed. On a warm self-loop transport,
-//! encoding and queueing a 64-message batch whose every message carries a
-//! non-serializable part must allocate the frame buffer and the frame's
-//! side list, and nothing per message: the arguments are written straight
-//! into the frame, which is sized once from the batch, and the parts move
-//! onto one side list sized from the batch.
+//! A counting global allocator wraps the system allocator. On a warm
+//! self-loop transport, encoding and queueing a 64-message batch whose
+//! every message carries a non-serializable part must allocate the frame
+//! buffer and the frame's side list, and nothing per message: the
+//! arguments are written straight into the frame, which is sized once from
+//! the batch, and the parts move onto one side list sized from the batch.
+//! Those are counted on the test thread, while it has the count armed.
+//! Reading and delivering the frame must allocate the body buffer and the
+//! frame's box, and nothing per message: the delivered batch is the frame
+//! itself, read message by message out of its bytes. Those are counted on
+//! the transport's reader thread, while the measured frames are in flight.
 //!
 //! This file is its own test binary because it installs a
 //! `#[global_allocator]`; keep it to a single `#[test]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-use x10rt::{Envelope, HandlerId, MsgClass, Payload, PlaceId, TcpTransport, Transport, WireMsg};
+use x10rt::{
+    Envelope, Frame, HandlerId, MsgClass, Payload, PlaceId, TcpTransport, Transport, WireMsg,
+};
 
 struct CountingAlloc;
 
-// Thread-local, const-initialized flag: only the test thread's
-// allocations count, not the transport's writer and reader threads'.
+// Thread-local, const-initialized flags: `ARMED` counts the test thread's
+// allocations; `READER` says whether this thread is the transport's reader
+// (`None` until first asked).
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
+    static READER: Cell<Option<bool>> = const { Cell::new(None) };
 }
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static READER_ARMED: AtomicBool = AtomicBool::new(false);
+static READER_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// Is this thread the self connection's reader? Asked once per thread:
+/// the first ask stores "no" before it reads the thread's name, so an
+/// allocation made while reading it does not ask again.
+fn on_reader_thread(reader: &Cell<Option<bool>>) -> bool {
+    reader.get().unwrap_or_else(|| {
+        reader.set(Some(false));
+        let named = std::thread::current().name() == Some("tcp-reader-0");
+        reader.set(Some(named));
+        named
+    })
+}
 
 fn count_if_armed() {
     let _ = ARMED.try_with(|armed| {
@@ -32,6 +55,13 @@ fn count_if_armed() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
     });
+    if READER_ARMED.load(Ordering::Relaxed) {
+        let _ = READER.try_with(|reader| {
+            if on_reader_thread(reader) {
+                READER_ALLOCS.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -57,6 +87,8 @@ const MSGS: usize = 64;
 const FRAMES: u64 = 32;
 /// The frame buffer and its side list.
 const ALLOCS_PER_FRAME: u64 = 2;
+/// The body buffer and the frame's box.
+const READER_ALLOCS_PER_FRAME: u64 = 2;
 
 /// A batch of `MSGS` byte-codec messages from place 0 to place 1, each with
 /// a boxed part that cannot go into the bytes (a closure body, say).
@@ -71,7 +103,8 @@ fn batch() -> Envelope {
     Envelope::batch(PlaceId(0), PlaceId(1), envs)
 }
 
-/// Wait for the batch sent last and check that every part came back.
+/// Wait for the batch sent last and check that every message and part
+/// came back, reading the frame it arrived in.
 fn recv(t: &TcpTransport) {
     let deadline = Instant::now() + Duration::from_secs(10);
     let env = loop {
@@ -81,13 +114,20 @@ fn recv(t: &TcpTransport) {
         assert!(Instant::now() < deadline, "no delivery within 10s");
         std::thread::yield_now();
     };
-    let envs = env.unbatch().expect("a batch");
-    assert_eq!(envs.len(), MSGS);
-    for (i, e) in envs.into_iter().enumerate() {
-        let w = e.payload.downcast::<WireMsg>().expect("a wire message");
-        let part = w.inline.expect("its part").downcast::<u64>().unwrap();
+    assert_eq!(env.class, MsgClass::Batch);
+    let mut frame = env.payload.downcast::<Frame>().expect("a batch frame");
+    assert_eq!(frame.len(), MSGS);
+    let mut seen = 0;
+    for (i, m) in frame.msgs().enumerate() {
+        assert_eq!(
+            (m.handler, m.args),
+            (HandlerId(2000), &(i as u64).to_le_bytes()[..])
+        );
+        let part = m.part.expect("its part").downcast::<u64>().unwrap();
         assert_eq!(*part, i as u64);
+        seen += 1;
     }
+    assert_eq!(seen, MSGS);
 }
 
 #[test]
@@ -99,6 +139,10 @@ fn a_tcp_frame_allocates_a_constant_number_of_times() {
         t.send(batch()).unwrap();
         recv(&t);
     }
+    // The reader is blocked on the socket between frames, so what it
+    // allocates while armed is what reading and delivering the measured
+    // frames cost.
+    READER_ARMED.store(true, Ordering::Relaxed);
     for _ in 0..FRAMES {
         let env = batch();
         ARMED.with(|a| a.set(true));
@@ -106,10 +150,17 @@ fn a_tcp_frame_allocates_a_constant_number_of_times() {
         ARMED.with(|a| a.set(false));
         recv(&t);
     }
+    READER_ARMED.store(false, Ordering::Relaxed);
     let allocs = ALLOCS.load(Ordering::Relaxed);
     assert!(
         allocs <= ALLOCS_PER_FRAME * FRAMES,
-        "{allocs} allocations for {FRAMES} frames of {MSGS} messages \
+        "{allocs} sender allocations for {FRAMES} frames of {MSGS} messages \
          (at most {ALLOCS_PER_FRAME} a frame allowed)"
+    );
+    let reader = READER_ALLOCS.load(Ordering::Relaxed);
+    assert!(
+        reader <= READER_ALLOCS_PER_FRAME * FRAMES,
+        "{reader} reader allocations for {FRAMES} frames of {MSGS} messages \
+         (at most {READER_ALLOCS_PER_FRAME} a frame allowed)"
     );
 }
