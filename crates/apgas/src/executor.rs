@@ -30,10 +30,14 @@
 //! pops it next; there is no per-executor queue and no affinity.
 //!
 //! Wakes come from outside the context: deliveries from other places and
-//! submissions from outside the runtime. A place's own worker enqueues
-//! without waking — the queue is its own, and it pops it before it can
-//! park — so a running context is marked Woken only by another place's
-//! traffic, never by its own local spawns.
+//! submissions from outside the runtime. A delivery wakes through the
+//! transport waker that the runtime registers in `connect`, which calls
+//! [`Executor::wake_place`] directly: the transport fires it once per
+//! mailbox lane that turns ready, and the context state is the only
+//! debounce. A place's own worker enqueues without waking — the queue is
+//! its own, and it pops it before it can park — so a running context is
+//! marked Woken only by another place's traffic, never by its own local
+//! spawns.
 //!
 //! An executor that finds the queue empty waits on the condvar for at most
 //! [`PARK_TIMEOUT`]. A wait that times out (the pool's `resweep`) wakes
@@ -491,6 +495,103 @@ mod tests {
             );
         }
         for h in wakers.into_iter().chain(executors) {
+            h.join().unwrap();
+        }
+    }
+
+    /// The transport's wake reaches a parked context with no timer to
+    /// rescue it: 8 contexts on 2 executors, an hour-long resweep, each
+    /// context draining its own place of a `LocalTransport` (a few
+    /// envelopes a sweep) and yielding when a sweep comes back empty. The
+    /// waker the transport fires on a lane's ready edge is `wake_slot`,
+    /// nothing else. Two outside threads send bursts from places of their
+    /// own and wait for each round to be drained, so most rounds find every
+    /// context idle.
+    #[test]
+    fn transport_wake_rouses_a_parked_context() {
+        use x10rt::{Envelope, LocalTransport, MsgClass, PlaceId, Transport};
+        const CONTEXTS: usize = 8;
+        const ROUNDS: u64 = 2_000;
+        let burst = |round: u64| 1 + round % 5;
+        let per_place = 2 * (0..ROUNDS).map(burst).sum::<u64>();
+        let t = Arc::new(LocalTransport::new(CONTEXTS + 2));
+        let sent: Arc<Vec<AtomicU64>> =
+            Arc::new((0..CONTEXTS).map(|_| AtomicU64::new(0)).collect());
+        let got: Arc<Vec<AtomicU64>> = Arc::new((0..CONTEXTS).map(|_| AtomicU64::new(0)).collect());
+        let contexts = (0..CONTEXTS).map(|i| {
+            let (t, got) = (t.clone(), got.clone());
+            let body = move || {
+                let mut out = Vec::new();
+                while got[i].load(Ordering::SeqCst) < per_place {
+                    let n = t.try_recv_batch(PlaceId(i as u32), 3, &mut out);
+                    out.clear();
+                    got[i].fetch_add(n as u64, Ordering::SeqCst);
+                    if n == 0 {
+                        crate::context::yield_now();
+                    }
+                }
+            };
+            PlaceContext::new(crate::context::MIN_STACK, Box::new(body))
+        });
+        let resweep = Duration::from_secs(3600);
+        let pool = Arc::new(ExecutorPool::new(contexts.collect(), resweep, None));
+        for i in 0..CONTEXTS {
+            let pool = Arc::downgrade(&pool);
+            let waker = move || {
+                if let Some(pool) = pool.upgrade() {
+                    pool.wake_slot(i);
+                }
+            };
+            t.register_waker(PlaceId(i as u32), Arc::new(waker));
+        }
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let executors: Vec<_> = (0..2)
+            .map(|who| {
+                let (pool, done) = (pool.clone(), done_tx.clone());
+                std::thread::spawn(move || {
+                    pool.run_executor(who);
+                    let _ = done.send(());
+                })
+            })
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let senders: Vec<_> = (0..2u32)
+            .map(|w| {
+                let (t, sent, got) = (t.clone(), sent.clone(), got.clone());
+                std::thread::spawn(move || {
+                    let from = PlaceId((CONTEXTS as u32) + w);
+                    for round in 0..ROUNDS {
+                        for i in 0..CONTEXTS {
+                            for _ in 0..burst(round) {
+                                sent[i].fetch_add(1, Ordering::SeqCst);
+                                let to = PlaceId(i as u32);
+                                let env = Envelope::new(from, to, MsgClass::Task, 8, Box::new(()));
+                                t.send(env).unwrap();
+                            }
+                        }
+                        let drained = |i: usize| {
+                            got[i].load(Ordering::SeqCst) >= sent[i].load(Ordering::SeqCst)
+                        };
+                        // A stranded round ends the sends, so no later
+                        // edge on the same lane can rescue it.
+                        while !(0..CONTEXTS).all(drained) {
+                            if Instant::now() > deadline {
+                                return;
+                            }
+                            std::thread::yield_now();
+                        }
+                    }
+                })
+            })
+            .collect();
+        for _ in 0..2 {
+            let left = deadline.saturating_duration_since(Instant::now());
+            assert!(
+                done_rx.recv_timeout(left).is_ok(),
+                "a wake was lost: the run did not finish without the resweep"
+            );
+        }
+        for h in senders.into_iter().chain(executors) {
             h.join().unwrap();
         }
     }

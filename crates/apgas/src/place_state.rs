@@ -12,6 +12,7 @@ use crate::task::Task;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use x10rt::transport::Waker;
 use x10rt::PlaceId;
 
 /// A schedulable activity: its cell (body plus termination-detection
@@ -67,8 +68,9 @@ pub struct PlaceState {
     pub dense_pending: AtomicBool,
     /// Routes this place's wake-ups to its slot in the executor
     /// (`Executor::wake_place`). Installed once at runtime construction,
-    /// before any worker runs; unset for places this process does not host.
-    pub waker: std::sync::OnceLock<Box<dyn Fn() + Send + Sync>>,
+    /// before any worker runs, as the same waker the transport fires on a
+    /// delivery; unset for places this process does not host.
+    pub waker: std::sync::OnceLock<Waker>,
     /// Activities of this place currently paused inside a `Ctx::probe`
     /// pump. Maintained only in deterministic mode: a probing activity has
     /// application work to continue even when every queue is empty, and the

@@ -16,6 +16,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use x10rt::codec::{self, WireMsg};
+use x10rt::transport::Waker;
 use x10rt::{
     CongruentAllocator, Envelope, FaultCounts, FaultTransport, LocalTransport, MsgClass, NetStats,
     PlaceId, SegmentTable, Topology, Transport,
@@ -238,10 +239,6 @@ impl Runtime {
         let places: Vec<Arc<PlaceState>> = (0..cfg.places)
             .map(|i| Arc::new(PlaceState::new(PlaceId(i as u32))))
             .collect();
-        for p in &places {
-            let ps = p.clone();
-            transport.register_waker(p.id, Arc::new(move || ps.wake()));
-        }
         let seg_table = Arc::new(SegmentTable::new());
         let step_gate = if cfg.deterministic {
             Some(Arc::new(StepGate::new()))
@@ -279,12 +276,16 @@ impl Runtime {
             g.cfg.executor_threads,
             g.obs.as_ref().map(|o| &o.metrics),
             |executor| {
-                // Submissions, deliveries and shutdown all funnel through
-                // `PlaceState::wake`; a step-gate grant wakes the granted
-                // place, whose worker polls the gate between parks.
+                // One waker per hosted place, straight into its executor
+                // slot: the transport fires it on a delivery, and
+                // submissions and shutdown through `PlaceState::wake`. A
+                // step-gate grant wakes the granted place, whose worker
+                // polls the gate between parks.
                 for i in hosted {
                     let ex = executor.clone();
-                    let _ = g.places[i].waker.set(Box::new(move || ex.wake_place(i)));
+                    let waker: Waker = Arc::new(move || ex.wake_place(i));
+                    let _ = g.places[i].waker.set(waker.clone());
+                    g.transport.register_waker(PlaceId(i as u32), waker);
                 }
                 if let Some(gate) = &g.step_gate {
                     let ex = executor.clone();

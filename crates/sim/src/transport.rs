@@ -21,10 +21,11 @@
 //!   the n-th envelope of a class) used to prove the fuzzer has teeth.
 
 use crate::rng::SplitMix64;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::OnceLock;
 use x10rt::transport::Waker;
 use x10rt::{Envelope, MsgClass, NetStats, PlaceId, SendError, Transport};
 
@@ -119,7 +120,8 @@ pub struct SimTransport {
     state: Mutex<SimState>,
     mailboxes: Vec<Mutex<VecDeque<Envelope>>>,
     closed: Vec<AtomicBool>,
-    wakers: RwLock<Vec<Option<Waker>>>,
+    /// Each place's waker, set once.
+    waker: Vec<OnceLock<Waker>>,
     stats: NetStats,
     /// Virtual clock: one tick per schedule action.
     now: AtomicU64,
@@ -141,7 +143,7 @@ impl SimTransport {
             }),
             mailboxes: (0..places).map(|_| Mutex::new(VecDeque::new())).collect(),
             closed: (0..places).map(|_| AtomicBool::new(false)).collect(),
-            wakers: RwLock::new(vec![None; places]),
+            waker: (0..places).map(|_| OnceLock::new()).collect(),
             stats: NetStats::new(places),
             now: AtomicU64::new(0),
         }
@@ -212,8 +214,7 @@ impl SimTransport {
         });
         drop(s);
         self.mailboxes[to].lock().push_back(env);
-        let waker = self.wakers.read()[to].clone();
-        if let Some(w) = waker {
+        if let Some(w) = self.waker[to].get() {
             w();
         }
         true
@@ -322,7 +323,7 @@ impl Transport for SimTransport {
     }
 
     fn register_waker(&self, place: PlaceId, waker: Waker) {
-        self.wakers.write()[place.index()] = Some(waker);
+        let _ = self.waker[place.index()].set(waker);
     }
 
     fn stats(&self) -> &NetStats {

@@ -61,25 +61,23 @@
 //! pays for a burst once per doubling and an idle pair costs one small
 //! array.
 //!
-//! # Waker debouncing
+//! # Wakes
 //!
-//! Only the sender that queued a lane wakes the destination, and through a
-//! per-destination `notified` flag: it fires the waker only on the
-//! false→true edge of an `AcqRel` swap, so a burst across several lanes
-//! still costs one wake. The *receiver* re-arms the flag when a sweep
-//! leaves budget unused — also with a `swap` — and then re-checks the
-//! ready list's length. The two swaps on the same flag are totally
-//! ordered, and RMWs extend release sequences, so either the sender's swap
-//! observes the re-arm (and fires) or the receiver's re-arm acquires the
-//! sender's append (and the re-check sees it). Spurious wakes are possible;
-//! lost wakes are not. An idle worker's park is bounded by the runtime's
-//! `executor::PARK_TIMEOUT` (200 µs), so even a misused waker costs a
-//! delay, not a hang.
+//! The lane's `queued` edge is the only wake: the send whose swap moves it
+//! false→true, and so appends the lane to the ready list, fires the
+//! destination's waker; no other send does. A burst on one lane therefore
+//! wakes once, and a burst across several lanes once per lane — debouncing
+//! those is the scheduler's job, not the transport's. No wake is lost: a
+//! send that read `true` has its message drained by the sweep that clears
+//! the flag (see above), and a lane the budget cut short stays queued, so
+//! the receiver, which got a full budget, sweeps again without a wake.
+//! Each destination's waker is set once, before traffic, and invoked with
+//! no lock held, so it may re-enter the transport.
 
 use crate::hash::IntMap;
 use crate::message::{Envelope, MsgClass};
 use crate::place::PlaceId;
-use crate::ring::{spin_lock, SpscRing, DEFAULT_RING_CAPACITY};
+use crate::ring::{SpscRing, DEFAULT_RING_CAPACITY};
 use crate::stats::NetStats;
 use obs::metrics::{Counter, MetricsRegistry};
 use parking_lot::{Mutex, RwLock};
@@ -87,8 +85,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// A callback invoked when a message arrives for a place, used to unpark its
-/// worker thread(s).
+/// A callback invoked when a message arrives for a place, used to wake its
+/// worker.
 pub type Waker = Arc<dyn Fn() + Send + Sync>;
 
 /// A failed send: a place at one end of it is dead — the destination's
@@ -152,9 +150,10 @@ pub trait Transport: Send + Sync {
         n
     }
 
-    /// Register a waker invoked when a message is enqueued for `place`.
-    /// Implementations may debounce: a burst of sends while the place has
-    /// not yet drained its queue may fire the waker only once.
+    /// Register the waker invoked when a message is enqueued for `place`.
+    /// Once per place, before traffic: a second registration is ignored.
+    /// Implementations may debounce: sends that find `place`'s queue
+    /// already ready may fire no wake.
     fn register_waker(&self, place: PlaceId, waker: Waker);
 
     /// Shared statistics counters.
@@ -163,8 +162,8 @@ pub trait Transport: Send + Sync {
     /// Number of places this transport connects.
     fn num_places(&self) -> usize;
 
-    /// Number of messages currently queued for `place` (diagnostics and the
-    /// scheduler's pre-park re-check).
+    /// Number of messages currently queued for `place` (status reports,
+    /// the schedule controller's enabled-step check, tests).
     fn queue_len(&self, place: PlaceId) -> usize;
 
     /// The lanes `from` has opened to other places and the slot bytes they
@@ -214,34 +213,30 @@ type LaneRow = RwLock<IntMap<u32, Arc<Lane>>>;
 /// Per-destination receive state, cache-line isolated from its neighbours.
 #[repr(align(64))]
 struct RecvState {
-    /// Waker debounce: true while the place has been notified of pending
-    /// traffic and has not yet drained to empty.
-    notified: AtomicBool,
+    /// Fired by the send that queues a lane (module docs). Set once.
+    waker: OnceLock<Waker>,
     /// Set when the place is killed: the lanes are purged, receive paths
     /// return nothing, and sends fail with [`SendError`].
     closed: AtomicBool,
-    /// Consumer spin guard: serializes sweeps (and the kill-time purge) so
-    /// each destination's lanes see one consumer.
-    sweep_guard: AtomicBool,
     /// Lanes holding messages, appended by the sender that queued them.
     ready: Mutex<ReadyList>,
-    /// Mirror of `ready`'s length, for the re-arm re-check.
+    /// Mirror of `ready`'s length, so an empty poll takes no lock.
     ready_len: AtomicUsize,
     /// The list a sweep is working through, swapped with `ready` so both
-    /// buffers keep their capacity. Locked only under `sweep_guard`.
+    /// buffers keep their capacity. Held for the whole sweep: it serializes
+    /// sweeps and the kill-time purge, so each lane sees one consumer.
     draining: Mutex<ReadyList>,
 }
 
 /// In-process transport: a growable lock-free SPSC ring lane per (sender,
-/// receiver) pair, per-destination ready lists, debounced wakers and bulk
-/// sweep drain.
+/// receiver) pair, per-destination ready lists, a wake per lane ready edge
+/// and bulk sweep drain.
 pub struct LocalTransport {
     places: usize,
     ring_capacity: usize,
     /// Row `s` holds sender `s`'s lanes.
     lanes: Box<[LaneRow]>,
     recv: Box<[RecvState]>,
-    wakers: RwLock<Vec<Option<Waker>>>,
     stats: NetStats,
     /// Observability mirror of the ring-growth counter (sharded by sender),
     /// set once by [`Transport::wire_obs`].
@@ -264,9 +259,8 @@ impl LocalTransport {
         assert!(places > 0);
         let recv = (0..places)
             .map(|_| RecvState {
-                notified: AtomicBool::new(false),
+                waker: OnceLock::new(),
                 closed: AtomicBool::new(false),
-                sweep_guard: AtomicBool::new(false),
                 ready: Mutex::new(VecDeque::new()),
                 ready_len: AtomicUsize::new(0),
                 draining: Mutex::new(VecDeque::new()),
@@ -277,7 +271,6 @@ impl LocalTransport {
             ring_capacity: ring_capacity.next_power_of_two().max(2),
             lanes: (0..places).map(|_| RwLock::default()).collect(),
             recv,
-            wakers: RwLock::new(vec![None; places]),
             stats: NetStats::new(places),
             growth_obs: OnceLock::new(),
             lanes_obs: OnceLock::new(),
@@ -327,7 +320,7 @@ impl LocalTransport {
     /// Enqueue `env` on its lane's ring (counting a growth), then queue the
     /// lane on the destination's ready list if this push won the `queued`
     /// edge. Returns whether it did — the caller then owes the destination
-    /// a wake.
+    /// its one wake.
     fn push_lane(&self, env: Envelope) -> bool {
         let (from, to) = (env.from.0, env.to.index());
         self.with_lane(env.from.index(), env.to.0, |lane| {
@@ -349,24 +342,9 @@ impl LocalTransport {
         })
     }
 
-    /// Fire `to`'s waker on the false→true edge of its debounce flag. The
-    /// `AcqRel` swap pairs with the receiver's re-arm swap (see the module
-    /// docs for why this cannot lose a wakeup).
-    fn wake(&self, to: usize) {
-        if !self.recv[to].notified.swap(true, Ordering::AcqRel) {
-            // Clone the waker out and drop the read guard *before* invoking:
-            // the waker may re-enter the transport (e.g. register_waker needs
-            // the write lock), which deadlocks if invoked under the guard.
-            let waker = self.wakers.read()[to].clone();
-            if let Some(w) = waker {
-                w();
-            }
-        }
-    }
-
     /// One pass over destination `r`'s ready lanes, in the order they became
     /// ready: take the whole list under one lock, then clear each lane's
-    /// `queued` flag and drain it. Caller holds the sweep guard.
+    /// `queued` flag and drain it, all under the `draining` lock.
     ///
     /// A lane cut short by the budget goes to the back of the list, behind
     /// the other ready lanes — or, with `resume`, to the front, so that
@@ -374,8 +352,8 @@ impl LocalTransport {
     /// alternating senders message by message.
     fn sweep(&self, r: usize, budget: usize, out: &mut Vec<Envelope>, resume: bool) -> usize {
         let rs = &self.recv[r];
-        // Nothing ready: no lock. A lane queued after this load is left to
-        // the re-arm re-check, as one queued after the take would be.
+        // Nothing ready: no lock. A lane queued after this load wakes the
+        // receiver, as one queued after the take would.
         if rs.ready_len.load(Ordering::Acquire) == 0 {
             return 0;
         }
@@ -412,42 +390,13 @@ impl LocalTransport {
         total
     }
 
-    /// Re-arm the debounce for `r` and re-check the ready list. Returns true
-    /// when the race was lost to a concurrent sender — a lane was queued
-    /// around the re-arm — and the caller should sweep again.
-    fn rearm_and_recheck(&self, r: usize) -> bool {
-        let rs = &self.recv[r];
-        // Must be a swap (RMW), not a plain store: reading the senders' swap
-        // chain is what acquires their ready-list appends for the re-check.
-        rs.notified.swap(false, Ordering::AcqRel);
-        if rs.ready_len.load(Ordering::Acquire) == 0 {
-            return false;
-        }
-        // Reclaim the notification — we are about to consume the message.
-        rs.notified.swap(true, Ordering::AcqRel);
-        true
-    }
-
-    /// Receive up to `max` envelopes for `r` (see [`Self::sweep`] for
-    /// `resume`), re-arming the debounce when a sweep leaves budget unused.
+    /// Receive up to `max` envelopes for `r`: one sweep (see [`Self::sweep`]
+    /// for `resume`), nothing once the place is dead.
     fn recv(&self, r: usize, max: usize, out: &mut Vec<Envelope>, resume: bool) -> usize {
-        let rs = &self.recv[r];
-        if rs.closed.load(Ordering::Acquire) {
+        if self.recv[r].closed.load(Ordering::Acquire) {
             return 0;
         }
-        let _guard = spin_lock(&rs.sweep_guard);
-        let mut total = 0;
-        loop {
-            total += self.sweep(r, max - total, out, resume);
-            if total >= max {
-                return total;
-            }
-            // Every ready lane drained: re-arm the debounce; keep draining
-            // if a sender raced the re-arm.
-            if !self.rearm_and_recheck(r) {
-                return total;
-            }
-        }
+        self.sweep(r, max, out, resume)
     }
 }
 
@@ -461,7 +410,9 @@ impl Transport for LocalTransport {
         }
         self.record(&env);
         if self.push_lane(env) {
-            self.wake(to);
+            if let Some(w) = self.recv[to].waker.get() {
+                w();
+            }
         }
         Ok(())
     }
@@ -477,7 +428,7 @@ impl Transport for LocalTransport {
     }
 
     fn register_waker(&self, place: PlaceId, waker: Waker) {
-        self.wakers.write()[place.index()] = Some(waker);
+        let _ = self.recv[place.index()].waker.set(waker);
     }
 
     fn stats(&self) -> &NetStats {
@@ -523,14 +474,16 @@ impl Transport for LocalTransport {
 
     fn kill_place(&self, place: PlaceId) {
         let r = place.index();
-        // Order matters: close first, then purge under the sweep guard, so
-        // a concurrent send either observed `closed` (and failed) or landed
-        // before the purge (and is destroyed with the rest). A straggler
+        // Order matters: close first, then purge, so a concurrent send
+        // either observed `closed` (and failed) or landed before the purge
+        // (and is destroyed with the rest). A straggler
         // that slips a message in after the purge is harmless: every
         // receive path gates on `closed`, so it is never delivered, and it
         // is freed when the transport drops.
         self.recv[r].closed.store(true, Ordering::Release);
-        let _guard = spin_lock(&self.recv[r].sweep_guard);
+        // Wait out a sweep in flight: it may put back a lane it cut short
+        // after the purge's first look at the empty list.
+        drop(self.recv[r].draining.lock());
         let mut sink = Vec::new();
         while self.sweep(r, usize::MAX, &mut sink, false) > 0 {
             sink.clear();
@@ -630,26 +583,28 @@ mod tests {
                 h.fetch_add(1, Ordering::SeqCst);
             }),
         );
-        // A burst of sends with no drain in between fires the waker once.
+        // A burst on one lane wakes once: only the send that queues it.
         t.send(env(0, 1, 0)).unwrap();
         t.send(env(0, 1, 1)).unwrap();
         assert_eq!(hits.load(Ordering::SeqCst), 1);
-        // Draining to empty re-arms the debounce ...
-        assert!(t.try_recv(PlaceId(1)).is_some());
-        assert!(t.try_recv(PlaceId(1)).is_some());
-        assert!(t.try_recv(PlaceId(1)).is_none());
-        // ... so the next burst fires it again, even on a lane created
-        // after the previous drain cycle.
+        // The first send on a second lane queues that lane and wakes again,
+        // with nothing drained in between.
         t.send(env(2, 1, 2)).unwrap();
+        t.send(env(2, 1, 3)).unwrap();
         assert_eq!(hits.load(Ordering::SeqCst), 2);
+        // A sweep clears both lanes' edges, so the next send wakes again.
+        let mut out = Vec::new();
+        assert_eq!(t.try_recv_batch(PlaceId(1), usize::MAX, &mut out), 4);
+        t.send(env(0, 1, 4)).unwrap();
+        assert_eq!(hits.load(Ordering::SeqCst), 3);
         assert!(t.try_recv(PlaceId(1)).is_some());
     }
 
     #[test]
     fn waker_may_reenter_transport() {
-        // Regression test: the waker used to be invoked while the `wakers`
-        // read guard was held, so a waker touching the transport (here:
-        // re-registering itself, which takes the write lock) deadlocked.
+        // The waker is invoked with no lock held, so a waker that touches
+        // the transport (here: registering another waker) cannot deadlock.
+        // That second registration is ignored: the first waker stays.
         let t = Arc::new(LocalTransport::new(2));
         let hits = Arc::new(AtomicUsize::new(0));
         let (t2, h) = (t.clone(), hits.clone());
@@ -661,13 +616,16 @@ mod tests {
                 t2.register_waker(
                     PlaceId(1),
                     Arc::new(move || {
-                        h2.fetch_add(1, Ordering::SeqCst);
+                        h2.fetch_add(100, Ordering::SeqCst);
                     }),
                 );
             }),
         );
         t.send(env(0, 1, 0)).unwrap();
         assert_eq!(hits.load(Ordering::SeqCst), 1);
+        assert!(t.try_recv(PlaceId(1)).is_some());
+        t.send(env(0, 1, 1)).unwrap();
+        assert_eq!(hits.load(Ordering::SeqCst), 2, "the first waker stays");
     }
 
     #[test]
@@ -904,7 +862,8 @@ mod tests {
                 }
                 *woken = false;
             }
-            // Sweep until one leaves budget unused: only that re-arms.
+            // Sweep until one leaves budget unused: a lane the budget cut
+            // short stays queued, and its next send wakes nobody.
             while t.try_recv_batch(PlaceId(1), 3, &mut out) == 3 {}
             for e in out.drain(..) {
                 assert_eq!(*e.payload.downcast::<u64>().unwrap(), next);

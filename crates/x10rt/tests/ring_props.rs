@@ -2,7 +2,7 @@
 //! tiny first arrays so wraparound and growth — linking a larger array and
 //! freeing the drained one, which a lane that keeps up never does — are hit
 //! constantly. These mirror the invariants `transport_props.rs` checks at
-//! the default capacity: per-pair FIFO, conservation, and waker-debounce
+//! the default capacity: per-pair FIFO, conservation, and lane-edge wake
 //! liveness.
 
 use proptest::prelude::*;
@@ -134,12 +134,12 @@ proptest! {
 }
 
 /// The waker-liveness harness from `transport_props.rs`, re-run over lanes
-/// whose first array has 2 slots: the empty→non-empty edge, the re-arm
-/// race and the receiver crossing links all interleave under 4 producer
-/// threads, each on a lane of its own and one shared by two. A lost wakeup
-/// fails the 5-second condvar timeout.
+/// whose first array has 2 slots: the lanes' ready edges and the receiver
+/// crossing links all interleave under 4 producer threads, each on a lane
+/// of its own and one shared by two. A lost wakeup fails the 5-second
+/// condvar timeout.
 #[test]
-fn debounced_waker_survives_growth() {
+fn lane_edge_wake_survives_growth() {
     use parking_lot::{Condvar, Mutex};
     use std::time::Duration;
 

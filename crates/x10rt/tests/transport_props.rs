@@ -1,6 +1,6 @@
 //! Property-based tests of the transport invariants the finish protocols
 //! depend on: per-pair FIFO under arbitrary interleavings (scalar, bulk and
-//! coalesced paths), conservation of messages, waker-debounce liveness, and
+//! coalesced paths), conservation of messages, lane-edge wake liveness, and
 //! congruent-allocation symmetry.
 
 use proptest::prelude::*;
@@ -243,13 +243,13 @@ proptest! {
     }
 }
 
-/// Stress the waker-debounce protocol: a consumer that parks on a condition
-/// variable exactly the way the scheduler does (waker sets a flag under the
-/// mutex; the consumer re-checks the queue before sleeping) must never miss
-/// a wakeup, even with many producers hammering the same mailbox. A lost
-/// wakeup shows up as a 5-second condvar timeout, which fails the test.
+/// Stress the lane-edge wake: a consumer that parks on a condition variable
+/// (waker sets a flag under the mutex; the consumer re-checks the queue
+/// before sleeping) must never miss a wakeup, even with many producers
+/// hammering the same mailbox. A lost wakeup shows up as a 5-second condvar
+/// timeout, which fails the test.
 #[test]
-fn debounced_waker_never_loses_a_wakeup() {
+fn lane_edge_wake_never_loses_a_wakeup() {
     use parking_lot::{Condvar, Mutex};
     use std::time::Duration;
 
