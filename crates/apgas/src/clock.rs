@@ -13,7 +13,7 @@
 
 use crate::ctx::Ctx;
 use crate::worker::Worker;
-use x10rt::{Envelope, IntMap, MsgClass, PlaceId};
+use x10rt::{IntMap, MsgClass, PlaceId};
 
 /// A clock handle (cheap to clone and capture in spawned closures).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -167,8 +167,7 @@ fn local_phase(w: &Worker, id: u64, home: PlaceId) -> u64 {
 
 fn send(w: &Worker, to: PlaceId, msg: ClockMsg) {
     // Same 16 modeled bytes in either codec mode (see `PROTOCOL.md`).
-    let payload = crate::wire::to_payload(w.g.cfg.codec, msg);
-    w.send_env(Envelope::new(w.here, to, MsgClass::Clock, 16, payload));
+    w.send_msg(to, MsgClass::Clock, 16, msg, None);
 }
 
 fn home_arrive(w: &Worker, id: u64) {

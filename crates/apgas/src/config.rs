@@ -112,7 +112,7 @@ pub struct Config {
     /// [`x10rt::CodecMode::Inline`] — the default — ships typed in-process
     /// boxes (the zero-serialization fast path `LocalTransport` has always
     /// used); [`x10rt::CodecMode::Bytes`] eagerly serializes every protocol
-    /// message into a [`x10rt::WireMsg`] at the send site — mandatory for
+    /// message into its destination's frame at the send site — mandatory for
     /// cross-process transports, available in-process for testing the codec
     /// path. Both modes charge identical modeled byte counts.
     pub codec: x10rt::CodecMode,

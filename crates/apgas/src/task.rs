@@ -10,14 +10,18 @@
 //! Closures of up to [`INLINE_BYTES`] (and no stricter alignment than a
 //! `u64`) are stored inline; larger or over-aligned ones are boxed inside
 //! the cell. The cell itself is a plain value: a local spawn moves it into
-//! the run queue (`Activity::task`), and a remote spawn under
-//! `CodecMode::Inline` hands it to the coalescer, which carries it by value
-//! in an inline slot of the batch it rides in (`x10rt::InlineSlot`); the
-//! receiver moves it from the slot into its run queue. So a batched spawn
-//! allocates nothing. The cell gets a box of its own only when it travels
-//! alone: a spawn flushed by itself, and the inline part of its `WireMsg`
-//! under `CodecMode::Bytes`. Keeping emptied boxes on a per-worker freelist
-//! was measured and left out (EXPERIMENTS.md, "One cell per activity").
+//! the run queue (`Activity::task`), and a remote spawn hands it to the
+//! coalescer, which carries it by value in an inline slot
+//! (`x10rt::InlineSlot`): beside its envelope in the batch it rides in
+//! under `CodecMode::Inline`, or on the side list of its frame under
+//! `CodecMode::Bytes`, where the attach is also written into the frame as
+//! bytes. The receiver moves it from the slot into its run queue. So a
+//! batched spawn allocates nothing in either codec. Under the inline codec
+//! the cell gets a box of its own when it travels alone (a spawn flushed by
+//! itself); under the byte codec a lone spawn's cell stays in its frame's
+//! slot, but over a socket the lone frame is delivered boxed. Keeping
+//! emptied boxes on a per-worker freelist was measured and left out
+//! (EXPERIMENTS.md, "One cell per activity").
 //!
 //! All of the crate's type-erasure `unsafe` lives in this module. The
 //! invariant every block relies on: `vtable` is `Some(v)` exactly when

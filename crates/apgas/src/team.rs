@@ -16,7 +16,7 @@
 use crate::ctx::Ctx;
 use std::any::Any;
 use std::sync::Arc;
-use x10rt::{Envelope, IntMap, MsgClass, PlaceId};
+use x10rt::{IntMap, MsgClass, PlaceId};
 
 /// Reduction operators for the numeric convenience wrappers.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -208,14 +208,7 @@ impl Team {
         // Same modeled `bytes` in either codec mode; `Bytes` serializes the
         // wire-supported data types and ships anything else as an inline
         // part (see `PROTOCOL.md` §4.3).
-        let payload = crate::wire::to_payload(ctx.worker().g.cfg.codec, msg);
-        ctx.worker().send_env(Envelope::new(
-            ctx.here(),
-            dst,
-            MsgClass::Team,
-            bytes,
-            payload,
-        ));
+        ctx.worker().send_msg(dst, MsgClass::Team, bytes, msg, None);
     }
 
     fn recv(&self, ctx: &Ctx, seq: u64, round: u32, src_rank: usize) -> Box<dyn Any + Send> {

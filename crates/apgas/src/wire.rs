@@ -4,17 +4,19 @@
 //! Each runtime handler id has one message type: `Task` (`H_SPAWN`),
 //! [`FinishMsg`] (`H_FINISH`), [`TeamWire`] (`H_TEAM`), [`ClockMsg`]
 //! (`H_CLOCK`) and [`ObsMsg`] (`H_OBS`). A message travels in one of two
-//! forms: typed under [`CodecMode::Inline`], or a [`WireMsg`] — the
-//! handler id plus argument bytes, encoded by the functions here — under
-//! [`CodecMode::Bytes`]. Every boxed send makes that choice in
-//! `to_payload`, and the receiving worker dispatches both forms by
-//! handler id: a `WireMsg` names its handler, a typed box is named by its
-//! type (both looked up in this module), a message of a batch frame that
-//! came over a socket names it in its header (`Incoming`), and the
-//! handler decodes only what arrived encoded. The one typed message that is not always boxed is a
-//! spawn's `Task` cell: the worker's spawn path hands it to the coalescer
-//! by value, and it rides inline in its batch (`x10rt::InlineSlot`)
-//! unless it leaves alone.
+//! forms: typed under [`x10rt::CodecMode::Inline`], or serialized — the handler id
+//! plus argument bytes, encoded by the functions here — under
+//! [`x10rt::CodecMode::Bytes`]. The worker's send path makes that choice: a
+//! typed message is boxed (a spawn's `Task` cell rides by value in an
+//! inline slot of its batch instead, `x10rt::InlineSlot`), and a
+//! serialized one is written straight into its destination's frame
+//! (`Wire::encode_into`, `x10rt::Coalescer::send_encoded`), the part
+//! that cannot go into bytes moving onto the frame's side list by value.
+//! The receiving worker dispatches every form by handler id: a message of
+//! a frame names it in its header (`Incoming::Bytes`), a typed box by its
+//! type and a boxed [`WireMsg`] (the form of a message sent past the
+//! coalescer) by its own field (both looked up in this module), and the
+//! handler decodes only what arrived encoded.
 //!
 //! Every encoding is little-endian and self-contained: no lengths or types
 //! are inferred from context, so truncated or corrupt bytes surface as typed
@@ -32,7 +34,7 @@ use x10rt::codec::{
     put_str, put_u32, put_u64, Cursor, DecodeError, HandlerId, WireMsg, H_CLOCK, H_FINISH, H_OBS,
     H_SPAWN, H_TEAM,
 };
-use x10rt::{CodecMode, Payload, PlaceId};
+use x10rt::{InlineSlot, Payload, PlaceId};
 
 // ---------------------------------------------------------------------------
 // Typed or encoded: one codec choice, one handler lookup
@@ -43,11 +45,24 @@ use x10rt::{CodecMode, Payload, PlaceId};
 pub(crate) trait Wire: Sized + Send + 'static {
     /// The handler this message dispatches under.
     const HANDLER: HandlerId;
-    /// Serialize into a [`WireMsg`] for [`Wire::HANDLER`].
-    fn encode(self) -> WireMsg;
-    /// Decode the argument bytes, and the non-serializable part when one
-    /// came along, of a message addressed to [`Wire::HANDLER`].
-    fn decode(args: &[u8], inline: Option<Payload>) -> Result<Self, DecodeError>;
+    /// Append the argument bytes for [`Wire::HANDLER`] to `out`, and return
+    /// the part that cannot go into bytes, if any: a spawn's cell in the
+    /// slot itself, any other part boxed ([`InlineSlot::from_payload`]).
+    fn encode_into(self, out: &mut Vec<u8>) -> Option<InlineSlot>;
+    /// Decode the argument bytes, and the part when one came along, of a
+    /// message addressed to [`Wire::HANDLER`].
+    fn decode(args: &[u8], part: Option<InlineSlot>) -> Result<Self, DecodeError>;
+    /// Serialize into a [`WireMsg`]: the form of a message sent boxed, past
+    /// every coalescer.
+    fn encode(self) -> WireMsg {
+        let mut args = Vec::new();
+        let part = self.encode_into(&mut args);
+        WireMsg {
+            handler: Self::HANDLER,
+            args,
+            inline: part.map(InlineSlot::into_payload),
+        }
+    }
     /// The typed form as a payload.
     fn boxed(self) -> Payload {
         Box::new(self)
@@ -55,16 +70,6 @@ pub(crate) trait Wire: Sized + Send + 'static {
     /// The typed form back out of a payload, or the payload untouched.
     fn unboxed(p: Payload) -> Result<Self, Payload> {
         p.downcast().map(|b| *b)
-    }
-}
-
-/// The payload a send ships: `msg` typed under [`CodecMode::Inline`],
-/// encoded under [`CodecMode::Bytes`]. Both forms charge the same modeled
-/// bytes, so ledgers and cost oracles do not depend on the mode.
-pub(crate) fn to_payload<M: Wire>(codec: CodecMode, msg: M) -> Payload {
-    match codec {
-        CodecMode::Inline => msg.boxed(),
-        CodecMode::Bytes => Box::new(msg.encode()),
     }
 }
 
@@ -89,19 +94,20 @@ pub(crate) fn handler_of(p: &Payload) -> Option<HandlerId> {
 pub(crate) fn from_payload<M: Wire>(p: Payload) -> Result<M, DecodeError> {
     match M::unboxed(p).map_err(|p| p.downcast::<WireMsg>()) {
         Ok(m) => Ok(m),
-        Err(Ok(w)) => M::decode(&w.args, w.inline),
+        Err(Ok(w)) => M::decode(&w.args, w.inline.map(InlineSlot::from_payload)),
         Err(Err(_)) => Err(DecodeError::UnknownHandler(M::HANDLER.0)),
     }
 }
 
 /// An incoming message in either form a worker receives it: a payload of
-/// its own, or the argument bytes of a received frame's message with the
-/// part its frame's side list held for it (`x10rt::Frame`).
+/// its own, or the argument bytes of a frame's message with the part its
+/// frame's side list held for it (`x10rt::Frame`). The part is borrowed,
+/// so the message stays a few words wide on the dispatch path.
 pub(crate) enum Incoming<'a> {
     /// A payload [`handler_of`] names.
     Boxed(Payload),
-    /// Argument bytes and a part.
-    Bytes(&'a [u8], Option<Payload>),
+    /// Argument bytes and a part, which the decode takes.
+    Bytes(&'a [u8], &'a mut Option<InlineSlot>),
 }
 
 impl Incoming<'_> {
@@ -109,26 +115,27 @@ impl Incoming<'_> {
     pub(crate) fn decode<M: Wire>(self) -> Result<M, DecodeError> {
         match self {
             Incoming::Boxed(p) => from_payload(p),
-            Incoming::Bytes(args, part) => M::decode(args, part),
+            Incoming::Bytes(args, part) => M::decode(args, part.take()),
         }
     }
 }
 
 impl Wire for Task {
     const HANDLER: HandlerId = H_SPAWN;
-    fn encode(self) -> WireMsg {
-        WireMsg::with_inline(H_SPAWN, encode_spawn_closure(&self.attach), Box::new(self))
+    fn encode_into(self, out: &mut Vec<u8>) -> Option<InlineSlot> {
+        put_spawn_closure(out, &self.attach);
+        Some(InlineSlot::new(self).unwrap_or_else(|t| InlineSlot::from_payload(Box::new(t))))
     }
-    fn decode(args: &[u8], inline: Option<Payload>) -> Result<Self, DecodeError> {
+    fn decode(args: &[u8], part: Option<InlineSlot>) -> Result<Self, DecodeError> {
         let (attach, body) = decode_spawn(args)?;
         let mut task = match body {
-            SpawnWireBody::Closure => inline
-                .and_then(|p| p.downcast().ok())
-                .map(|t: Box<Task>| *t)
-                .ok_or(DecodeError::BadTag {
-                    what: "closure spawn without its inline cell",
-                    tag: SPAWN_BODY_CLOSURE,
-                })?,
+            SpawnWireBody::Closure => {
+                part.and_then(|p| p.take_or_unbox::<Task>().ok())
+                    .ok_or(DecodeError::BadTag {
+                        what: "closure spawn without its inline cell",
+                        tag: SPAWN_BODY_CLOSURE,
+                    })?
+            }
             SpawnWireBody::Cmd { handler, args } => SpawnBody::Cmd { handler, args }.into_task(),
         };
         task.attach = attach;
@@ -138,43 +145,46 @@ impl Wire for Task {
 
 impl Wire for FinishMsg {
     const HANDLER: HandlerId = H_FINISH;
-    fn encode(self) -> WireMsg {
-        WireMsg::new(H_FINISH, encode_finish_msg(&self))
+    fn encode_into(self, out: &mut Vec<u8>) -> Option<InlineSlot> {
+        put_finish_msg(out, &self);
+        None
     }
-    fn decode(args: &[u8], _: Option<Payload>) -> Result<Self, DecodeError> {
+    fn decode(args: &[u8], _: Option<InlineSlot>) -> Result<Self, DecodeError> {
         decode_finish_msg(args)
     }
 }
 
 impl Wire for TeamWire {
     const HANDLER: HandlerId = H_TEAM;
-    fn encode(self) -> WireMsg {
-        match encode_team_wire(self) {
-            (args, TeamData::Encoded) => WireMsg::new(H_TEAM, args),
-            (args, TeamData::Opaque(d)) => WireMsg::with_inline(H_TEAM, args, d),
+    fn encode_into(self, out: &mut Vec<u8>) -> Option<InlineSlot> {
+        match put_team_wire(out, self) {
+            TeamData::Encoded => None,
+            TeamData::Opaque(d) => Some(InlineSlot::from_payload(d)),
         }
     }
-    fn decode(args: &[u8], inline: Option<Payload>) -> Result<Self, DecodeError> {
-        decode_team_wire(args, inline)
+    fn decode(args: &[u8], part: Option<InlineSlot>) -> Result<Self, DecodeError> {
+        decode_team_wire(args, part.map(InlineSlot::into_payload))
     }
 }
 
 impl Wire for ClockMsg {
     const HANDLER: HandlerId = H_CLOCK;
-    fn encode(self) -> WireMsg {
-        WireMsg::new(H_CLOCK, encode_clock_msg(&self))
+    fn encode_into(self, out: &mut Vec<u8>) -> Option<InlineSlot> {
+        put_clock_msg(out, &self);
+        None
     }
-    fn decode(args: &[u8], _: Option<Payload>) -> Result<Self, DecodeError> {
+    fn decode(args: &[u8], _: Option<InlineSlot>) -> Result<Self, DecodeError> {
         decode_clock_msg(args)
     }
 }
 
 impl Wire for ObsMsg {
     const HANDLER: HandlerId = H_OBS;
-    fn encode(self) -> WireMsg {
-        WireMsg::new(H_OBS, encode_obs_msg(&self))
+    fn encode_into(self, out: &mut Vec<u8>) -> Option<InlineSlot> {
+        put_obs_msg(out, &self);
+        None
     }
-    fn decode(args: &[u8], _: Option<Payload>) -> Result<Self, DecodeError> {
+    fn decode(args: &[u8], _: Option<InlineSlot>) -> Result<Self, DecodeError> {
         decode_obs_msg(args)
     }
 }
@@ -328,16 +338,22 @@ fn read_strings(cur: &mut Cursor<'_>) -> Result<Vec<String>, DecodeError> {
 /// Encode a [`FinishMsg`] into `H_FINISH` argument bytes.
 pub fn encode_finish_msg(msg: &FinishMsg) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
+    put_finish_msg(&mut out, msg);
+    out
+}
+
+/// Append the `H_FINISH` argument bytes of a [`FinishMsg`].
+pub fn put_finish_msg(out: &mut Vec<u8>, msg: &FinishMsg) {
     match msg {
         FinishMsg::Flush { fin, deltas } => {
             out.push(0);
-            put_finish_ref(&mut out, fin);
-            put_deltas(&mut out, deltas);
+            put_finish_ref(out, fin);
+            put_deltas(out, deltas);
         }
         FinishMsg::DenseHop { fin, deltas } => {
             out.push(1);
-            put_finish_ref(&mut out, fin);
-            put_deltas(&mut out, deltas);
+            put_finish_ref(out, fin);
+            put_deltas(out, deltas);
         }
         FinishMsg::Done {
             fin,
@@ -345,42 +361,41 @@ pub fn encode_finish_msg(msg: &FinishMsg) -> Vec<u8> {
             panics,
         } => {
             out.push(2);
-            put_finish_ref(&mut out, fin);
-            put_u64(&mut out, *completions);
-            put_strings(&mut out, panics);
+            put_finish_ref(out, fin);
+            put_u64(out, *completions);
+            put_strings(out, panics);
         }
         FinishMsg::CreditReturn { fin, weight, panic } => {
             out.push(3);
-            put_finish_ref(&mut out, fin);
-            put_u64(&mut out, *weight);
+            put_finish_ref(out, fin);
+            put_u64(out, *weight);
             match panic {
                 None => out.push(0),
                 Some(p) => {
                     out.push(1);
-                    put_str(&mut out, p);
+                    put_str(out, p);
                 }
             }
         }
         FinishMsg::BackupSync { fin, snapshot } => {
             out.push(4);
-            put_finish_ref(&mut out, fin);
-            put_u64(&mut out, snapshot.nonzero);
-            put_u64(&mut out, snapshot.pending);
+            put_finish_ref(out, fin);
+            put_u64(out, snapshot.nonzero);
+            put_u64(out, snapshot.pending);
         }
         FinishMsg::BackupRelease { fin } => {
             out.push(5);
-            put_finish_ref(&mut out, fin);
+            put_finish_ref(out, fin);
         }
         FinishMsg::CmdLog { fin, cmd } => {
             out.push(6);
-            put_finish_ref(&mut out, fin);
-            put_u64(&mut out, cmd.id);
-            put_u32(&mut out, cmd.dest);
-            put_u32(&mut out, cmd.handler);
-            x10rt::codec::put_bytes(&mut out, &cmd.args);
+            put_finish_ref(out, fin);
+            put_u64(out, cmd.id);
+            put_u32(out, cmd.dest);
+            put_u32(out, cmd.handler);
+            x10rt::codec::put_bytes(out, &cmd.args);
         }
     }
-    out
 }
 
 /// Decode `H_FINISH` argument bytes back into a [`FinishMsg`].
@@ -449,26 +464,24 @@ pub fn decode_finish_msg(args: &[u8]) -> Result<FinishMsg, DecodeError> {
 // ClockMsg  (handler H_CLOCK)
 // ---------------------------------------------------------------------------
 
-/// Encode a [`ClockMsg`] into `H_CLOCK` argument bytes.
-pub fn encode_clock_msg(msg: &ClockMsg) -> Vec<u8> {
-    let mut out = Vec::with_capacity(17);
+/// Append the `H_CLOCK` argument bytes of a [`ClockMsg`].
+pub fn put_clock_msg(out: &mut Vec<u8>, msg: &ClockMsg) {
     match msg {
         ClockMsg::Arrive { id } => {
             out.push(0);
-            put_u64(&mut out, *id);
+            put_u64(out, *id);
         }
         ClockMsg::Drop { id, place } => {
             out.push(1);
-            put_u64(&mut out, *id);
-            put_u32(&mut out, *place);
+            put_u64(out, *id);
+            put_u32(out, *place);
         }
         ClockMsg::Resume { id, phase } => {
             out.push(2);
-            put_u64(&mut out, *id);
-            put_u64(&mut out, *phase);
+            put_u64(out, *id);
+            put_u64(out, *phase);
         }
     }
-    out
 }
 
 /// Decode `H_CLOCK` argument bytes back into a [`ClockMsg`].
@@ -510,27 +523,26 @@ pub enum TeamData {
     Opaque(Box<dyn Any + Send>),
 }
 
-/// Encode a [`TeamWire`] header plus its data (when the data is one of the
-/// wire-supported types) into `H_TEAM` argument bytes. Returns the bytes and
-/// what happened to the data.
-pub fn encode_team_wire(msg: TeamWire) -> (Vec<u8>, TeamData) {
-    let mut out = Vec::with_capacity(32);
-    put_u64(&mut out, msg.team);
-    put_u64(&mut out, msg.seq);
-    put_u32(&mut out, msg.round);
-    put_u32(&mut out, msg.src_rank);
+/// Append the `H_TEAM` argument bytes of a [`TeamWire`]: its header plus
+/// its data when the data is one of the wire-supported types. Returns what
+/// happened to the data.
+pub fn put_team_wire(out: &mut Vec<u8>, msg: TeamWire) -> TeamData {
+    put_u64(out, msg.team);
+    put_u64(out, msg.seq);
+    put_u32(out, msg.round);
+    put_u32(out, msg.src_rank);
     let data = msg.data;
     // Tag table: see PROTOCOL.md §4.3. Checked in declaration order; the
     // first match wins.
     if data.downcast_ref::<()>().is_some() {
         out.push(0);
-        return (out, TeamData::Encoded);
+        return TeamData::Encoded;
     }
-    match encode_team_data(&mut out, data) {
-        Ok(()) => (out, TeamData::Encoded),
+    match encode_team_data(out, data) {
+        Ok(()) => TeamData::Encoded,
         Err(d) => {
             out.push(255);
-            (out, TeamData::Opaque(d))
+            TeamData::Opaque(d)
         }
     }
 }
@@ -667,29 +679,40 @@ pub fn decode_team_wire(
 // ---------------------------------------------------------------------------
 
 /// Body tag inside `H_SPAWN` args: the activity body is an in-process
-/// closure riding the envelope's inline part.
+/// closure riding as the message's part.
 pub const SPAWN_BODY_CLOSURE: u8 = 0;
 /// Body tag inside `H_SPAWN` args: the activity body is a registered
 /// command — a handler id plus argument bytes, fully serializable.
 pub const SPAWN_BODY_CMD: u8 = 1;
 
 /// Encode `H_SPAWN` args for a closure-bodied spawn (the closure itself
-/// rides [`x10rt::WireMsg::inline`]).
+/// is the message's part: on its frame's side list, or
+/// [`x10rt::WireMsg::inline`]).
 pub fn encode_spawn_closure(attach: &Attach) -> Vec<u8> {
     let mut out = Vec::with_capacity(32);
-    put_attach(&mut out, attach);
-    out.push(SPAWN_BODY_CLOSURE);
+    put_spawn_closure(&mut out, attach);
     out
+}
+
+/// Append the `H_SPAWN` args of a closure-bodied spawn.
+pub fn put_spawn_closure(out: &mut Vec<u8>, attach: &Attach) {
+    put_attach(out, attach);
+    out.push(SPAWN_BODY_CLOSURE);
 }
 
 /// Encode `H_SPAWN` args for a command-bodied spawn.
 pub fn encode_spawn_cmd(attach: &Attach, handler: HandlerId, args: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(40 + args.len());
-    put_attach(&mut out, attach);
-    out.push(SPAWN_BODY_CMD);
-    put_u32(&mut out, handler.0);
-    x10rt::codec::put_bytes(&mut out, args);
+    put_spawn_cmd(&mut out, attach, handler, args);
     out
+}
+
+/// Append the `H_SPAWN` args of a command-bodied spawn.
+pub fn put_spawn_cmd(out: &mut Vec<u8>, attach: &Attach, handler: HandlerId, args: &[u8]) {
+    put_attach(out, attach);
+    out.push(SPAWN_BODY_CMD);
+    put_u32(out, handler.0);
+    x10rt::codec::put_bytes(out, args);
 }
 
 /// The decoded body description of an `H_SPAWN` message.
@@ -904,35 +927,33 @@ fn read_causal_segments(
     Ok(segs)
 }
 
-/// Encode an [`ObsMsg`] into `H_OBS` argument bytes.
-pub fn encode_obs_msg(msg: &ObsMsg) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
+/// Append the `H_OBS` argument bytes of an [`ObsMsg`].
+pub fn put_obs_msg(out: &mut Vec<u8>, msg: &ObsMsg) {
     match msg {
         ObsMsg::SnapshotRequest { reply_to } => {
             out.push(0);
-            put_u32(&mut out, *reply_to);
+            put_u32(out, *reply_to);
         }
         ObsMsg::Snapshot(snap) => {
             out.push(1);
-            put_u32(&mut out, snap.rank);
-            put_u64(&mut out, snap.now_ns);
-            put_metrics_snapshot(&mut out, &snap.metrics);
-            put_u64(&mut out, snap.trace_dropped);
-            put_u64(&mut out, snap.causal_dropped);
-            put_causal_segments(&mut out, &snap.causal);
+            put_u32(out, snap.rank);
+            put_u64(out, snap.now_ns);
+            put_metrics_snapshot(out, &snap.metrics);
+            put_u64(out, snap.trace_dropped);
+            put_u64(out, snap.causal_dropped);
+            put_causal_segments(out, &snap.causal);
         }
         ObsMsg::StatusRequest { reply_to } => {
             out.push(2);
-            put_u32(&mut out, *reply_to);
+            put_u32(out, *reply_to);
         }
         ObsMsg::Status { rank, text, json } => {
             out.push(3);
-            put_u32(&mut out, *rank);
-            put_str(&mut out, text);
-            put_str(&mut out, json);
+            put_u32(out, *rank);
+            put_str(out, text);
+            put_str(out, json);
         }
     }
-    out
 }
 
 /// Decode `H_OBS` argument bytes back into an [`ObsMsg`].
@@ -980,6 +1001,13 @@ pub fn decode_obs_msg(args: &[u8]) -> Result<ObsMsg, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bytes `put` appends to an empty buffer.
+    fn bytes_of(put: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut out = Vec::new();
+        put(&mut out);
+        out
+    }
 
     fn fin(home: u32, seq: u64, kind: FinishKind) -> FinishRef {
         FinishRef {
@@ -1126,9 +1154,9 @@ mod tests {
             ClockMsg::Resume { id: 10, phase: 55 },
         ];
         for msg in msgs {
-            let bytes = encode_clock_msg(&msg);
+            let bytes = bytes_of(|out| put_clock_msg(out, &msg));
             let back = decode_clock_msg(&bytes).unwrap();
-            assert_eq!(bytes, encode_clock_msg(&back));
+            assert_eq!(bytes, bytes_of(|out| put_clock_msg(out, &back)));
         }
     }
 
@@ -1142,7 +1170,8 @@ mod tests {
                 src_rank: 1,
                 data,
             };
-            let (args, td) = encode_team_wire(msg);
+            let mut args = Vec::new();
+            let td = put_team_wire(&mut args, msg);
             assert!(matches!(td, TeamData::Encoded));
             decode_team_wire(&args, None).unwrap()
         }
@@ -1187,8 +1216,8 @@ mod tests {
             src_rank: 0,
             data: Box::new("a str slice is not a wire type"),
         };
-        let (args, td) = encode_team_wire(msg);
-        let TeamData::Opaque(d) = td else {
+        let mut args = Vec::new();
+        let TeamData::Opaque(d) = put_team_wire(&mut args, msg) else {
             panic!("expected opaque");
         };
         let back = decode_team_wire(&args, Some(d)).unwrap();
@@ -1292,16 +1321,17 @@ mod tests {
             },
         ];
         for msg in msgs {
-            let bytes = encode_obs_msg(&msg);
+            let bytes = bytes_of(|out| put_obs_msg(out, &msg));
             let back = decode_obs_msg(&bytes).unwrap();
             // Compare via re-encoding (the payload types have no PartialEq).
-            assert_eq!(bytes, encode_obs_msg(&back));
+            assert_eq!(bytes, bytes_of(|out| put_obs_msg(out, &back)));
         }
     }
 
     #[test]
     fn obs_snapshot_truncation_is_typed() {
-        let bytes = encode_obs_msg(&ObsMsg::Snapshot(Box::new(sample_rank_obs())));
+        let snap = ObsMsg::Snapshot(Box::new(sample_rank_obs()));
+        let bytes = bytes_of(|out| put_obs_msg(out, &snap));
         for cut in 0..bytes.len() {
             assert!(
                 decode_obs_msg(&bytes[..cut]).is_err(),

@@ -4,9 +4,19 @@
 //! messages headed for the same destination into larger injections,
 //! amortizing per-message software and header overhead. [`Coalescer`] models
 //! that layer: each sending worker owns one coalescer, routes every outgoing
-//! message through [`Coalescer::send`], and the coalescer packs
-//! same-destination runs into a single [`MsgClass::Batch`](crate::MsgClass)
-//! envelope (see [`Envelope::batch`]).
+//! message through it, and the coalescer packs same-destination runs into a
+//! single [`MsgClass::Batch`](crate::MsgClass) envelope.
+//!
+//! What a destination buffer holds depends on the codec
+//! ([`Coalescer::with_codec`]). Under [`CodecMode::Inline`] it is a boxed
+//! [`BatchPayload`] of envelopes, a spawn's activity cell riding by value
+//! in an inline slot beside its envelope ([`Coalescer::send_inline`]).
+//! Under [`CodecMode::Bytes`] it is a [`Frame`] under construction: each
+//! message's header and arguments are written into the frame at send time
+//! ([`Coalescer::send_encoded`]), its non-serializable part moves onto the
+//! frame's side list by value, and the flush hands the transport one
+//! envelope that owns the frame — so a batched message costs no allocation
+//! of its own in either codec.
 //!
 //! # Flush discipline
 //!
@@ -57,6 +67,8 @@
 //! of blocking.
 
 use crate::arena::{ArenaCounts, EnvelopeArena};
+use crate::codec::{CodecMode, HandlerId, FRAME_HEADER_BYTES, MSG_HEADER_BYTES};
+use crate::frame::Frame;
 use crate::hash::IntMap;
 use crate::message::{BatchPayload, Envelope, InlineSlot, Inlined, MsgClass};
 use crate::place::PlaceId;
@@ -70,16 +82,50 @@ pub const DEFAULT_MAX_MSGS: usize = 64;
 /// Default flush threshold: modeled bytes buffered per destination.
 pub const DEFAULT_MAX_BYTES: usize = 16 * 1024;
 
-/// One destination's aggregation buffer. The envelopes (and their inline
-/// values) live directly inside a boxed [`BatchPayload`] taken from the
-/// arena when the first message arrives, so a flush moves the box out as
-/// the batch envelope's payload — no per-message copy, no per-flush
-/// allocation in steady state — and an idle destination holds no box.
+/// Body bytes a frame sent as soon as it is built starts with: room for
+/// one message with small arguments.
+const LONE_FRAME_BYTES: usize = FRAME_HEADER_BYTES + MSG_HEADER_BYTES + 64;
+
+/// The messages one destination buffer holds (see the module docs).
+enum Pending {
+    /// Inline codec: the envelopes, and their inline values, inside a
+    /// boxed batch taken from the arena; a flush moves the box out as the
+    /// batch envelope's payload, with no per-message copy and no per-flush
+    /// allocation in steady state.
+    Batch(Box<BatchPayload>),
+    /// Byte codec: the frame the messages are written into, boxed from
+    /// the start (its box becomes the envelope's payload).
+    Frame(Box<Frame>),
+}
+
+impl Pending {
+    fn len(&self) -> usize {
+        match self {
+            Pending::Batch(b) => b.envs.len(),
+            Pending::Frame(f) => f.len(),
+        }
+    }
+
+    /// Append a boxed envelope, with `val` as its value when its payload
+    /// is the [`Inlined`] marker.
+    fn push(&mut self, env: Envelope, val: Option<InlineSlot>) {
+        match self {
+            Pending::Batch(b) => b.push(env, val),
+            Pending::Frame(f) => f.push_env(env, val),
+        }
+    }
+}
+
+/// One destination's aggregation buffer; an idle destination holds no
+/// batch box or frame.
 #[derive(Default)]
 struct Buf {
     /// `Some` exactly while the buffer holds messages.
-    payload: Option<Box<BatchPayload>>,
+    pending: Option<Pending>,
     bytes: usize,
+    /// Byte codec: the largest body and side list a frame to this
+    /// destination has reached, which the next frame allocates up front.
+    sizes: (usize, usize),
 }
 
 /// Why a destination buffer was drained.
@@ -145,8 +191,11 @@ pub struct Coalescer {
     /// Shared observability counters (mirrored on every drain when wired).
     hooks: Option<FlushHooks>,
     /// Freelist of batch boxes (flushes take from it, the receive path
-    /// recycles into it via [`Coalescer::recycle_batch`]).
+    /// recycles into it via [`Coalescer::recycle_batch`]); the byte codec
+    /// never touches it.
     arena: EnvelopeArena,
+    /// Are destination buffers frames (the byte codec)?
+    frames: bool,
 }
 
 impl Coalescer {
@@ -175,7 +224,16 @@ impl Coalescer {
             counts: FlushCounts::default(),
             hooks: None,
             arena: EnvelopeArena::new(from.0),
+            frames: false,
         }
+    }
+
+    /// Build destination buffers for `codec` (builder style): boxed batches
+    /// under [`CodecMode::Inline`] (the default), frames under
+    /// [`CodecMode::Bytes`].
+    pub fn with_codec(mut self, codec: CodecMode) -> Self {
+        self.frames = codec == CodecMode::Bytes;
+        self
     }
 
     /// Mirror every drain into the shared metrics registry (builder style):
@@ -227,12 +285,14 @@ impl Coalescer {
     /// threshold trips) or pass it straight through when disabled. An error
     /// means the message (or, on a threshold flush, its destination's whole
     /// buffer) could not be delivered — see [`SendError`] for what was lost.
+    /// Under the byte codec the message is encoded into its destination's
+    /// frame ([`Frame::push_env`]), behind what was buffered before it.
     pub fn send(&mut self, transport: &dyn Transport, env: Envelope) -> Result<(), SendError> {
         debug_assert_eq!(env.from, self.from, "coalescer owned by another place");
         if !self.enabled {
             return transport.send(env);
         }
-        self.buffer(transport, env, None)
+        self.buffer(transport, env.to.index(), env.bytes, |p| p.push(env, None))
     }
 
     /// [`Coalescer::send`] of a message whose payload is `value`, built by
@@ -257,9 +317,10 @@ impl Coalescer {
         if !self.enabled {
             return transport.send(boxed(env, value));
         }
+        let (dest, bytes) = (env.to.index(), env.bytes);
         match InlineSlot::new(value) {
-            Ok(slot) => self.buffer(transport, env, Some(slot)),
-            Err(value) => self.buffer(transport, boxed(env, value), None),
+            Ok(slot) => self.buffer(transport, dest, bytes, |p| p.push(env, Some(slot))),
+            Err(value) => self.buffer(transport, dest, bytes, |p| p.push(boxed(env, value), None)),
         }
     }
 
@@ -277,33 +338,85 @@ impl Coalescer {
             "send_now takes a boxed payload"
         );
         let dest = env.to.index();
-        let idle = self.bufs.get(&dest).is_none_or(|b| b.payload.is_none());
-        if !self.enabled || idle {
+        if !self.enabled || self.idle(dest) {
             return transport.send(env);
         }
-        self.buffer(transport, env, None)?;
+        self.buffer(transport, dest, env.bytes, |p| p.push(env, None))?;
         self.flush_dest(transport, dest)
     }
 
-    /// The one buffer-and-threshold path of [`Coalescer::send`],
-    /// [`Coalescer::send_inline`] and [`Coalescer::send_now`]: append `env`
-    /// (and its inline value) to its destination's buffer, then drain the
-    /// buffer if it tripped a threshold.
-    fn buffer(
+    /// Send one message under the byte codec, written straight into its
+    /// destination's frame: `env` (built by [`Envelope::inlined`]) gives
+    /// its route, class, modeled bytes and causal stamp, `handler` the
+    /// handler it dispatches under, and `encode` appends its argument bytes
+    /// to the frame body and returns the part that cannot go into bytes, if
+    /// any, for the frame's side list. With `now` it reaches the transport
+    /// at once, as [`Coalescer::send_now`] does; with aggregation disabled
+    /// it leaves in a frame of its own. Only a coalescer built
+    /// [`with_codec`](Coalescer::with_codec)`(CodecMode::Bytes)` takes it.
+    pub fn send_encoded(
         &mut self,
         transport: &dyn Transport,
         env: Envelope,
-        val: Option<InlineSlot>,
+        handler: HandlerId,
+        now: bool,
+        encode: impl FnOnce(&mut Vec<u8>) -> Option<InlineSlot>,
     ) -> Result<(), SendError> {
-        let dest = env.to.index();
+        debug_assert_eq!(env.from, self.from, "coalescer owned by another place");
+        debug_assert!(self.frames, "send_encoded on an inline-codec coalescer");
+        let Envelope {
+            to,
+            class,
+            bytes,
+            causal,
+            ..
+        } = env;
+        let dest = to.index();
+        if !self.enabled || (now && self.idle(dest)) {
+            let mut frame = Box::new(Frame::new(self.from, to, (LONE_FRAME_BYTES, 1)));
+            frame.push(class, causal, bytes, handler, encode);
+            return transport.send(frame.into_envelope());
+        }
+        self.buffer(transport, dest, bytes, |p| match p {
+            Pending::Frame(f) => f.push(class, causal, bytes, handler, encode),
+            Pending::Batch(_) => unreachable!("send_encoded on an inline-codec coalescer"),
+        })?;
+        if now {
+            self.flush_dest(transport, dest)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Does `dest` have nothing buffered?
+    fn idle(&self, dest: usize) -> bool {
+        self.bufs.get(&dest).is_none_or(|b| b.pending.is_none())
+    }
+
+    /// The one buffer-and-threshold path of every send: append a message
+    /// of `bytes` modeled bytes to `dest`'s buffer with `push`, then drain
+    /// the buffer if it tripped a threshold.
+    fn buffer(
+        &mut self,
+        transport: &dyn Transport,
+        dest: usize,
+        bytes: usize,
+        push: impl FnOnce(&mut Pending),
+    ) -> Result<(), SendError> {
         let buf = self.bufs.entry(dest).or_default();
-        let payload = buf.payload.get_or_insert_with(|| {
+        let sizes = buf.sizes;
+        let pending = buf.pending.get_or_insert_with(|| {
             self.dirty.push(dest);
-            self.arena.take()
+            match self.frames {
+                true => {
+                    Pending::Frame(Box::new(Frame::new(self.from, PlaceId(dest as u32), sizes)))
+                }
+                false => Pending::Batch(self.arena.take()),
+            }
         });
-        buf.bytes += env.bytes;
-        payload.push(env, val);
-        if payload.envs.len() >= self.max_msgs {
+        buf.bytes += bytes;
+        push(pending);
+        if pending.len() >= self.max_msgs {
             self.flush_dest_reason(transport, dest, FlushReason::ThresholdMsgs)
         } else if buf.bytes >= self.max_bytes {
             self.flush_dest_reason(transport, dest, FlushReason::ThresholdBytes)
@@ -313,10 +426,15 @@ impl Coalescer {
     }
 
     /// Take `dest`'s buffered messages out, leaving its buffer empty.
-    fn take_buf(&mut self, dest: usize) -> Option<Box<BatchPayload>> {
+    fn take_buf(&mut self, dest: usize) -> Option<Pending> {
         let buf = self.bufs.get_mut(&dest)?;
         buf.bytes = 0;
-        buf.payload.take()
+        let pending = buf.pending.take();
+        if let Some(Pending::Frame(f)) = &pending {
+            let (body, parts) = f.sizes();
+            buf.sizes = (buf.sizes.0.max(body), buf.sizes.1.max(parts));
+        }
+        pending
     }
 
     /// Drain one destination's buffer onto the transport (an explicit flush
@@ -331,14 +449,14 @@ impl Coalescer {
         dest: usize,
         reason: FlushReason,
     ) -> Result<(), SendError> {
-        let Some(payload) = self.take_buf(dest) else {
+        let Some(pending) = self.take_buf(dest) else {
             return Ok(());
         };
         if let Some(pos) = self.dirty.iter().position(|&d| d == dest) {
             self.dirty.swap_remove(pos);
         }
         self.record_drain(reason);
-        self.emit(transport, PlaceId(dest as u32), payload)
+        self.emit(transport, PlaceId(dest as u32), pending)
     }
 
     /// Drain every non-empty buffer onto the transport. Must run at every
@@ -352,11 +470,11 @@ impl Coalescer {
     pub fn flush(&mut self, transport: &dyn Transport) -> Result<(), SendError> {
         let mut first: Option<SendError> = None;
         while let Some(dest) = self.dirty.pop() {
-            let Some(payload) = self.take_buf(dest) else {
+            let Some(pending) = self.take_buf(dest) else {
                 continue;
             };
             self.record_drain(FlushReason::Explicit);
-            if let Err(e) = self.emit(transport, PlaceId(dest as u32), payload) {
+            if let Err(e) = self.emit(transport, PlaceId(dest as u32), pending) {
                 match &mut first {
                     Some(f) => f.dropped += e.dropped,
                     None => first = Some(e),
@@ -369,35 +487,44 @@ impl Coalescer {
         }
     }
 
-    /// Hand a drained buffer to the transport: a single message goes out as
-    /// itself, its inline value boxed (the transport records it, the
-    /// emptied box is recycled);
-    /// several ship as one batch envelope built *around* the buffer box,
-    /// with the logical counts recorded here before the send and taken back
-    /// if it fails (so messages lost to a dead destination never stay in
-    /// the ledgers).
+    /// Hand a drained buffer to the transport. A single message goes out
+    /// as itself (the transport records it): a batch box's envelope with
+    /// its inline value boxed, the box recycled; a frame as the envelope of
+    /// its lone message. Several ship as one batch envelope built *around*
+    /// the box or the frame, with the logical counts recorded here before
+    /// the send and taken back if it fails (so messages lost to a dead
+    /// destination never stay in the ledgers).
     fn emit(
         &mut self,
         transport: &dyn Transport,
         dest: PlaceId,
-        mut payload: Box<BatchPayload>,
+        pending: Pending,
     ) -> Result<(), SendError> {
-        debug_assert!(!payload.envs.is_empty());
-        if payload.envs.len() == 1 {
-            let env = payload.pop_boxed().expect("len checked");
-            self.arena.recycle(payload);
-            return transport.send(env);
-        }
+        debug_assert_ne!(pending.len(), 0);
         // Every message in a buffer shares (from, to) by construction, so
         // the logical-stats ledger collapses to per-class (count, bytes)
         // sums — a handful of atomic adds per batch instead of four per
         // message.
-        let mut per_class = [(0u64, 0u64); MsgClass::ALL.len()];
-        for e in &payload.envs {
-            let slot = &mut per_class[e.class.index()];
-            slot.0 += 1;
-            slot.1 += e.bytes as u64;
-        }
+        let (per_class, batch) = match pending {
+            Pending::Batch(mut payload) if payload.envs.len() == 1 => {
+                let env = payload.pop_boxed().expect("len checked");
+                self.arena.recycle(payload);
+                return transport.send(env);
+            }
+            Pending::Frame(frame) if frame.len() == 1 => {
+                return transport.send(frame.into_envelope());
+            }
+            Pending::Batch(payload) => {
+                let mut per_class = [(0u64, 0u64); MsgClass::ALL.len()];
+                for e in &payload.envs {
+                    let slot = &mut per_class[e.class.index()];
+                    slot.0 += 1;
+                    slot.1 += e.bytes as u64;
+                }
+                (per_class, Envelope::batch_boxed(self.from, dest, payload))
+            }
+            Pending::Frame(frame) => (frame.class_counts(), frame.into_envelope()),
+        };
         // Count before sending: once the batch is in, the receiver may finish
         // the round and read the stats before this thread runs again. A
         // failed send takes the counts back.
@@ -405,7 +532,7 @@ impl Coalescer {
         for (i, &(count, bytes)) in per_class.iter().enumerate() {
             stats.record_send_many(self.from.0, dest.0, MsgClass::ALL[i], count, bytes);
         }
-        let sent = transport.send(Envelope::batch_boxed(self.from, dest, payload));
+        let sent = transport.send(batch);
         if sent.is_err() {
             for (i, &(count, bytes)) in per_class.iter().enumerate() {
                 stats.unrecord_send_many(self.from.0, dest.0, MsgClass::ALL[i], count, bytes);
@@ -437,8 +564,8 @@ impl Coalescer {
     pub fn pending(&self) -> usize {
         self.dirty
             .iter()
-            .filter_map(|d| self.bufs.get(d)?.payload.as_ref())
-            .map(|p| p.envs.len())
+            .filter_map(|d| self.bufs.get(d)?.pending.as_ref())
+            .map(Pending::len)
             .sum()
     }
 
@@ -932,6 +1059,186 @@ mod tests {
         }
         c.flush(&t).unwrap();
         assert_eq!(t.queue_len(PlaceId(1)), 3, "two full batches and a pair");
+        assert_eq!(count(&n), 0);
+        t.kill_place(PlaceId(1));
+        assert_eq!(count(&n), 10);
+    }
+
+    // -- byte codec: destination buffers are frames ----------------------
+
+    use crate::codec::{CodecMode, HandlerId, WireMsg};
+    use crate::frame::Frame;
+
+    fn frames(places: usize, max_msgs: usize) -> Coalescer {
+        Coalescer::new(PlaceId(0), places, max_msgs, 1 << 20, true).with_codec(CodecMode::Bytes)
+    }
+
+    /// Write message `tag` to `to` into `c`'s frame: the tag as arguments,
+    /// with a `Tally` part when `n` is given.
+    fn encoded(
+        c: &mut Coalescer,
+        t: &dyn Transport,
+        to: u32,
+        tag: u64,
+        n: Option<&std::sync::Arc<std::sync::atomic::AtomicUsize>>,
+        now: bool,
+    ) -> Result<(), SendError> {
+        c.send_encoded(t, inl(to), HandlerId(2000), now, |out| {
+            out.extend_from_slice(&tag.to_le_bytes());
+            n.map(|n| InlineSlot::new(Tally(n.clone(), tag)).unwrap())
+        })
+    }
+
+    /// A received frame's class and, per message, its tag and its part's.
+    type Got = (MsgClass, Vec<(u64, Option<u64>)>);
+
+    /// Drain place `p`, reading every frame: each message's tag and, when
+    /// it has one, its part's tag.
+    fn drain_frames(t: &LocalTransport, p: u32) -> Vec<Got> {
+        let mut got = Vec::new();
+        while let Some(e) = t.try_recv(PlaceId(p)) {
+            let class = e.class;
+            let mut frame = e.payload.downcast::<Frame>().expect("a frame");
+            let msgs = frame
+                .msgs()
+                .map(|m| {
+                    let part = m.part.map(|s| match s.take::<Tally>() {
+                        Ok(v) => v.1,
+                        Err(s) => *s.into_payload().downcast::<u64>().unwrap(),
+                    });
+                    (u64::from_le_bytes(m.args[..8].try_into().unwrap()), part)
+                })
+                .collect();
+            got.push((class, msgs));
+        }
+        got
+    }
+
+    #[test]
+    fn encoded_and_boxed_sends_share_one_frame_in_order() {
+        let t = LocalTransport::new(2);
+        let n = drops();
+        let mut c = frames(2, 64);
+        for i in 0..3u64 {
+            encoded(&mut c, &t, 1, i, Some(&n), false).unwrap();
+            let w = WireMsg::new(HandlerId(2000), (100 + i).to_le_bytes().to_vec());
+            c.send(
+                &t,
+                Envelope::new(PlaceId(0), PlaceId(1), MsgClass::Steal, 8, Box::new(w)),
+            )
+            .unwrap();
+        }
+        assert_eq!(c.pending(), 6);
+        c.flush(&t).unwrap();
+        let got = drain_frames(&t, 1);
+        let want: Vec<(u64, Option<u64>)> = (0..3)
+            .flat_map(|i| [(i, Some(i)), (100 + i, None)])
+            .collect();
+        assert_eq!(got, vec![(MsgClass::Batch, want)]);
+        assert_eq!(count(&n), 3);
+        let s = t.stats();
+        assert_eq!((s.total_messages(), s.total_envelopes()), (6, 1));
+        assert_eq!(s.class(MsgClass::Steal).messages, 3);
+        // The byte codec never takes a batch box from the arena.
+        let a = c.arena_counts();
+        assert_eq!(a.hits + a.misses, 0);
+    }
+
+    #[test]
+    fn frames_charge_what_boxed_batches_charge() {
+        let totals = |bytes: bool| {
+            let t = LocalTransport::new(3);
+            let mut c = match bytes {
+                true => frames(3, 4),
+                false => Coalescer::new(PlaceId(0), 3, 4, 1 << 20, true),
+            };
+            for i in 0..11u64 {
+                let to = 1 + (i % 2) as u32;
+                match bytes {
+                    true => encoded(&mut c, &t, to, i, None, false).unwrap(),
+                    false => c.send(&t, env(to, i)).unwrap(),
+                }
+            }
+            c.flush(&t).unwrap();
+            let s = t.stats();
+            (
+                s.total_messages(),
+                s.total_bytes(),
+                s.total_envelopes(),
+                s.envelope_bytes(),
+                c.flush_counts(),
+            )
+        };
+        assert_eq!(totals(true), totals(false));
+    }
+
+    #[test]
+    fn a_lone_frame_keeps_its_class_and_bytes() {
+        let t = LocalTransport::new(2);
+        let mut c = frames(2, 64);
+        encoded(&mut c, &t, 1, 7, None, false).unwrap();
+        c.flush(&t).unwrap();
+        let got = t.try_recv(PlaceId(1)).unwrap();
+        assert_eq!((got.class, got.bytes), (MsgClass::Task, 8 + HEADER_BYTES));
+        assert_eq!(got.payload.downcast::<Frame>().unwrap().len(), 1);
+        assert_eq!(
+            (t.stats().total_messages(), t.stats().total_envelopes()),
+            (1, 1)
+        );
+    }
+
+    #[test]
+    fn encoded_now_leaves_at_once_behind_what_was_buffered() {
+        let t = LocalTransport::new(3);
+        let mut c = frames(3, 64);
+        encoded(&mut c, &t, 2, 9, None, false).unwrap();
+        encoded(&mut c, &t, 1, 1, None, true).unwrap();
+        // Idle destination: out as a lone frame, no drain counted.
+        assert_eq!(drain_frames(&t, 1), vec![(MsgClass::Task, vec![(1, None)])]);
+        assert_eq!((c.pending(), c.flush_counts().total()), (1, 0));
+        encoded(&mut c, &t, 2, 10, None, true).unwrap();
+        assert_eq!(
+            drain_frames(&t, 2),
+            vec![(MsgClass::Batch, vec![(9, None), (10, None)])]
+        );
+        assert_eq!(c.flush_counts().explicit, 1);
+        let mut off =
+            Coalescer::new(PlaceId(0), 3, 64, 1 << 20, false).with_codec(CodecMode::Bytes);
+        encoded(&mut off, &t, 1, 5, None, false).unwrap();
+        assert_eq!(drain_frames(&t, 1), vec![(MsgClass::Task, vec![(5, None)])]);
+    }
+
+    #[test]
+    fn frame_to_a_dead_place_drops_its_cells_once() {
+        let t = LocalTransport::new(3);
+        let n = drops();
+        let mut c = frames(3, 64);
+        for i in 0..4u64 {
+            encoded(&mut c, &t, 1, i, Some(&n), false).unwrap();
+        }
+        encoded(&mut c, &t, 2, 9, None, false).unwrap();
+        t.kill_place(PlaceId(1));
+        let err = c.flush(&t).unwrap_err();
+        assert_eq!(err, SendError::dead(PlaceId(1), 1));
+        assert_eq!(count(&n), 4, "each unread cell dropped once");
+        assert_eq!(drain_frames(&t, 2), vec![(MsgClass::Task, vec![(9, None)])]);
+        assert_eq!(
+            t.stats().total_messages(),
+            1,
+            "lost messages left the ledgers"
+        );
+    }
+
+    #[test]
+    fn kill_purge_drops_queued_frame_cells_once() {
+        let t = LocalTransport::new(2);
+        let n = drops();
+        let mut c = frames(2, 4);
+        for i in 0..10u64 {
+            encoded(&mut c, &t, 1, i, Some(&n), false).unwrap();
+        }
+        c.flush(&t).unwrap();
+        assert_eq!(t.queue_len(PlaceId(1)), 3, "two full frames and a pair");
         assert_eq!(count(&n), 0);
         t.kill_place(PlaceId(1));
         assert_eq!(count(&n), 10);

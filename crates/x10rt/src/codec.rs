@@ -15,13 +15,16 @@
 //! * **`Inline`** — the historical in-process fast path: payloads stay typed
 //!   boxes (`Box<FinishMsg>`, closures, …) and never touch bytes. This is
 //!   the default; it is what the benchmark ratchet measures.
-//! * **`Bytes`** — every protocol send is eagerly encoded into a
-//!   [`WireMsg`] (handler id + argument bytes) and dispatch goes through the
-//!   receiver's handler registry. Cross-process transports require this
+//! * **`Bytes`** — every protocol send is eagerly encoded (handler id +
+//!   argument bytes) straight into its destination's frame
+//!   ([`crate::Frame`], built by the coalescer) and dispatch goes through
+//!   the receiver's handler registry. Cross-process transports require this
 //!   mode; in-process runs can opt in to pay (and measure) the codec cost.
+//!   A message sent past the coalescer travels as a boxed [`WireMsg`].
 //!
 //! Payloads that are *not* serializable (spawned closures, `Box<dyn Any>`
-//! team data) ride along as [`WireMsg::inline`] — legal in-process, a typed
+//! team data) ride along on their frame's side list (or as
+//! [`WireMsg::inline`]) — legal in-process, a typed
 //! [`EncodeError::NotSerializable`] across a real process boundary. This
 //! mirrors X10 honestly: X10's compiler serializes closure environments;
 //! Rust cannot, so cross-process work ships as registered *commands*
@@ -130,8 +133,10 @@ pub enum CodecMode {
     /// Typed in-process boxes, no serialization (the fast path, default).
     #[default]
     Inline,
-    /// Eagerly encode every protocol message into a [`WireMsg`]; dispatch
-    /// through the handler registry. Required for cross-process transports.
+    /// Eagerly encode every protocol message into its frame: each
+    /// coalescer destination buffer is a [`crate::Frame`] the message is
+    /// written into at send time. Dispatch goes through the handler
+    /// registry. Required for cross-process transports.
     Bytes,
 }
 
@@ -156,8 +161,9 @@ impl CodecMode {
 
 /// A serialized message: a registered handler id plus its argument bytes.
 ///
-/// This is what `CodecMode::Bytes` puts inside every envelope in place of a
-/// typed box. The transport layer can put `handler` + `args` on a real wire
+/// The boxed form of a serialized message: what a message sent past the
+/// coalescer carries (shutdown and observability traffic), and what a
+/// received lone frame is delivered as. The transport layer can put `handler` + `args` on a real wire
 /// verbatim; [`WireMsg::inline`] carries any non-serializable remainder (a
 /// closure body, `Box<dyn Any>` team data) that can only travel in-process.
 pub struct WireMsg {

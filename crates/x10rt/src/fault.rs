@@ -352,20 +352,27 @@ impl FaultTransport {
     }
 
     /// Tally the protocol-visible messages destroyed with `env` by a drop
-    /// or truncation: the envelope's own class, or — for a batch — the
-    /// class of every coalesced message inside it. Pure counting, **no
+    /// or truncation: the envelope's own class, or — for a batch, boxed or
+    /// a frame — the class of every coalesced message inside it. Pure counting, **no
     /// decision draws**: the seeded fault stream is untouched, so recorded
     /// corpora and the `fault_golden` pins stay valid.
     fn tally_lost(&self, env: &Envelope) {
+        let lost = &self.tallies.lost_by_class;
         if env.class == MsgClass::Batch {
             if let Some(batch) = env.payload.downcast_ref::<crate::message::BatchPayload>() {
                 for inner in &batch.envs {
-                    self.tallies.lost_by_class[inner.class.index()].fetch_add(1, Ordering::Relaxed);
+                    lost[inner.class.index()].fetch_add(1, Ordering::Relaxed);
+                }
+                return;
+            }
+            if let Some(frame) = env.payload.downcast_ref::<crate::Frame>() {
+                for (tally, &(n, _)) in lost.iter().zip(&frame.class_counts()) {
+                    tally.fetch_add(n, Ordering::Relaxed);
                 }
                 return;
             }
         }
-        self.tallies.lost_by_class[env.class.index()].fetch_add(1, Ordering::Relaxed);
+        lost[env.class.index()].fetch_add(1, Ordering::Relaxed);
     }
 
     /// The decorator's logical clock (diagnostics).
@@ -883,6 +890,36 @@ mod tests {
         );
         assert_eq!(counts.lost_total(), 3);
         assert!(counts.lost_total() >= counts.dropped + counts.truncated);
+    }
+
+    /// A byte-codec batch is a frame: a dropped or truncated one tallies
+    /// each message inside it by its own class, and drops each cell on its
+    /// side list once.
+    #[test]
+    fn lost_frames_tally_each_inner_class() {
+        use crate::message::tests::{count, drops, Tally};
+        use crate::{Frame, HandlerId, InlineSlot};
+        let lossy = [ClassFaults::dropping(1.0), ClassFaults::truncating(1.0)];
+        for faults in lossy {
+            let n = drops();
+            let mut f = Frame::new(PlaceId(0), PlaceId(1), (0, 0));
+            for (i, class) in [MsgClass::Task, MsgClass::FinishCtl, MsgClass::Task]
+                .into_iter()
+                .enumerate()
+            {
+                f.push(class, None, 40, HandlerId(1), |_| {
+                    InlineSlot::new(Tally(n.clone(), i as u64)).ok()
+                });
+            }
+            let t = wrap(2, FaultPlan::new(1).all_classes(faults));
+            t.send(Box::new(f).into_envelope()).unwrap();
+            while t.try_recv(PlaceId(1)).is_some() {}
+            let c = t.fault_counts();
+            assert_eq!(c.lost(MsgClass::Task), 2, "{faults:?}");
+            assert_eq!(c.lost(MsgClass::FinishCtl), 1);
+            assert_eq!(c.lost(MsgClass::Batch), 0, "count the cargo, not the crate");
+            assert_eq!(count(&n), 3, "{faults:?}: each cell dropped once");
+        }
     }
 
     #[test]

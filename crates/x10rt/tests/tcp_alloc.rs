@@ -123,8 +123,8 @@ fn recv(t: &TcpTransport) {
             (m.handler, m.args),
             (HandlerId(2000), &(i as u64).to_le_bytes()[..])
         );
-        let part = m.part.expect("its part").downcast::<u64>().unwrap();
-        assert_eq!(*part, i as u64);
+        let part = m.part.expect("its part").take_or_unbox::<u64>().unwrap();
+        assert_eq!(part, i as u64);
         seen += 1;
     }
     assert_eq!(seen, MSGS);
