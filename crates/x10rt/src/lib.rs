@@ -13,11 +13,14 @@
 //!   [`transport::LocalTransport`] back-end: one growable lock-free SPSC
 //!   [`ring`] lane per (sender, receiver) pair, preserving per-sender FIFO — exactly the guarantee PAMI gives and the
 //!   guarantee the finish protocols rely on;
-//! * [`arena::EnvelopeArena`] — freelist recycling of coalescer batch
-//!   buffers, making the steady-state send path allocation-free;
+//! * [`arena::EnvelopeArena`] — freelist recycling of the inline codec's
+//!   coalescer batch buffers, making its steady-state send path
+//!   allocation-free;
 //! * [`coalesce::Coalescer`] — sender-side aggregation of small messages
 //!   into batch envelopes (the PAMI aggregation layer), with per-destination
-//!   flush thresholds and an explicit flush discipline;
+//!   flush thresholds and an explicit flush discipline; under the byte
+//!   codec each destination buffer is a frame the messages are written
+//!   into at send time;
 //! * [`stats::NetStats`] — per-message-class counters (messages, modeled wire
 //!   bytes, per-place in-degree) sharded per sender, plus physical envelope
 //!   counters so benchmarks can compare protocol and transport costs;
@@ -35,8 +38,9 @@
 //! * [`codec`] — the serialized wire format (`PROTOCOL.md`): fixed
 //!   little-endian message headers, handler-id registry conventions, batch
 //!   frames and the connection handshake;
-//! * [`frame`] — a received frame validated in place: a batch frame is
-//!   delivered whole and read message by message without copying;
+//! * [`frame`] — the byte codec's unit of aggregation: built by the
+//!   coalescer, validated in place when it comes off a socket, delivered
+//!   whole and read message by message without copying;
 //! * [`tcp`] — [`tcp::TcpTransport`], the sockets back-end: places in
 //!   separate OS processes over per-peer framed TCP streams;
 //! * [`hash`] — the integer hasher behind every per-message map.
